@@ -19,6 +19,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .env import EpisodeReport, JointState
 from .instance import DeliveryOrder, Instance
 from .routing import DELIVER, PICKUP, Action, Route, Stop, simulate_timeline
@@ -42,16 +44,20 @@ def greedy_dispatch(state: JointState, rule: str) -> int:
     resulting total route length, ``max_orders`` maximizes the vehicle's
     committed order count.  Ties go to the lowest vehicle id.
     """
-    feasible = state.feasible_vehicles()
-    if not feasible:
+    feasible = np.flatnonzero(state.feasible)
+    if not feasible.size:
         raise ValueError(f"no feasible vehicle for order {state.order_id}")
+    cur_len, new_len = state.features[feasible, 0], state.features[feasible, 1]
     if rule == "incremental":
-        return min(feasible, key=lambda k: (state.rows[k].new_len - state.rows[k].cur_len, k))
-    if rule == "total":
-        return min(feasible, key=lambda k: (state.rows[k].new_len, k))
-    if rule == "max_orders":
-        return min(feasible, key=lambda k: (-state.accepted[k], k))
-    raise ValueError(f"unknown greedy rule {rule!r}")
+        cost = new_len - cur_len
+    elif rule == "total":
+        cost = new_len
+    elif rule == "max_orders":
+        cost = -state.accepted[feasible]
+    else:
+        raise ValueError(f"unknown greedy rule {rule!r}")
+    # argmin returns the first minimum, i.e. the lowest vehicle id.
+    return int(feasible[np.argmin(cost)])
 
 
 def make_greedy_policy(rule: str) -> Callable[[JointState], int]:

@@ -53,13 +53,11 @@ def _write_config(outdir: Path, args: argparse.Namespace) -> None:
 
 
 def _append_metrics(path: Path, row: dict) -> None:
-    header = "episode,policy,instance,nuv,ttl,tc\n"
-    line = "{episode},{policy},{instance},{nuv},{ttl!r},{tc!r}\n".format(**row)
-    if not path.exists():
-        path.write_text(header + line, encoding="utf-8")
-    else:
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(line)
+    """Append one episode row; its ``episode`` column is the row's index."""
+    text = path.read_text(encoding="utf-8") if path.exists() else "episode,policy,instance,nuv,ttl,tc\n"
+    episode = text.count("\n") - 1
+    line = "{episode},{policy},{instance},{nuv},{ttl!r},{tc!r}\n".format(episode=episode, **row)
+    path.write_text(text + line, encoding="utf-8")
 
 
 def aggregate_metrics(reports: Sequence[EpisodeReport]) -> dict:
@@ -207,7 +205,7 @@ def _run_one(instance: Instance, policy, outdir: Path, label: str, instance_labe
     )
     _append_metrics(
         outdir / "metrics.csv",
-        {"episode": 0, "policy": label, "instance": instance_label, "nuv": report.nuv, "ttl": report.ttl, "tc": report.tc},
+        {"policy": label, "instance": instance_label, "nuv": report.nuv, "ttl": report.ttl, "tc": report.tc},
     )
     return report
 

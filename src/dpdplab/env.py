@@ -36,59 +36,25 @@ class UnserviceableOrderError(RuntimeError):
 
 
 @dataclass
-class VehicleState:
-    """Per-vehicle feature row; all five features are -1 when infeasible."""
-
-    cur_len: float
-    new_len: float
-    score: float
-    used_flag: int
-    interval: int
-    feasible: bool
-
-    @classmethod
-    def from_planner(cls, result: PlannerResult) -> "VehicleState":
-        return cls(
-            cur_len=result.cur_len,
-            new_len=result.new_len,
-            score=result.score,
-            used_flag=result.used_flag,
-            interval=result.interval,
-            feasible=result.feasible,
-        )
-
-    def features(self) -> tuple[float, float, float, float, float]:
-        return (
-            float(self.cur_len),
-            float(self.new_len),
-            float(self.score),
-            float(self.used_flag),
-            float(self.interval),
-        )
-
-
-@dataclass
 class JointState:
-    """Fleet state with respect to one order: K rows plus vehicle positions.
+    """Fleet state with respect to one order, one row per vehicle.
 
+    ``features`` holds each vehicle's five planner features (current and new
+    route length, demand-alignment score, used flag, interval; all -1 when
+    the vehicle is infeasible) and ``positions`` its current coordinates.
     ``accepted`` carries each vehicle's committed order count as side
     information for dispatch rules; it is not part of the feature rows.
     """
 
-    rows: list[VehicleState]
+    features: np.ndarray  # (K, 5) float
+    feasible: np.ndarray  # (K,) bool
+    positions: np.ndarray  # (K, 2) float
+    accepted: np.ndarray  # (K,) int
     order_id: int
-    positions: list[tuple[float, float]]
-    accepted: list[int]
 
     @property
     def n_vehicles(self) -> int:
-        return len(self.rows)
-
-    def feasible_vehicles(self) -> list[int]:
-        return [k for k, row in enumerate(self.rows) if row.feasible]
-
-    def feature_matrix(self) -> np.ndarray:
-        return np.array([row.features() for row in self.rows], dtype=float)
+        return len(self.feasible)
 
 
 @dataclass
@@ -226,10 +192,13 @@ def _joint_state(
     from .routing import vehicle_position
 
     return JointState(
-        rows=[VehicleState.from_planner(r) for r in results],
+        features=np.array([r.features() for r in results], dtype=float),
+        feasible=np.array([r.feasible for r in results], dtype=bool),
+        positions=np.array(
+            [vehicle_position(rt.route, instance.network, now) for rt in runtimes], dtype=float
+        ),
+        accepted=np.array([rt.served for rt in runtimes], dtype=int),
         order_id=order.id,
-        positions=[vehicle_position(rt.route, instance.network, now) for rt in runtimes],
-        accepted=[rt.served for rt in runtimes],
     )
 
 
@@ -258,11 +227,10 @@ PolicyFn = Callable[[JointState], int]
 def run_episode(
     instance: Instance,
     policy: PolicyFn,
-    record: bool = False,
     alpha: float = DEFAULT_ALPHA,
     predicted: DemandGrid | None = None,
 ) -> tuple[EpisodeReport, list[Transition]]:
-    """Simulate one day; returns the cost report and (if recorded) transitions.
+    """Simulate one day; returns the cost report and the transitions.
 
     Deterministic given the instance and the policy's own randomness; aborts
     with :class:`UnserviceableOrderError` when an order fits no vehicle.
@@ -289,7 +257,7 @@ def run_episode(
         t0 = time.perf_counter()
         results = _plan_all(order, runtimes, instance, predicted, now)
         state = _joint_state(order, runtimes, instance, results, now)
-        if not state.feasible_vehicles():
+        if not state.feasible.any():
             raise UnserviceableOrderError(order.id)
         k = int(policy(state))
         decision_times.append(time.perf_counter() - t0)

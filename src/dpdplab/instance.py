@@ -14,6 +14,7 @@ from midnight, quantities are integer cargo units.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -243,8 +244,21 @@ def _order_to_dict(o: DeliveryOrder) -> dict:
     }
 
 
-def _order_from_dict(d: dict, prefix: str) -> DeliveryOrder:
+@contextmanager
+def _reading(field: str):
+    """Report a missing or malformed value under ``field`` as an InstanceError."""
     try:
+        yield
+    except InstanceError:
+        raise
+    except KeyError as exc:
+        raise InstanceError(f"{field} is missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise InstanceError(f"{field} is malformed: {exc}") from None
+
+
+def _order_from_dict(d: dict, prefix: str) -> DeliveryOrder:
+    with _reading(prefix):
         return DeliveryOrder(
             id=int(d["id"]),
             pickup=int(d["pickup"]),
@@ -253,36 +267,35 @@ def _order_from_dict(d: dict, prefix: str) -> DeliveryOrder:
             created_at=int(d["created_at"]),
             latest_delivery=int(d["latest_delivery"]),
         )
-    except KeyError as exc:
-        raise InstanceError(f"{prefix} is missing field {exc.args[0]!r}") from None
 
 
 def instance_from_dict(doc: dict) -> Instance:
+    if not isinstance(doc, dict):
+        raise InstanceError("instance document must be a JSON object")
     for key in ("network", "orders", "fleet"):
         if key not in doc:
             raise InstanceError(f"instance document is missing top-level key {key!r}")
     net = doc["network"]
-    try:
+    with _reading("network.nodes entry"):
         nodes = [
             Node(id=int(n["id"]), role=str(n["role"]), x=float(n["x"]), y=float(n["y"]))
             for n in net["nodes"]
         ]
-    except KeyError as exc:
-        raise InstanceError(f"network.nodes entry is missing field {exc.args[0]!r}") from None
-    if net.get("dist") is None:
-        dist = euclidean_matrix(nodes)
-    else:
-        dist = np.array(net["dist"], dtype=float)
-        if dist.ndim != 2:
-            raise InstanceError("network.dist must be a square matrix")
-    network = RoadNetwork(
-        nodes=nodes,
-        dist=dist,
-        speed=float(net.get("speed", 1.0)),
-        service_time=float(net.get("service_time", 0.0)),
-    )
+    with _reading("network"):
+        if net.get("dist") is None:
+            dist = euclidean_matrix(nodes)
+        else:
+            dist = np.array(net["dist"], dtype=float)
+            if dist.ndim != 2:
+                raise InstanceError("network.dist must be a square matrix")
+        network = RoadNetwork(
+            nodes=nodes,
+            dist=dist,
+            speed=float(net.get("speed", 1.0)),
+            service_time=float(net.get("service_time", 0.0)),
+        )
     fleet_doc = doc["fleet"]
-    try:
+    with _reading("fleet"):
         fleet = FleetConfig(
             vehicles=[
                 VehicleSpec(id=int(v["id"]), depot=int(v["depot"]))
@@ -292,22 +305,18 @@ def instance_from_dict(doc: dict) -> Instance:
             fixed_cost=float(fleet_doc.get("fixed_cost", 300.0)),
             unit_cost=float(fleet_doc.get("unit_cost", 2.0)),
         )
-    except KeyError as exc:
-        raise InstanceError(f"fleet is missing field {exc.args[0]!r}") from None
-    orders = [_order_from_dict(o, f"orders[{i}]") for i, o in enumerate(doc["orders"])]
+    with _reading("orders"):
+        orders = [_order_from_dict(o, f"orders[{i}]") for i, o in enumerate(doc["orders"])]
     history = doc.get("history")
     if history is not None:
-        history = [
-            [_order_from_dict(o, f"history[{d}][{i}]") for i, o in enumerate(day)]
-            for d, day in enumerate(history)
-        ]
-    inst = Instance(
-        network=network,
-        orders=orders,
-        fleet=fleet,
-        horizon=int(doc.get("horizon", 144)),
-        history=history,
-    )
+        with _reading("history"):
+            history = [
+                [_order_from_dict(o, f"history[{d}][{i}]") for i, o in enumerate(day)]
+                for d, day in enumerate(history)
+            ]
+    with _reading("horizon"):
+        horizon = int(doc.get("horizon", 144))
+    inst = Instance(network=network, orders=orders, fleet=fleet, horizon=horizon, history=history)
     inst.validate()
     return inst
 

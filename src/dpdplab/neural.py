@@ -2,9 +2,10 @@
 
 Just the pieces the dispatch network needs: multi-layer perceptrons,
 multi-head scaled dot-product attention where the first row of each group
-is the query, and a concatenative dense head.  Every block caches its last
-forward pass and exposes mirrored gradient buffers that accumulate across
-backward calls until :meth:`zero_grad`.
+is the query, and a concatenative dense head.  No block keeps activations
+between calls: ``forward`` returns ``(output, tape)``, where the tape holds
+what the matching ``backward(tape, grad)`` needs.  Gradients accumulate in
+mirrored buffers across backward calls until :meth:`zero_grad`.
 
 Checkpoints are a small named-tensor archive: a JSON manifest followed by
 raw little-endian float64 payloads, deterministic byte-for-byte for equal
@@ -62,16 +63,13 @@ class Linear(Block):
         super().__init__()
         self._add_param("W", glorot_uniform(rng, d_in, d_out, (d_in, d_out)))
         self._add_param("b", np.zeros(d_out, dtype=np.float64))
-        self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return x @ self.params["W"] + self.params["b"]
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Affine map; the tape is the input."""
+        return x @ self.params["W"] + self.params["b"], x
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        self.grads["W"] += self._x.T @ grad
+    def backward(self, tape: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        self.grads["W"] += tape.T @ grad
         self.grads["b"] += grad.sum(axis=0)
         return grad @ self.params["W"].T
 
@@ -85,24 +83,25 @@ class Mlp(Block):
         if len(sizes) < 2:
             raise ValueError("an MLP needs at least input and output sizes")
         self.layers = [Linear(a, b, rng) for a, b in zip(sizes, sizes[1:])]
-        self._pre: list[np.ndarray] = []
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._pre = []
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The tape is every layer's input; past the first they are ReLU
+        outputs, so they also give the ReLU masks."""
+        inputs = []
         h = x
         for i, layer in enumerate(self.layers):
-            h = layer.forward(h)
-            if i < len(self.layers) - 1:
-                self._pre.append(h)
+            if i > 0:
                 h = relu(h)
-        return h
+            h, layer_in = layer.forward(h)
+            inputs.append(layer_in)
+        return h, inputs
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, tape: list[np.ndarray], grad: np.ndarray) -> np.ndarray:
         g = grad
         for i in range(len(self.layers) - 1, -1, -1):
-            if i < len(self.layers) - 1:
-                g = g * (self._pre[i] > 0)
-            g = self.layers[i].backward(g)
+            g = self.layers[i].backward(tape[i], g)
+            if i > 0:
+                g = g * (tape[i] > 0)
         return g
 
     def zero_grad(self) -> None:
@@ -121,7 +120,8 @@ class AttentionBlock(Block):
     querying member; output is its next-level representation ``(B, d_out)``:
     per head ``softmax(q K^T / sqrt(d_head)) V``, heads concatenated, then
     the query row is concatenated with the attention context and passed
-    through an affine + ReLU layer.
+    through an affine + ReLU layer.  The tape's ``"weights"`` entry holds the
+    attention weights, shape ``(B, H, M)``.
     """
 
     def __init__(self, d_in: int, n_heads: int, d_head: int, d_out: int, rng: np.random.Generator):
@@ -136,9 +136,8 @@ class AttentionBlock(Block):
         self._add_param("WV", glorot_uniform(rng, d_in, width, (d_in, width)))
         self._add_param("W", glorot_uniform(rng, d_in + width, d_out, (d_in + width, d_out)))
         self._add_param("b", np.zeros(d_out, dtype=np.float64))
-        self._cache: dict | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         if x.ndim != 3 or x.shape[2] != self.d_in:
             raise ValueError(f"expected input of shape (B, M, {self.d_in}), got {x.shape}")
         B, M, _ = x.shape
@@ -152,23 +151,12 @@ class AttentionBlock(Block):
         ctx = np.einsum("bhm,bmhd->bhd", weights, V).reshape(B, H * dh)
         cat = np.concatenate([q_in, ctx], axis=1)
         pre = cat @ self.params["W"] + self.params["b"]
-        out = relu(pre)
-        self._cache = {"x": x, "Q": Q, "K": K, "V": V, "weights": weights, "cat": cat, "pre": pre}
-        return out
+        tape = {"x": x, "Q": Q, "K": K, "V": V, "weights": weights, "cat": cat, "pre": pre}
+        return relu(pre), tape
 
-    @property
-    def last_weights(self) -> np.ndarray:
-        """Attention weights of the most recent forward pass, shape (B, H, M)."""
-        if self._cache is None:
-            raise RuntimeError("no forward pass recorded")
-        return self._cache["weights"]
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        c = self._cache
+    def backward(self, tape: dict, grad: np.ndarray) -> np.ndarray:
         x, Q, K, V, weights, cat, pre = (
-            c["x"], c["Q"], c["K"], c["V"], c["weights"], c["cat"], c["pre"],
+            tape["x"], tape["Q"], tape["K"], tape["V"], tape["weights"], tape["cat"], tape["pre"],
         )
         B, M, _ = x.shape
         H, dh = self.n_heads, self.d_head
@@ -260,17 +248,20 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray], meta: dict | 
 def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
     raw = path.read_bytes()
-    if raw[: len(_MAGIC)] != _MAGIC:
-        raise ValueError(f"{path} is not a tensor archive")
-    (header_len,) = struct.unpack("<Q", raw[len(_MAGIC) : len(_MAGIC) + 8])
     header_start = len(_MAGIC) + 8
-    header = json.loads(raw[header_start : header_start + header_len].decode())
-    payload = raw[header_start + header_len :]
-    tensors = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start).reshape(shape)
-        tensors[entry["name"]] = arr.astype(np.float64)
-    return tensors, header["meta"]
+    if raw[: len(_MAGIC)] != _MAGIC or len(raw) < header_start:
+        raise ValueError(f"{path} is not a tensor archive")
+    (header_len,) = struct.unpack("<Q", raw[len(_MAGIC) : header_start])
+    try:
+        header = json.loads(raw[header_start : header_start + header_len].decode())
+        payload = raw[header_start + header_len :]
+        tensors = {}
+        for entry in header["tensors"]:
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            start = entry["offset"]
+            arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start).reshape(shape)
+            tensors[entry["name"]] = arr.astype(np.float64)
+        return tensors, header["meta"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is a damaged tensor archive: {exc!r}") from None

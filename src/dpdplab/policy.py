@@ -14,9 +14,8 @@ their rows.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -41,49 +40,22 @@ class QNetworkConfig:
     use_score_feature: bool = True
     feature_scale: tuple[float, ...] = (0.02, 0.02, 1.0, 1.0, 1.0 / 144.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "state_dim": self.state_dim,
-            "embed_dim": self.embed_dim,
-            "mlp_hidden": list(self.mlp_hidden),
-            "attn_heads": self.attn_heads,
-            "attn_head_dim": self.attn_head_dim,
-            "neighbors": self.neighbors,
-            "use_attention": self.use_attention,
-            "use_score_feature": self.use_score_feature,
-            "feature_scale": list(self.feature_scale),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QNetworkConfig":
-        return cls(
-            state_dim=int(d["state_dim"]),
-            embed_dim=int(d["embed_dim"]),
-            mlp_hidden=tuple(d["mlp_hidden"]),
-            attn_heads=int(d["attn_heads"]),
-            attn_head_dim=int(d["attn_head_dim"]),
-            neighbors=int(d["neighbors"]),
-            use_attention=bool(d["use_attention"]),
-            use_score_feature=bool(d["use_score_feature"]),
-            feature_scale=tuple(d["feature_scale"]),
-        )
+    def __post_init__(self):
+        # JSON round trips hand the sequences back as lists.
+        self.mlp_hidden = tuple(self.mlp_hidden)
+        self.feature_scale = tuple(self.feature_scale)
 
 
 def neighbor_indices(positions: np.ndarray, n_neighbors: int) -> np.ndarray:
     """Group index matrix (rows, 1 + NE): self first, then the NE nearest
     others ordered by (distance, index).  NE clamps to rows - 1."""
-    n = positions.shape[0]
-    ne = min(n_neighbors, n - 1)
-    idx = np.empty((n, ne + 1), dtype=int)
-    if n == 1 or ne == 0:
-        return np.arange(n, dtype=int).reshape(n, 1)
+    ne = min(n_neighbors, positions.shape[0] - 1)
     diff = positions[:, None, :] - positions[None, :, :]
     d2 = (diff**2).sum(axis=2)
-    for i in range(n):
-        order = sorted((float(d2[i, j]), j) for j in range(n) if j != i)
-        idx[i, 0] = i
-        idx[i, 1:] = [j for _, j in order[:ne]]
-    return idx
+    # Squared distances are >= 0, so a negative diagonal sorts self first;
+    # the stable sort breaks distance ties by index.
+    np.fill_diagonal(d2, -1.0)
+    return np.argsort(d2, axis=1, kind="stable")[:, : ne + 1]
 
 
 class QNetwork:
@@ -106,7 +78,6 @@ class QNetwork:
             self.attn1 = self.attn2 = None
             final_in = cfg.embed_dim
         self.final_mlp = Mlp([final_in, *cfg.mlp_hidden, 1], rng)
-        self._cache: dict | None = None
 
     def blocks(self) -> list[tuple[str, object]]:
         out: list[tuple[str, object]] = [("init.", self.init_mlp)]
@@ -128,77 +99,73 @@ class QNetwork:
         for name, p, _ in other.parameters():
             mine[name][...] = p
 
-    def _scaled_features(self, state: JointState, feasible: list[int]) -> np.ndarray:
-        feats = state.feature_matrix()[feasible]
-        if not self.config.use_score_feature:
-            feats[:, 2] = 0.0
-        return feats * np.asarray(self.config.feature_scale, dtype=float)
-
-    def q_values(self, state: JointState) -> np.ndarray:
-        """Q per vehicle; infeasible rows get the sentinel without evaluation."""
-        feasible = state.feasible_vehicles()
+    def q_values(self, state: JointState) -> tuple[np.ndarray, dict]:
+        """Q per vehicle and the tape :meth:`backward` needs; infeasible rows
+        get the sentinel without evaluation."""
+        rows = np.flatnonzero(state.feasible)
         q = np.full(state.n_vehicles, SENTINEL_Q, dtype=float)
-        if not feasible:
-            self._cache = None
-            return q
-        x = self._scaled_features(state, feasible)
-        h0 = self.init_mlp.forward(x)
+        tape: dict = {"rows": rows}
+        if not rows.size:
+            return q, tape
+        x = state.features[rows]
+        if not self.config.use_score_feature:
+            x[:, 2] = 0.0
+        x = x * np.asarray(self.config.feature_scale, dtype=float)
+        h0, tape["init"] = self.init_mlp.forward(x)
         if self.attn1 is not None:
-            positions = np.array([state.positions[k] for k in feasible], dtype=float)
-            idx = neighbor_indices(positions, self.config.neighbors)
-            h1 = self.attn1.forward(h0[idx])
-            h2 = self.attn2.forward(h1[idx])
+            idx = neighbor_indices(state.positions[rows], self.config.neighbors)
+            h1, tape["attn1"] = self.attn1.forward(h0[idx])
+            h2, tape["attn2"] = self.attn2.forward(h1[idx])
+            tape["idx"] = idx
             cat = np.concatenate([h0, h1, h2], axis=1)
         else:
-            idx = None
             cat = h0
-        out = self.final_mlp.forward(cat)
-        q[feasible] = out[:, 0]
-        self._cache = {"feasible": feasible, "idx": idx, "h0_shape": h0.shape}
-        return q
+        out, tape["final"] = self.final_mlp.forward(cat)
+        q[rows] = out[:, 0]
+        return q, tape
 
-    def backward(self, dq: np.ndarray) -> None:
-        """Accumulate gradients of a scalar loss whose dL/dQ is ``dq`` (per vehicle).
+    def backward(self, tape: dict, dq: np.ndarray) -> None:
+        """Accumulate gradients of a scalar loss whose dL/dQ is ``dq`` (per
+        vehicle) through the forward pass recorded in ``tape``.
 
         Components on infeasible rows must be zero: those rows never entered
         the forward pass.
         """
-        if self._cache is None:
-            raise RuntimeError("backward called before q_values")
-        feasible = self._cache["feasible"]
-        idx = self._cache["idx"]
+        rows = tape["rows"]
         infeasible_mask = np.ones(len(dq), dtype=bool)
-        infeasible_mask[feasible] = False
+        infeasible_mask[rows] = False
         if np.any(dq[infeasible_mask] != 0.0):
             raise ValueError("loss gradient on an infeasible row")
-        dout = np.asarray(dq, dtype=float)[feasible].reshape(-1, 1)
-        dcat = self.final_mlp.backward(dout)
+        if not rows.size:
+            return
+        dout = np.asarray(dq, dtype=float)[rows].reshape(-1, 1)
+        dcat = self.final_mlp.backward(tape["final"], dout)
         if self.attn1 is not None:
             d = self.config.embed_dim
+            idx = tape["idx"]
             dh0 = dcat[:, :d].copy()
             dh1 = dcat[:, d : 2 * d].copy()
             dh2 = dcat[:, 2 * d :].copy()
-            dx1 = self.attn2.backward(dh2)
+            dx1 = self.attn2.backward(tape["attn2"], dh2)
             np.add.at(dh1, idx, dx1)
-            dx0 = self.attn1.backward(dh1)
+            dx0 = self.attn1.backward(tape["attn1"], dh1)
             np.add.at(dh0, idx, dx0)
         else:
             dh0 = dcat
-        self.init_mlp.backward(dh0)
-        self._cache = None
+        self.init_mlp.backward(tape["init"], dh0)
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {name: p for name, p, _ in self.parameters()}
 
     def save(self, path: str | Path, meta: dict | None = None) -> Path:
         payload = dict(meta or {})
-        payload["qnetwork_config"] = self.config.to_dict()
+        payload["qnetwork_config"] = asdict(self.config)
         return save_tensors(path, self.tensors(), payload)
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["QNetwork", dict]:
         tensors, meta = load_tensors(path)
-        config = QNetworkConfig.from_dict(meta["qnetwork_config"])
+        config = QNetworkConfig(**meta["qnetwork_config"])
         net = cls(config, seed=0)
         mine = {name: p for name, p, _ in net.parameters()}
         if set(mine) != set(tensors):
@@ -217,15 +184,16 @@ def select_action(
     rng: np.random.Generator | None = None,
 ) -> int:
     """Epsilon-greedy over feasible vehicles; greedy ties go to the lowest id."""
-    feasible = state.feasible_vehicles()
-    if not feasible:
+    feasible = np.flatnonzero(state.feasible)
+    if not feasible.size:
         raise ValueError(f"no feasible vehicle for order {state.order_id}")
     if epsilon > 0.0:
         if rng is None:
             raise ValueError("exploration requires a random generator")
         if rng.random() < epsilon:
             return int(feasible[int(rng.integers(len(feasible)))])
-    return int(np.argmax(net.q_values(state)))
+    q, _ = net.q_values(state)
+    return int(np.argmax(q))
 
 
 def make_learned_policy(
@@ -251,25 +219,6 @@ class TrainerConfig:
     learning_rate: float = 1e-3
     alpha: float = 0.01
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "epsilon_start": self.epsilon_start,
-            "epsilon_final": self.epsilon_final,
-            "epsilon_decay_fraction": self.epsilon_decay_fraction,
-            "buffer_capacity": self.buffer_capacity,
-            "batch_size": self.batch_size,
-            "target_period": self.target_period,
-            "steps_per_episode": self.steps_per_episode,
-            "learning_rate": self.learning_rate,
-            "alpha": self.alpha,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainerConfig":
-        return cls(**d)
 
 
 class Trainer:
@@ -301,9 +250,10 @@ class Trainer:
         if transition.interval_end or transition.next_state is None:
             return float(transition.reward)
         nxt = transition.next_state
-        best = int(np.argmax(self.online.q_values(nxt)))
-        target_q = self.target.q_values(nxt)[best]
-        return float(transition.reward + self.config.gamma * target_q)
+        online_q, _ = self.online.q_values(nxt)
+        target_q, _ = self.target.q_values(nxt)
+        best = int(np.argmax(online_q))
+        return float(transition.reward + self.config.gamma * target_q[best])
 
     def train_step(self) -> float | None:
         cfg = self.config
@@ -315,12 +265,12 @@ class Trainer:
         self.online.zero_grad()
         total = 0.0
         for tr, y in zip(batch, targets):
-            q = self.online.q_values(tr.state)
+            q, tape = self.online.q_values(tr.state)
             diff = float(q[tr.action]) - y
             total += diff * diff
             dq = np.zeros_like(q)
             dq[tr.action] = 2.0 * diff / cfg.batch_size
-            self.online.backward(dq)
+            self.online.backward(tape, dq)
         self.optimizer.step()
         return total / cfg.batch_size
 
@@ -346,9 +296,7 @@ class Trainer:
             self.last_epsilon = eps
             instance = instances[episode % len(instances)]
             policy = make_learned_policy(self.online, epsilon=eps, rng=self.rng)
-            report, transitions = run_episode(
-                instance, policy, record=True, alpha=self.config.alpha
-            )
+            report, transitions = run_episode(instance, policy, alpha=self.config.alpha)
             self.buffer.extend(transitions)
             losses = [
                 loss
@@ -374,19 +322,19 @@ class Trainer:
         tensors = {f"online.{n}": p for n, p, _ in self.online.parameters()}
         tensors.update({f"target.{n}": p for n, p, _ in self.target.parameters()})
         meta = {
-            "qnetwork_config": self.online.config.to_dict(),
-            "trainer_config": self.config.to_dict(),
+            "qnetwork_config": asdict(self.online.config),
+            "trainer_config": asdict(self.config),
             "episodes_trained": self.episodes_trained,
             "epsilon": self.last_epsilon,
-            "rng_state": _rng_state_to_json(self.rng),
+            "rng_state": self.rng.bit_generator.state,
         }
         return save_tensors(path, tensors, meta)
 
     @classmethod
     def load_checkpoint(cls, path: str | Path) -> "Trainer":
         tensors, meta = load_tensors(path)
-        qconfig = QNetworkConfig.from_dict(meta["qnetwork_config"])
-        tconfig = TrainerConfig.from_dict(meta["trainer_config"])
+        qconfig = QNetworkConfig(**meta["qnetwork_config"])
+        tconfig = TrainerConfig(**meta["trainer_config"])
         trainer = cls(qconfig, tconfig)
         for net, prefix in ((trainer.online, "online."), (trainer.target, "target.")):
             mine = {name: p for name, p, _ in net.parameters()}
@@ -394,34 +342,6 @@ class Trainer:
                 p[...] = tensors[prefix + name]
         trainer.episodes_trained = int(meta["episodes_trained"])
         trainer.last_epsilon = float(meta.get("epsilon", tconfig.epsilon_start))
-        trainer.rng = _rng_state_from_json(meta["rng_state"])
+        trainer.rng.bit_generator.state = meta["rng_state"]
         return trainer
 
-
-def _rng_state_to_json(rng: np.random.Generator) -> dict:
-    state = copy.deepcopy(rng.bit_generator.state)
-
-    def convert(obj):
-        if isinstance(obj, dict):
-            return {k: convert(v) for k, v in obj.items()}
-        if isinstance(obj, np.ndarray):
-            return {"__ndarray__": obj.tolist(), "dtype": str(obj.dtype)}
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        return obj
-
-    return convert(state)
-
-
-def _rng_state_from_json(doc: dict) -> np.random.Generator:
-    def restore(obj):
-        if isinstance(obj, dict):
-            if "__ndarray__" in obj:
-                return np.array(obj["__ndarray__"], dtype=obj["dtype"])
-            return {k: restore(v) for k, v in obj.items()}
-        return obj
-
-    state = restore(doc)
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
-    return rng

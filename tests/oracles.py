@@ -210,3 +210,19 @@ def attention_reference(x_rows, WQ, WK, WV, W, b, heads, d_head):
 
 def relative_error(analytic, numeric):
     return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
+
+
+def neighbor_reference(positions, n_neighbors):
+    """Neighbour groups by sorting each row: self first, then the nearest
+    ``n_neighbors`` others ordered by (squared distance, index)."""
+    n = len(positions)
+    ne = min(n_neighbors, n - 1)
+    groups = []
+    for i in range(n):
+        others = sorted(
+            (sum((a - b) ** 2 for a, b in zip(positions[i], positions[j])), j)
+            for j in range(n)
+            if j != i
+        )
+        groups.append([i] + [j for _, j in others[:ne]])
+    return groups

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dpdplab.baselines import (
@@ -8,7 +9,7 @@ from dpdplab.baselines import (
     solve_exact,
     validate_routes,
 )
-from dpdplab.env import JointState, VehicleState, run_episode
+from dpdplab.env import JointState, run_episode
 from dpdplab.instance import FleetConfig, VehicleSpec, generate_instance
 from dpdplab.routing import DELIVER, PICKUP, Action, Route, Stop, simulate_timeline
 
@@ -17,19 +18,14 @@ from oracles import exhaustive_optimum
 
 
 def _state(rows, accepted=None):
-    built = []
-    for row in rows:
-        if row is None:
-            built.append(VehicleState(-1.0, -1.0, -1.0, -1, -1, feasible=False))
-        else:
-            cur, new = row
-            built.append(VehicleState(cur, new, 0.0, 1, 0, feasible=True))
-    k = len(built)
+    """JointState from (cur_len, new_len) rows; None marks an infeasible vehicle."""
+    k = len(rows)
     return JointState(
-        rows=built,
+        features=np.array([[-1.0] * 5 if r is None else [r[0], r[1], 0.0, 1.0, 0.0] for r in rows]),
+        feasible=np.array([r is not None for r in rows]),
+        positions=np.zeros((k, 2)),
+        accepted=np.array(accepted or [0] * k),
         order_id=0,
-        positions=[(0.0, 0.0)] * k,
-        accepted=accepted or [0] * k,
     )
 
 

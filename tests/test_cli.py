@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdplab.cli import aggregate_metrics, main
 from dpdplab.env import EpisodeReport
-from dpdplab.instance import load_instance, save_instance
+from dpdplab.instance import generate_instance, load_instance, save_instance
 from dpdplab.policy import QNetworkConfig, Trainer, TrainerConfig
 
 from conftest import make_instance
@@ -199,3 +205,90 @@ def test_run_determinism_across_invocations(tmp_path):
         assert main(["run", "--instance", str(inst), "--policy", "greedy2", "--out", str(out)]) == 0
         outs.append((out / "trace_total.txt").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_metrics_episode_column_counts_rows(tmp_path):
+    inst = _gen(tmp_path, orders=4, vehicles=2)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--instance", str(inst), "--out", str(out)]) == 0
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]
+
+
+def _main_in(tmp: str, argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main([*argv, "--out", str(Path(tmp) / "out")])
+    return rc, err.getvalue()
+
+
+def _assert_clean_failure(rc: int, err: str) -> None:
+    assert rc == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+_DOC = generate_instance(seed=3, n_factories=4, n_orders=3, n_vehicles=2, history_days=1).to_dict()
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+def _swapped(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def _broken_instance_texts(draw):
+    """A proper prefix of the instance file, or the file with one value
+    swapped: containers become scalars, scalars containers or a non-number."""
+    text = json.dumps(_DOC)
+    if draw(st.booleans()):
+        return text[: draw(st.integers(0, len(text) - 1))]
+    path = draw(st.sampled_from(list(_paths(_DOC))))
+    node = _DOC
+    for key in path:
+        node = node[key]
+    choices = [5, "?"] if isinstance(node, (dict, list)) else [[], {}, "?"]
+    return json.dumps(_swapped(_DOC, path, draw(st.sampled_from(choices))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_broken_instance_texts())
+def test_broken_instance_fails_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(text)
+        _assert_clean_failure(*_main_in(tmp, ["run", "--instance", str(path), "--policy", "greedy1"]))
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("ckpt")
+    small = QNetworkConfig(embed_dim=4, mlp_hidden=(4,), attn_heads=1, attn_head_dim=2)
+    return Trainer(small, TrainerConfig(seed=1)).save_checkpoint(tmp / "t.ckpt").read_bytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_truncated_checkpoint_fails_cleanly(checkpoint_bytes, data):
+    cut = data.draw(st.integers(0, len(checkpoint_bytes) - 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        inst = Path(tmp) / "inst.json"
+        inst.write_text(json.dumps(_DOC))
+        ckpt = Path(tmp) / "cut.ckpt"
+        ckpt.write_bytes(checkpoint_bytes[:cut])
+        rc, err = _main_in(tmp, ["eval", "--checkpoint", str(ckpt), "--instance", str(inst)])
+        _assert_clean_failure(rc, err)
+        assert str(ckpt) in err

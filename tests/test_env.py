@@ -42,9 +42,7 @@ def test_final_rewards_add_episode_mean(line_network):
         make_order(1, pickup=0, delivery=1, created_at=200),
     ]
     inst = make_instance(line_network, orders, fleet)
-    report, transitions = run_episode(
-        inst, make_greedy_policy("incremental"), record=True, alpha=1.0
-    )
+    report, transitions = run_episode(inst, make_greedy_policy("incremental"), alpha=1.0)
     activated: set[int] = set()
     instants = []
     for rec in report.assignments:
@@ -84,9 +82,9 @@ def test_used_flag_rises_after_first_assignment(line_network):
         make_order(1, pickup=0, delivery=1, created_at=30),
     ]
     inst = make_instance(line_network, orders, fleet)
-    _, transitions = run_episode(inst, make_greedy_policy("incremental"), record=True)
-    assert transitions[0].state.rows[0].used_flag == 0
-    assert transitions[1].state.rows[0].used_flag == 1
+    _, transitions = run_episode(inst, make_greedy_policy("incremental"))
+    assert transitions[0].state.features[0, 3] == 0.0
+    assert transitions[1].state.features[0, 3] == 1.0
 
 
 def test_infeasible_vehicle_has_sentinel_row(line_network):
@@ -99,8 +97,8 @@ def test_infeasible_vehicle_has_sentinel_row(line_network):
     )
     routes = [Route.empty(0, 2)]
     state = build_joint_state(inst.orders[0], routes, inst)
-    assert state.rows[0].features() == (-1.0, -1.0, -1.0, -1.0, -1.0)
-    assert not state.rows[0].feasible
+    assert state.features[0].tolist() == [-1.0, -1.0, -1.0, -1.0, -1.0]
+    assert not state.feasible[0]
 
 
 def test_unserviceable_order_aborts(line_network):
@@ -120,7 +118,7 @@ def test_policy_choosing_infeasible_vehicle_rejected(line_network):
     inst = make_instance(line_network, [make_order(0, created_at=0)], fleet)
 
     def bad_policy(state):
-        return 1 if not state.rows[1].feasible else 0
+        return 1 if not state.feasible[1] else 0
 
     report, _ = run_episode(inst, bad_policy)
     assert report.nuv == 1
@@ -128,7 +126,7 @@ def test_policy_choosing_infeasible_vehicle_rejected(line_network):
 
 def test_episode_invariants_on_generated_instance():
     inst = generate_instance(seed=77, n_factories=8, n_orders=15, n_vehicles=4)
-    report, transitions = run_episode(inst, make_greedy_policy("incremental"), record=True)
+    report, transitions = run_episode(inst, make_greedy_policy("incremental"))
 
     assert report.tc == inst.fleet.fixed_cost * report.nuv + inst.fleet.unit_cost * report.ttl
     assert report.nuv == sum(1 for r in report.routes if not r.is_empty)
@@ -137,7 +135,7 @@ def test_episode_invariants_on_generated_instance():
 
     activations = 0
     for tr in transitions:
-        if tr.state.rows[tr.action].used_flag == 0:
+        if tr.state.features[tr.action, 3] == 0.0:
             activations += 1
     assert activations == report.nuv
 
@@ -158,9 +156,7 @@ def test_episode_invariants_on_generated_instance():
 def test_reward_sum_matches_scaled_cost():
     inst = generate_instance(seed=31, n_factories=6, n_orders=10, n_vehicles=3)
     alpha = 0.01
-    report, transitions = run_episode(
-        inst, make_greedy_policy("incremental"), record=True, alpha=alpha
-    )
+    report, transitions = run_episode(inst, make_greedy_policy("incremental"), alpha=alpha)
     # Rewards are r_i + mean(r); their sum equals 2 * sum(r_i), so recover sum(r_i):
     total_with_mean = sum(tr.reward for tr in transitions)
     total_instants = total_with_mean / 2.0
@@ -170,7 +166,7 @@ def test_reward_sum_matches_scaled_cost():
 
 def test_positions_follow_routes():
     inst = generate_instance(seed=5, n_factories=6, n_orders=6, n_vehicles=2)
-    report, transitions = run_episode(inst, make_greedy_policy("incremental"), record=True)
+    report, transitions = run_episode(inst, make_greedy_policy("incremental"))
     first = transitions[0].state
     depot_xy = inst.network.coords(inst.fleet.vehicles[0].depot)
     assert first.positions[0] == pytest.approx(depot_xy)

@@ -12,7 +12,7 @@ def test_zero_weights_zero_output():
     for _, p, _ in mlp.parameters():
         p[...] = 0.0
     x = np.random.default_rng(1).normal(size=(3, 4))
-    assert np.all(mlp.forward(x) == 0.0)
+    assert np.all(mlp.forward(x)[0] == 0.0)
 
 
 def test_identity_single_layer():
@@ -21,14 +21,14 @@ def test_identity_single_layer():
     mlp.layers[0].params["W"][...] = np.eye(3)
     mlp.layers[0].params["b"][...] = 0.0
     x = np.array([[1.0, -2.0, 0.5]])
-    assert np.array_equal(mlp.forward(x), x)
+    assert np.array_equal(mlp.forward(x)[0], x)
 
 
 def test_mlp_matches_loop_reference():
     rng = np.random.default_rng(42)
     mlp = Mlp([5, 8, 1], rng)
     x = np.random.default_rng(7).normal(size=5)
-    got = mlp.forward(x.reshape(1, 5))[0]
+    got = mlp.forward(x.reshape(1, 5))[0][0]
     layers = [(l.params["W"].tolist(), l.params["b"].tolist()) for l in mlp.layers]
     want = mlp_reference(layers, x.tolist())
     assert got == pytest.approx(want, rel=1e-12)
@@ -39,8 +39,8 @@ def test_attention_uniform_weights_for_equal_scores():
     attn = AttentionBlock(d_in=4, n_heads=2, d_head=3, d_out=4, rng=rng)
     attn.params["WQ"][...] = 0.0  # all scores zero -> uniform softmax
     x = np.random.default_rng(5).normal(size=(1, 5, 4))
-    attn.forward(x)
-    weights = attn.last_weights
+    _, tape = attn.forward(x)
+    weights = tape["weights"]
     assert np.allclose(weights, 1.0 / 5.0)
 
 
@@ -48,20 +48,20 @@ def test_attention_single_row_attends_to_self():
     rng = np.random.default_rng(4)
     attn = AttentionBlock(d_in=3, n_heads=2, d_head=2, d_out=3, rng=rng)
     x = np.random.default_rng(6).normal(size=(1, 1, 3))
-    out = attn.forward(x)
+    out, tape = attn.forward(x)
     v = (x[0, 0] @ attn.params["WV"]).reshape(-1)
     cat = np.concatenate([x[0, 0], v])
     expected = np.maximum(cat @ attn.params["W"] + attn.params["b"], 0.0)
     assert out[0] == pytest.approx(expected, rel=1e-12)
-    assert np.allclose(attn.last_weights, 1.0)
+    assert np.allclose(tape["weights"], 1.0)
 
 
 def test_attention_weights_form_a_distribution():
     rng = np.random.default_rng(13)
     attn = AttentionBlock(d_in=4, n_heads=3, d_head=2, d_out=4, rng=rng)
     x = np.random.default_rng(14).normal(size=(4, 5, 4))
-    attn.forward(x)
-    weights = attn.last_weights
+    _, tape = attn.forward(x)
+    weights = tape["weights"]
     assert np.all(weights >= 0.0)
     assert np.allclose(weights.sum(axis=-1), 1.0)
 
@@ -70,7 +70,7 @@ def test_attention_matches_loop_reference():
     rng = np.random.default_rng(11)
     attn = AttentionBlock(d_in=4, n_heads=2, d_head=3, d_out=5, rng=rng)
     x = np.random.default_rng(12).normal(size=(2, 3, 4))
-    got = attn.forward(x)
+    got, _ = attn.forward(x)
     for b in range(2):
         want = attention_reference(
             x[b].tolist(),
@@ -90,9 +90,9 @@ def test_linear_layer_closed_form_gradient():
     lin = Linear(3, 1, rng)
     x = np.array([[0.5, -1.0, 2.0]])
     y = np.array([[0.7]])
-    pred = lin.forward(x)
+    pred, tape = lin.forward(x)
     lin.zero_grad()
-    lin.backward(2.0 * (pred - y))
+    lin.backward(tape, 2.0 * (pred - y))
     expected = 2.0 * (pred - y)[0, 0] * x[0]
     assert lin.grads["W"][:, 0] == pytest.approx(expected)
     assert lin.grads["b"][0] == pytest.approx(2.0 * (pred - y)[0, 0])
@@ -103,23 +103,23 @@ def test_constant_head_stops_gradient():
     mlp = Mlp([3, 4, 2], rng)
     mlp.layers[-1].params["W"][...] = 0.0  # output is constant in upstream params
     x = np.random.default_rng(2).normal(size=(2, 3))
-    mlp.forward(x)
+    _, tape = mlp.forward(x)
     mlp.zero_grad()
-    mlp.backward(np.ones((2, 2)))
+    mlp.backward(tape, np.ones((2, 2)))
     assert np.all(mlp.layers[0].grads["W"] == 0.0)
     assert np.all(mlp.layers[0].grads["b"] == 0.0)
 
 
 def _central_difference_check(block, x, seeds=1, h=1e-4, tol=1e-4):
     def loss():
-        out = block.forward(x)
+        out, _ = block.forward(x)
         return float(np.sum(out * weights_out))
 
     rng = np.random.default_rng(123)
-    weights_out = rng.normal(size=block.forward(x).shape)
+    out, tape = block.forward(x)
+    weights_out = rng.normal(size=out.shape)
     block.zero_grad()
-    block.forward(x)
-    block.backward(weights_out.copy())
+    block.backward(tape, weights_out.copy())
     for name, p, g in block.parameters():
         flat_p = p.reshape(-1)
         flat_g = g.reshape(-1)
@@ -153,30 +153,40 @@ def test_attention_input_gradient_matches_finite_differences():
     attn = AttentionBlock(d_in=3, n_heads=2, d_head=2, d_out=3, rng=rng)
     x = np.random.default_rng(26).normal(size=(2, 3, 3))
     out_w = np.random.default_rng(27).normal(size=(2, 3))
-    attn.forward(x)
-    dx = attn.backward(out_w.copy())
+    _, tape = attn.forward(x)
+    dx = attn.backward(tape, out_w.copy())
     h = 1e-5
     flat = x.reshape(-1)
     dflat = dx.reshape(-1)
     for idx in range(flat.size):
         keep = flat[idx]
         flat[idx] = keep + h
-        up = float(np.sum(attn.forward(x) * out_w))
+        up = float(np.sum(attn.forward(x)[0] * out_w))
         flat[idx] = keep - h
-        down = float(np.sum(attn.forward(x) * out_w))
+        down = float(np.sum(attn.forward(x)[0] * out_w))
         flat[idx] = keep
         numeric = (up - down) / (2 * h)
         assert relative_error(dflat[idx], numeric) < 1e-4
 
 
-def test_backward_without_forward_raises():
+def test_backward_uses_its_own_tape():
+    """A forward on other input between forward and backward changes nothing."""
     rng = np.random.default_rng(1)
-    attn = AttentionBlock(2, 1, 2, 2, rng)
-    with pytest.raises(RuntimeError, match="before forward"):
-        attn.backward(np.zeros((1, 2)))
-    lin = Linear(2, 2, rng)
-    with pytest.raises(RuntimeError, match="before forward"):
-        lin.backward(np.zeros((1, 2)))
+    blocks = [(AttentionBlock(3, 2, 2, 3, rng), (2, 4, 3)), (Mlp([3, 5, 2], rng), (4, 3))]
+    data = np.random.default_rng(2)
+    for block, shape in blocks:
+        x, other = data.normal(size=shape), data.normal(size=shape)
+        out, tape = block.forward(x)
+        grad = data.normal(size=out.shape)
+        block.zero_grad()
+        dx = block.backward(tape, grad)
+        want = [g.copy() for _, _, g in block.parameters()]
+        _, tape = block.forward(x)
+        block.forward(other)
+        block.zero_grad()
+        assert np.array_equal(block.backward(tape, grad), dx)
+        for w, (name, _, g) in zip(want, block.parameters()):
+            assert np.array_equal(w, g), name
 
 
 def test_adam_descends_quadratic():
@@ -186,10 +196,10 @@ def test_adam_descends_quadratic():
     target = 3.0
     for _ in range(400):
         lin.zero_grad()
-        pred = lin.forward(np.array([[1.0]]))
-        lin.backward(2.0 * (pred - target))
+        pred, tape = lin.forward(np.array([[1.0]]))
+        lin.backward(tape, 2.0 * (pred - target))
         opt.step()
-    final = lin.forward(np.array([[1.0]]))[0, 0]
+    final = lin.forward(np.array([[1.0]]))[0][0, 0]
     assert final == pytest.approx(target, abs=1e-2)
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpdplab.env import JointState, Transition, VehicleState
+from dpdplab.env import JointState, Transition
 from dpdplab.instance import generate_instance
 from dpdplab.policy import (
     SENTINEL_Q,
@@ -14,30 +16,30 @@ from dpdplab.policy import (
     select_action,
 )
 
+from oracles import neighbor_reference
+
 SMALL = QNetworkConfig(embed_dim=8, mlp_hidden=(8,), attn_heads=2, attn_head_dim=4, neighbors=2)
 
 
 def make_state(rows, positions=None, accepted=None, order_id=0):
-    built = []
-    for row in rows:
-        if row is None:
-            built.append(VehicleState(-1.0, -1.0, -1.0, -1, -1, feasible=False))
-        else:
-            cur, new, score = row
-            built.append(VehicleState(cur, new, score, 1, 3, feasible=True))
-    k = len(built)
+    """JointState from (cur_len, new_len, score) rows; None marks an
+    infeasible vehicle (all features -1)."""
+    k = len(rows)
+    if positions is None:
+        positions = [(float(i), 0.0) for i in range(k)]
     return JointState(
-        rows=built,
+        features=np.array([[-1.0] * 5 if r is None else [*r, 1.0, 3.0] for r in rows]),
+        feasible=np.array([r is not None for r in rows]),
+        positions=np.array(positions, dtype=float),
+        accepted=np.array(accepted or [0] * k),
         order_id=order_id,
-        positions=positions or [(float(i), 0.0) for i in range(k)],
-        accepted=accepted or [0] * k,
     )
 
 
 def test_sentinel_dominates_argmax():
     state = make_state([None, None, (5.0, 9.0, 0.2), None])
     net = QNetwork(SMALL, seed=0)
-    q = net.q_values(state)
+    q, _ = net.q_values(state)
     assert q[2] > SENTINEL_Q
     assert np.argmax(q) == 2
     assert select_action(state, net) == 2
@@ -47,7 +49,7 @@ def test_sentinel_dominates_argmax():
 def test_lone_vehicle_still_evaluates():
     state = make_state([(0.0, 4.0, 0.1)])
     net = QNetwork(SMALL, seed=0)
-    q = net.q_values(state)
+    q, _ = net.q_values(state)
     assert np.isfinite(q[0]) and q[0] != SENTINEL_Q
 
 
@@ -66,10 +68,32 @@ def test_neighbor_count_clamps():
     assert neighbor_indices(pos[:1], 8).shape == (1, 1)
 
 
+# Half-unit grid points make distance ties and duplicate positions common.
+_grid_points = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+    lambda p: (0.5 * p[0], 0.5 * p[1])
+)
+_free_points = st.tuples(
+    st.floats(-100, 100, allow_nan=False), st.floats(-100, 100, allow_nan=False)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(_grid_points, min_size=1, max_size=12),
+        st.lists(_free_points, min_size=1, max_size=12),
+    ),
+    st.integers(0, 12),
+)
+def test_neighbor_indices_match_sorting_reference(points, n_neighbors):
+    idx = neighbor_indices(np.array(points, dtype=float), n_neighbors)
+    assert idx.tolist() == neighbor_reference(points, n_neighbors)
+
+
 def test_epsilon_zero_is_pure_argmax():
     state = make_state([(3.0, 8.0, 0.5), (1.0, 2.0, 0.1), None])
     net = QNetwork(SMALL, seed=1)
-    q = net.q_values(state)
+    q, _ = net.q_values(state)
     rng = np.random.default_rng(0)
     picks = {select_action(state, net, epsilon=0.0, rng=rng) for _ in range(20)}
     assert picks == {int(np.argmax(q))}
@@ -93,7 +117,7 @@ def test_equal_q_tie_breaks_to_lowest_id():
     for _, p, _ in net.final_mlp.parameters():
         p[...] = 0.0
     state = make_state([(3.0, 8.0, 0.5), (3.0, 8.0, 0.5), None])
-    q = net.q_values(state)
+    q, _ = net.q_values(state)
     assert q[0] == q[1]
     assert select_action(state, net) == 0
 
@@ -105,7 +129,7 @@ def test_feature_masking_without_score():
     net = QNetwork(cfg, seed=3)
     a = make_state([(3.0, 8.0, 0.1), (1.0, 2.0, 0.9)])
     b = make_state([(3.0, 8.0, 0.7), (1.0, 2.0, 0.2)])
-    assert net.q_values(a) == pytest.approx(net.q_values(b))
+    assert net.q_values(a)[0] == pytest.approx(net.q_values(b)[0])
 
 
 def test_plain_variant_skips_attention():
@@ -114,7 +138,7 @@ def test_plain_variant_skips_attention():
     names = [name for name, _, _ in net.parameters()]
     assert not any(name.startswith("attn") for name in names)
     state = make_state([(3.0, 8.0, 0.5), (1.0, 2.0, 0.1)])
-    assert np.isfinite(net.q_values(state)[0])
+    assert np.isfinite(net.q_values(state)[0][0])
 
 
 def test_permutation_equivariance():
@@ -122,10 +146,10 @@ def test_permutation_equivariance():
     rows = [(3.0, 8.0, 0.5), (1.0, 2.0, 0.1), (0.0, 5.0, 0.9), None]
     pos = [(0.0, 0.0), (1.2, 0.4), (5.0, 2.0), (9.0, 9.0)]
     state = make_state(rows, positions=pos)
-    q = net.q_values(state)
+    q, _ = net.q_values(state)
     perm = [2, 0, 3, 1]
     state_p = make_state([rows[i] for i in perm], positions=[pos[i] for i in perm])
-    q_p = net.q_values(state_p)
+    q_p, _ = net.q_values(state_p)
     for new_idx, old_idx in enumerate(perm):
         assert q_p[new_idx] == pytest.approx(q[old_idx], rel=1e-12)
 
@@ -134,38 +158,56 @@ def test_infeasible_rows_never_touch_network():
     net = QNetwork(SMALL, seed=6)
     rows = [(3.0, 8.0, 0.5), None, (1.0, 2.0, 0.1)]
     state = make_state(rows)
-    q1 = net.q_values(state)
+    q1, _ = net.q_values(state)
     # Changing an infeasible row's (sentinel) features cannot change anything.
-    state.rows[1] = VehicleState(99.0, 99.0, 99.0, 1, 3, feasible=False)
-    q2 = net.q_values(state)
+    state.features[1] = 99.0
+    q2, _ = net.q_values(state)
     assert np.array_equal(q1, q2)
     # Perturbing any weight leaves the sentinel untouched.
     for _, p, _ in net.parameters():
         p.flat[0] += 0.37
-    q3 = net.q_values(state)
+    q3, _ = net.q_values(state)
     assert q3[1] == SENTINEL_Q
 
 
 def test_gradient_on_infeasible_row_rejected():
     net = QNetwork(SMALL, seed=7)
     state = make_state([(3.0, 8.0, 0.5), None])
-    net.q_values(state)
+    _, tape = net.q_values(state)
     dq = np.zeros(2)
     dq[1] = 1.0
     with pytest.raises(ValueError, match="infeasible row"):
-        net.backward(dq)
+        net.backward(tape, dq)
 
 
 def test_backward_only_flows_through_feasible_rows():
     net = QNetwork(SMALL, seed=8)
     state = make_state([(3.0, 8.0, 0.5), None, (1.0, 2.0, 0.1)])
     net.zero_grad()
-    net.q_values(state)
+    _, tape = net.q_values(state)
     dq = np.zeros(3)
     dq[0] = 1.0
-    net.backward(dq)
+    net.backward(tape, dq)
     grads_any = any(np.any(g != 0) for _, _, g in net.parameters())
     assert grads_any
+
+
+def test_backward_uses_the_tape_it_is_given():
+    """Forwards on other states between q_values and backward change nothing."""
+    net = QNetwork(SMALL, seed=9)
+    state = make_state([(3.0, 8.0, 0.5), None, (1.0, 2.0, 0.1)])
+    other = make_state([(0.0, 5.0, 0.9), (2.0, 7.0, 0.3)])
+    dq = np.array([1.0, 0.0, -0.5])
+    net.zero_grad()
+    _, tape = net.q_values(state)
+    net.backward(tape, dq)
+    want = {name: g.copy() for name, _, g in net.parameters()}
+    net.zero_grad()
+    _, tape = net.q_values(state)
+    net.q_values(other)
+    net.backward(tape, dq)
+    for name, _, g in net.parameters():
+        assert np.array_equal(want[name], g), name
 
 
 def _terminal_transition(reward):
@@ -278,9 +320,11 @@ def test_checkpoint_round_trip(tmp_path):
     path = trainer.save_checkpoint(tmp_path / "t.ckpt")
     again = Trainer.load_checkpoint(path)
     assert again.episodes_trained == 3
+    assert again.online.config == trainer.online.config
+    assert again.config == trainer.config
     assert again.last_epsilon == trainer.last_epsilon
     state = make_state([(3.0, 8.0, 0.5), (1.0, 2.0, 0.1)])
-    assert again.online.q_values(state) == pytest.approx(trainer.online.q_values(state))
+    assert again.online.q_values(state)[0] == pytest.approx(trainer.online.q_values(state)[0])
     assert again.rng.integers(1 << 30) == trainer.rng.integers(1 << 30)
 
 
@@ -303,10 +347,10 @@ def test_full_tower_gradcheck_small():
     )
     action = 2
     net.zero_grad()
-    net.q_values(state)
+    _, tape = net.q_values(state)
     dq = np.zeros(4)
     dq[action] = 1.0
-    net.backward(dq)
+    net.backward(tape, dq)
     h = 1e-4
     for name, p, g in net.parameters():
         flat_p = p.reshape(-1)
@@ -314,9 +358,9 @@ def test_full_tower_gradcheck_small():
         for idx in range(0, flat_p.size, 7):  # sample every 7th weight for speed
             keep = flat_p[idx]
             flat_p[idx] = keep + h
-            up = net.q_values(state)[action]
+            up = net.q_values(state)[0][action]
             flat_p[idx] = keep - h
-            down = net.q_values(state)[action]
+            down = net.q_values(state)[0][action]
             flat_p[idx] = keep
             numeric = (up - down) / (2 * h)
             assert relative_error(flat_g[idx], numeric) < 1e-4, (name, idx)
