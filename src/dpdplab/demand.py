@@ -110,7 +110,7 @@ def capacity_profile(route: Route, capacity: int, network: RoadNetwork, interval
     values = []
     coords = []
     for idx, factory, j in entries:
-        load_on_arrival = route.load_profile[idx - 1] if idx > 0 else 0
+        load_on_arrival = route.walk[idx - 1].load if idx > 0 else 0
         values.append(float(capacity - load_on_arrival))
         coords.append((factory, j))
     return RouteProfile(coords=coords, values=np.array(values, dtype=float), kind="capacity")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -207,41 +207,12 @@ class Instance:
                 raise InstanceError(f"orders[{i}] breaks ascending created_at order")
 
     def to_dict(self) -> dict:
-        return {
-            "network": {
-                "nodes": [
-                    {"id": n.id, "role": n.role, "x": n.x, "y": n.y} for n in self.network.nodes
-                ],
-                "dist": [[float(d) for d in row] for row in self.network.dist],
-                "speed": self.network.speed,
-                "service_time": self.network.service_time,
-            },
-            "orders": [_order_to_dict(o) for o in self.orders],
-            "fleet": {
-                "vehicles": [{"id": v.id, "depot": v.depot} for v in self.fleet.vehicles],
-                "capacity": self.fleet.capacity,
-                "fixed_cost": self.fleet.fixed_cost,
-                "unit_cost": self.fleet.unit_cost,
-            },
-            "horizon": self.horizon,
-            "history": None
-            if self.history is None
-            else [[_order_to_dict(o) for o in day] for day in self.history],
-        }
+        doc = asdict(self)
+        doc["network"]["dist"] = self.network.dist.tolist()
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
-
-
-def _order_to_dict(o: DeliveryOrder) -> dict:
-    return {
-        "id": o.id,
-        "pickup": o.pickup,
-        "delivery": o.delivery,
-        "quantity": o.quantity,
-        "created_at": o.created_at,
-        "latest_delivery": o.latest_delivery,
-    }
 
 
 @contextmanager

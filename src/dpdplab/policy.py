@@ -165,16 +165,49 @@ class QNetwork:
     @classmethod
     def load(cls, path: str | Path) -> tuple["QNetwork", dict]:
         tensors, meta = load_tensors(path)
-        config = QNetworkConfig(**meta["qnetwork_config"])
-        net = cls(config, seed=0)
-        mine = {name: p for name, p, _ in net.parameters()}
-        if set(mine) != set(tensors):
-            raise ValueError("checkpoint tensors do not match the network layout")
-        for name, arr in tensors.items():
-            if mine[name].shape != arr.shape:
-                raise ValueError(f"checkpoint tensor {name} has shape {arr.shape}, expected {mine[name].shape}")
-            mine[name][...] = arr
+        net = cls(_config_from_meta(QNetworkConfig, meta, "qnetwork_config", path), seed=0)
+        _copy_weights(path, tensors, [("", net)])
         return net, meta
+
+
+def _same_json_type(value, default) -> bool:
+    """Whether a JSON value fits a config field with this default: booleans
+    and numbers differ, an integer field takes only integers, a float field
+    any number, and a tuple field a list of values fitting its first item."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_same_json_type(v, default[0]) for v in value)
+    if isinstance(default, float) and not isinstance(value, bool):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
+def _config_from_meta(cls, meta, key: str, path: str | Path):
+    """Build config dataclass ``cls`` from ``meta[key]``; a field that is
+    unknown, missing or of another type than its default is a ValueError."""
+    doc = meta.get(key) if isinstance(meta, dict) else None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: meta.{key} must be an object")
+    defaults = asdict(cls())
+    if set(doc) != set(defaults):
+        unknown, missing = sorted(set(doc) - set(defaults)), sorted(set(defaults) - set(doc))
+        raise ValueError(f"{path}: meta.{key} has unknown fields {unknown} and lacks fields {missing}")
+    for name, default in defaults.items():
+        if not _same_json_type(doc[name], default):
+            raise ValueError(f"{path}: meta.{key}.{name} is {doc[name]!r}, of another type than its default {default!r}")
+    return cls(**doc)
+
+
+def _copy_weights(path: str | Path, tensors: dict[str, np.ndarray], nets: list[tuple[str, QNetwork]]) -> None:
+    """Copy checkpoint tensors into networks whose parameter names take the
+    given prefixes; the names and shapes must match exactly."""
+    mine = {prefix + name: p for prefix, net in nets for name, p, _ in net.parameters()}
+    if set(mine) != set(tensors):
+        missing, unknown = sorted(set(mine) - set(tensors)), sorted(set(tensors) - set(mine))
+        raise ValueError(f"{path}: tensors do not match the network layout: missing {missing}, unknown {unknown}")
+    for name, p in mine.items():
+        if p.shape != tensors[name].shape:
+            raise ValueError(f"{path}: tensor {name} has shape {tensors[name].shape}, expected {p.shape}")
+        p[...] = tensors[name]
 
 
 def select_action(
@@ -333,15 +366,19 @@ class Trainer:
     @classmethod
     def load_checkpoint(cls, path: str | Path) -> "Trainer":
         tensors, meta = load_tensors(path)
-        qconfig = QNetworkConfig(**meta["qnetwork_config"])
-        tconfig = TrainerConfig(**meta["trainer_config"])
+        qconfig = _config_from_meta(QNetworkConfig, meta, "qnetwork_config", path)
+        tconfig = _config_from_meta(TrainerConfig, meta, "trainer_config", path)
         trainer = cls(qconfig, tconfig)
-        for net, prefix in ((trainer.online, "online."), (trainer.target, "target.")):
-            mine = {name: p for name, p, _ in net.parameters()}
-            for name, p in mine.items():
-                p[...] = tensors[prefix + name]
-        trainer.episodes_trained = int(meta["episodes_trained"])
-        trainer.last_epsilon = float(meta.get("epsilon", tconfig.epsilon_start))
-        trainer.rng.bit_generator.state = meta["rng_state"]
+        _copy_weights(path, tensors, [("online.", trainer.online), ("target.", trainer.target)])
+        episodes = meta.get("episodes_trained")
+        epsilon = meta.get("epsilon", tconfig.epsilon_start)
+        if not (_same_json_type(episodes, 0) and _same_json_type(epsilon, 0.0)):
+            raise ValueError(f"{path}: meta.episodes_trained must be an integer and meta.epsilon a number")
+        try:
+            trainer.rng.bit_generator.state = meta["rng_state"]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: meta.rng_state is malformed: {exc!r}") from None
+        trainer.episodes_trained = episodes
+        trainer.last_epsilon = float(epsilon)
         return trainer
 

@@ -7,6 +7,12 @@ has not been created yet.  Feasibility covers four constraints: delivery
 time windows, vehicle capacity, LIFO loading (only the most recently
 loaded undelivered order may be unloaded), and back-to-depot.
 
+All walking rests on two pieces: :func:`_process_actions` runs one stop's
+actions, and :func:`_walk` advances a :class:`WalkState` through further
+stops, stopping at the first violation.  :func:`simulate_timeline` records
+the walk state after every stop of a route, so the planner starts each
+insertion candidate from a recorded state instead of re-walking the prefix.
+
 Dispatching must not interfere with a moving vehicle: stops up to
 ``frozen_until`` (the stop the vehicle currently occupies or is driving
 toward) are immutable, and new stops may only be inserted after them.
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .instance import DeliveryOrder, FleetConfig, MINUTES_PER_DAY, RoadNetwork
 
@@ -61,14 +67,25 @@ class Verdict:
 FEASIBLE = Verdict(True)
 
 
+class WalkState(NamedTuple):
+    """Where a walk stands after a stop: the stop's node, the minute it is
+    left, the cargo load, the LIFO stack (bottom first) and the length driven."""
+
+    node: int
+    time: float
+    load: int
+    stack: tuple[int, ...]
+    length: float
+
+
 @dataclass
 class Route:
     """A vehicle's committed stop sequence plus its simulated timeline.
 
     ``start_time`` is the minute the vehicle first left its depot (``None``
-    until the first order is committed).  ``load_profile`` and
-    ``stack_profile`` record cargo load and the LIFO stack after each stop;
-    both are filled by :func:`simulate_timeline`.
+    until the first order is committed).  :func:`simulate_timeline` fills
+    ``walk`` with the walk state after each stop and ``violation`` with the
+    first time-window or LIFO violation it met (``None`` if there was none).
     """
 
     vehicle: int
@@ -77,8 +94,8 @@ class Route:
     start_time: float | None = None
     frozen_until: int = 0
     length: float = 0.0
-    load_profile: list[int] = field(default_factory=list)
-    stack_profile: list[tuple[int, ...]] = field(default_factory=list)
+    walk: list[WalkState] = field(default_factory=list)
+    violation: str | None = None
 
     @classmethod
     def empty(cls, vehicle: int, depot: int) -> "Route":
@@ -126,7 +143,7 @@ class PlannerResult:
 
 
 # ---------------------------------------------------------------------------
-# Timeline simulation
+# Walking a route
 
 
 def _process_actions(
@@ -135,13 +152,17 @@ def _process_actions(
     stack: list[int],
     actions: Iterable[Action],
     service_time: float,
-    capacity: int,
+    capacity: float,
 ) -> tuple[float, int, str | None, str]:
-    """Run a stop's actions in order; returns (time, load, violation, detail).
+    """Run all of a stop's actions; returns (time, load, violation, detail)
+    with the first violation met, or ``None`` and ``""``.
 
     Pickups wait for the order's creation minute before loading; a delivery
-    must finish (including its service time) by the order's deadline.
+    must finish (including its service time) by the order's deadline.  A
+    delivery whose order is not on top of the stack skips its pop.
     """
+    kind = None
+    detail = ""
     for act in actions:
         o = act.order
         if act.kind == PICKUP:
@@ -150,61 +171,95 @@ def _process_actions(
             t += service_time
             load += o.quantity
             stack.append(o.id)
-            if load > capacity:
-                return t, load, "capacity", f"load {load} exceeds capacity {capacity} picking order {o.id}"
+            if load > capacity and kind is None:
+                kind, detail = "capacity", f"load {load} exceeds capacity {capacity} picking order {o.id}"
         else:
-            if not stack or stack[-1] != o.id:
-                return t, load, "lifo", f"order {o.id} is not on top of the stack"
+            if stack and stack[-1] == o.id:
+                stack.pop()
+            elif kind is None:
+                kind, detail = "lifo", f"order {o.id} is not on top of the stack"
             t += service_time
-            if t > o.latest_delivery + 1e-9:
-                return t, load, "time-window", f"order {o.id} delivered at {t:.3f} after {o.latest_delivery}"
-            stack.pop()
+            if t > o.latest_delivery + 1e-9 and kind is None:
+                kind, detail = "time-window", f"order {o.id} delivered at {t:.3f} after {o.latest_delivery}"
             load -= o.quantity
-    return t, load, None, ""
+    return t, load, kind, detail
 
 
-def simulate_timeline(route: Route, network: RoadNetwork, start_time: float) -> Route:
-    """Fill per-stop arrival/departure, length, load and stack profiles.
+def _record_walk(
+    stops: Sequence[Stop], network: RoadNetwork, start_time: float
+) -> tuple[list[WalkState], str | None]:
+    """Walk every stop at unlimited capacity, stamping arrival and departure
+    on each; returns the walk state after each stop and the first violation.
 
-    Pure recomputation: violations are left for :func:`check_feasibility`,
-    except LIFO mismatches which make load bookkeeping meaningless and are
-    tolerated here by skipping the pop.
+    The first stop is reached by a zero-length leg (``dist`` has a zero
+    diagonal), so the walk starts there at ``start_time``.
     """
     dist = network.dist
+    speed = network.speed
     service = network.service_time
-    t = float(start_time)
+    t = start_time
     load = 0
     stack: list[int] = []
     length = 0.0
-    route.start_time = float(start_time)
-    route.load_profile = []
-    route.stack_profile = []
-    prev = None
-    for stop in route.stops:
-        if prev is not None:
-            leg = float(dist[prev, stop.node])
-            length += leg
-            t += leg / network.speed
+    prev = stops[0].node
+    walk: list[WalkState] = []
+    violation = None
+    for stop in stops:
+        leg = float(dist[prev, stop.node])
+        length += leg
+        t += leg / speed
         stop.arrival = t
-        for act in stop.actions:
-            o = act.order
-            if act.kind == PICKUP:
-                if t < o.created_at:
-                    t = float(o.created_at)
-                t += service
-                load += o.quantity
-                stack.append(o.id)
-            else:
-                t += service
-                if stack and stack[-1] == o.id:
-                    stack.pop()
-                load -= o.quantity
+        t, load, kind, _ = _process_actions(t, load, stack, stop.actions, service, math.inf)
+        violation = violation or kind
         stop.departure = t
-        route.load_profile.append(load)
-        route.stack_profile.append(tuple(stack))
         prev = stop.node
-    route.length = length
+        walk.append(WalkState(prev, t, load, tuple(stack), length))
+    return walk, violation
+
+
+def simulate_timeline(route: Route, network: RoadNetwork, start_time: float) -> Route:
+    """Fill per-stop arrival/departure, the walk state after each stop, the
+    first violation met and the length.
+
+    Pure recomputation at unlimited capacity: a violation is recorded and the
+    walk goes on; :func:`check_feasibility` judges the route against a fleet.
+    """
+    route.start_time = float(start_time)
+    route.walk, route.violation = _record_walk(route.stops, network, route.start_time)
+    route.length = route.walk[-1].length
     return route
+
+
+def _walk(
+    state: WalkState,
+    stops: Iterable[Stop],
+    network: RoadNetwork,
+    capacity: int,
+    best_len: float = math.inf,
+) -> tuple[WalkState | None, str | None, str]:
+    """Advance ``state`` through further stops; returns (state, violation,
+    detail), the state being ``None`` at the first violation.
+
+    Abandons with ``(None, None, "")`` once the length reaches ``best_len``,
+    since distances are non-negative and cannot recover.
+    """
+    dist = network.dist
+    speed = network.speed
+    service = network.service_time
+    prev, t, load, stack, length = state
+    stack = list(stack)
+    for stop in stops:
+        node = stop.node
+        leg = float(dist[prev, node])
+        length += leg
+        if length >= best_len:
+            return None, None, ""
+        t += leg / speed
+        prev = node
+        t, load, kind, detail = _process_actions(t, load, stack, stop.actions, service, capacity)
+        if kind is not None:
+            return None, kind, detail
+    return WalkState(prev, t, load, tuple(stack), length), None, ""
 
 
 def frozen_index(route: Route, now: float) -> int:
@@ -245,88 +300,17 @@ def check_feasibility(route: Route, network: RoadNetwork, fleet: FleetConfig) ->
     if stops[0].node != route.depot or stops[-1].node != route.depot:
         return Verdict(False, "back-to-depot", f"route of vehicle {route.vehicle} must start and end at depot {route.depot}")
     start = route.start_time if route.start_time is not None else 0.0
-    seq = [(s.node, tuple(s.actions)) for s in stops]
-    kind, detail, _, _ = _walk(seq, start, network, fleet.capacity)
+    origin = WalkState(stops[0].node, float(start), 0, (), 0.0)
+    end, kind, detail = _walk(origin, stops, network, fleet.capacity)
     if kind is not None:
         return Verdict(False, kind, detail)
+    if end.stack:
+        return Verdict(False, "lifo", f"orders {list(end.stack)} picked up but never delivered")
     return FEASIBLE
-
-
-def _walk(
-    seq: Sequence[tuple[int, tuple[Action, ...]]],
-    start_time: float,
-    network: RoadNetwork,
-    capacity: int,
-) -> tuple[str | None, str, float, float]:
-    """Simulate a (node, actions) sequence; returns (violation, detail, length, end_time)."""
-    dist = network.dist
-    speed = network.speed
-    service = network.service_time
-    t = float(start_time)
-    load = 0
-    stack: list[int] = []
-    length = 0.0
-    prev = seq[0][0]
-    first = True
-    for node, actions in seq:
-        if not first:
-            leg = float(dist[prev, node])
-            length += leg
-            t += leg / speed
-        first = False
-        prev = node
-        t, load, kind, detail = _process_actions(t, load, stack, actions, service, capacity)
-        if kind is not None:
-            return kind, detail, length, t
-    if stack:
-        return "lifo", f"orders {stack} picked up but never delivered", length, t
-    return None, "", length, t
 
 
 # ---------------------------------------------------------------------------
 # Insertion planning
-
-
-@dataclass
-class _WalkState:
-    node: int
-    time: float
-    load: int
-    stack: tuple[int, ...]
-    length: float
-
-
-def _extend(
-    state: _WalkState,
-    seq: Iterable[tuple[int, tuple[Action, ...]]],
-    network: RoadNetwork,
-    capacity: int,
-    best_len: float,
-) -> _WalkState | None:
-    """Advance a walk state through further stops; None on violation.
-
-    Abandons early once accumulated length reaches ``best_len`` since
-    distances are non-negative and cannot recover.
-    """
-    dist = network.dist
-    speed = network.speed
-    service = network.service_time
-    t = state.time
-    load = state.load
-    stack = list(state.stack)
-    length = state.length
-    prev = state.node
-    for node, actions in seq:
-        leg = float(dist[prev, node])
-        length += leg
-        if length >= best_len:
-            return None
-        t += leg / speed
-        prev = node
-        t, load, kind, _ = _process_actions(t, load, stack, actions, service, capacity)
-        if kind is not None:
-            return None
-    return _WalkState(prev, t, load, tuple(stack), length)
 
 
 def _coalesce(stops: list[Stop], protect: int) -> list[Stop]:
@@ -359,49 +343,43 @@ def plan_insertion(
     """
     from . import demand as _demand
 
+    capacity = fleet.capacity
     start = route.start_time if route.start_time is not None else float(now)
+    walk, violation = route.walk, route.violation
+    if route.start_time is None:
+        # Never simulated: walk copies, so the route's own stops keep their times.
+        walk, violation = _record_walk([Stop(s.node, s.actions) for s in route.stops], network, start)
+    if violation is not None or max(s.load for s in walk) > capacity:
+        raise RuntimeError(f"committed route of vehicle {route.vehicle} became infeasible")
+
     frozen = frozen_index(route, now)
-    base = [(s.node, tuple(s.actions)) for s in route.stops]
+    base = route.stops
     if frozen == len(base) - 1:
-        base.append((route.depot, ()))
+        base = [*base, Stop(route.depot)]
     last = len(base) - 1
 
-    capacity = fleet.capacity
     used_flag = 0 if route.is_empty else 1
     interval_minutes = MINUTES_PER_DAY / horizon
     interval = min(max(int(now // interval_minutes), 0), horizon - 1)
 
-    # Walk states after each prefix base[:g]; the committed route is feasible
-    # by construction so this never hits a violation.
-    states: list[_WalkState | None] = [None] * (len(base) + 1)
-    stack0: list[int] = []
-    t0, load0, _, _ = _process_actions(
-        float(start), 0, stack0, base[0][1], network.service_time, capacity
-    )
-    st = _WalkState(base[0][0], t0, load0, tuple(stack0), 0.0)
-    states[1] = st
-    for g in range(1, len(base)):
-        st = _extend(st, [base[g]], network, capacity, math.inf)
-        if st is None:
-            raise RuntimeError(f"committed route of vehicle {route.vehicle} became infeasible")
-        states[g + 1] = st
-
-    pick = (order.pickup, (Action(PICKUP, order),))
-    drop = (order.delivery, (Action(DELIVER, order),))
+    # A candidate with the pickup in gap i starts from the walk state after
+    # stop i - 1 of the committed route.
+    pick = Stop(order.pickup, [Action(PICKUP, order)])
+    drop = Stop(order.delivery, [Action(DELIVER, order)])
 
     best_len = math.inf
     best_pair: tuple[int, int] | None = None
     for i in range(frozen + 1, last + 1):
-        mid = _extend(states[i], [pick], network, capacity, best_len)
+        mid, _, _ = _walk(walk[i - 1], [pick], network, capacity, best_len)
         if mid is None:
             continue
         for j in range(i, last + 1):
-            cand = _extend(mid, [drop] + list(base[j:]), network, capacity, best_len)
+            cand, _, _ = _walk(mid, [drop, *base[j:]], network, capacity, best_len)
             if cand is not None and cand.length < best_len:
                 best_len = cand.length
                 best_pair = (i, j)
             if j < last:
-                mid = _extend(mid, [base[j]], network, capacity, math.inf)
+                mid, _, _ = _walk(mid, [base[j]], network, capacity)
                 if mid is None:
                     break
 
@@ -409,14 +387,7 @@ def plan_insertion(
         return PlannerResult.no_fit()
 
     i, j = best_pair
-    new_stops = (
-        [Stop(n, list(a)) for n, a in base[:i]]
-        + [Stop(order.pickup, [Action(PICKUP, order)])]
-        + [Stop(n, list(a)) for n, a in base[i:j]]
-        + [Stop(order.delivery, [Action(DELIVER, order)])]
-        + [Stop(n, list(a)) for n, a in base[j:]]
-    )
-    new_stops = _coalesce(new_stops, frozen)
+    new_stops = _coalesce([*base[:i], pick, *base[i:j], drop, *base[j:]], frozen)
     best_route = Route(vehicle=route.vehicle, depot=route.depot, stops=new_stops, frozen_until=frozen)
     simulate_timeline(best_route, network, start)
 

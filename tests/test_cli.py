@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dpdplab.cli import aggregate_metrics, main
 from dpdplab.env import EpisodeReport
 from dpdplab.instance import generate_instance, load_instance, save_instance
+from dpdplab.neural import load_tensors, save_tensors
 from dpdplab.policy import QNetworkConfig, Trainer, TrainerConfig
 
 from conftest import make_instance
@@ -273,11 +274,13 @@ def test_broken_instance_fails_cleanly(text):
         _assert_clean_failure(*_main_in(tmp, ["run", "--instance", str(path), "--policy", "greedy1"]))
 
 
+_SMALL = QNetworkConfig(embed_dim=4, mlp_hidden=(4,), attn_heads=1, attn_head_dim=2)
+
+
 @pytest.fixture(scope="module")
 def checkpoint_bytes(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("ckpt")
-    small = QNetworkConfig(embed_dim=4, mlp_hidden=(4,), attn_heads=1, attn_head_dim=2)
-    return Trainer(small, TrainerConfig(seed=1)).save_checkpoint(tmp / "t.ckpt").read_bytes()
+    return Trainer(_SMALL, TrainerConfig(seed=1)).save_checkpoint(tmp / "t.ckpt").read_bytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -290,5 +293,68 @@ def test_truncated_checkpoint_fails_cleanly(checkpoint_bytes, data):
         ckpt = Path(tmp) / "cut.ckpt"
         ckpt.write_bytes(checkpoint_bytes[:cut])
         rc, err = _main_in(tmp, ["eval", "--checkpoint", str(ckpt), "--instance", str(inst)])
+        _assert_clean_failure(rc, err)
+        assert str(ckpt) in err
+
+
+@pytest.fixture(scope="module")
+def checkpoint_parts(tmp_path_factory):
+    """(tensors, meta) of a trainer checkpoint, read by ``eval``, and of a
+    bare network checkpoint, read by ``run``."""
+    tmp = tmp_path_factory.mktemp("parts")
+    trainer = Trainer(_SMALL, TrainerConfig(seed=1))
+    return {
+        "eval": load_tensors(trainer.save_checkpoint(tmp / "t.ckpt")),
+        "run": load_tensors(trainer.online.save(tmp / "n.ckpt")),
+    }
+
+
+def _wrong_values(value):
+    """JSON values of another type than a config field's ``value``; booleans
+    are not numbers and an integer field takes no fractions."""
+    wrong = ["8", None, {}, 1 if isinstance(value, bool) else True]
+    wrong += [7, ["8"]] if isinstance(value, list) else [[1]]
+    if type(value) is int:
+        wrong.append(1.5)
+    return wrong
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_malformed_checkpoint_fails_cleanly(checkpoint_parts, data):
+    """A config field dropped, added or of another type, a tensor dropped, or
+    a trainer-state value dropped or of another type: exit 1 and a one-line
+    error naming the file."""
+    command = data.draw(st.sampled_from(sorted(checkpoint_parts)))
+    tensors, meta = checkpoint_parts[command]
+    tensors, meta = dict(tensors), json.loads(json.dumps(meta))
+    how = data.draw(st.sampled_from(["tensor", "drop", "extra", "swap", "state"]))
+    if how == "tensor":
+        del tensors[data.draw(st.sampled_from(sorted(tensors)))]
+    elif how == "state" and command == "eval":
+        key = data.draw(st.sampled_from(["episodes_trained", "epsilon", "rng_state"]))
+        if key != "epsilon" and data.draw(st.booleans()):
+            del meta[key]
+        else:
+            meta[key] = data.draw(st.sampled_from(["8", None, {}, [1], True]))
+    else:
+        config = meta[data.draw(st.sampled_from(sorted(k for k in meta if k.endswith("_config"))))]
+        field = data.draw(st.sampled_from(sorted(config)))
+        if how == "drop":
+            del config[field]
+        elif how == "extra":
+            config[field + "_extra"] = config[field]
+        else:
+            config[field] = data.draw(st.sampled_from(_wrong_values(config[field])))
+    with tempfile.TemporaryDirectory() as tmp:
+        inst = Path(tmp) / "inst.json"
+        inst.write_text(json.dumps(_DOC))
+        ckpt = Path(tmp) / "bad.ckpt"
+        save_tensors(ckpt, tensors, meta)
+        if command == "eval":
+            argv = ["eval", "--checkpoint", str(ckpt), "--instance", str(inst)]
+        else:
+            argv = ["run", "--instance", str(inst), "--policy", "learned", "--checkpoint", str(ckpt)]
+        rc, err = _main_in(tmp, argv)
         _assert_clean_failure(rc, err)
         assert str(ckpt) in err

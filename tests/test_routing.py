@@ -75,8 +75,8 @@ def test_service_time_per_action():
     simulate_timeline(route, net, 0.0)
     stop = route.stops[1]
     assert stop.departure - stop.arrival == pytest.approx(8.0)
-    assert route.load_profile == [0, 3, 0, 0]
-    assert route.stack_profile[1] == (0, 1)
+    assert [w.load for w in route.walk] == [0, 3, 0, 0]
+    assert route.walk[1].stack == (0, 1)
 
 
 def test_nested_pairs_feasible(line_network, line_fleet):
@@ -94,7 +94,7 @@ def test_nested_pairs_feasible(line_network, line_fleet):
     assert check_feasibility(route, line_network, line_fleet).feasible
 
 
-def test_crossed_pairs_violate_lifo(line_network, line_fleet):
+def _crossed_route(network):
     o1 = make_order(0, pickup=0, delivery=1)
     o2 = make_order(1, pickup=1, delivery=0)
     route = _route(2, [
@@ -104,14 +104,10 @@ def test_crossed_pairs_violate_lifo(line_network, line_fleet):
         Stop(0, [Action(DELIVER, o2)]),
         Stop(2),
     ])
-    simulate_timeline(route, line_network, 0.0)
-    verdict = check_feasibility(route, line_network, line_fleet)
-    assert not verdict.feasible
-    assert verdict.violation == "lifo"
+    return simulate_timeline(route, network, 0.0)
 
 
-def test_capacity_violation(line_network):
-    fleet = FleetConfig(vehicles=[VehicleSpec(0, 2)], capacity=10)
+def _overloaded_route(network):
     o1 = make_order(0, quantity=6)
     o2 = make_order(1, quantity=6)
     route = _route(2, [
@@ -120,17 +116,67 @@ def test_capacity_violation(line_network):
         Stop(1, [Action(DELIVER, o2), Action(DELIVER, o1)]),
         Stop(2),
     ])
-    simulate_timeline(route, line_network, 0.0)
-    verdict = check_feasibility(route, line_network, fleet)
+    return simulate_timeline(route, network, 0.0)
+
+
+def _late_route(network):
+    o = make_order(0, created_at=0, latest_delivery=5)
+    route = _route(2, [Stop(2), Stop(0, [Action(PICKUP, o)]), Stop(1, [Action(DELIVER, o)]), Stop(2)])
+    return simulate_timeline(route, network, 0.0)
+
+
+def test_crossed_pairs_violate_lifo(line_network, line_fleet):
+    verdict = check_feasibility(_crossed_route(line_network), line_network, line_fleet)
+    assert not verdict.feasible
+    assert verdict.violation == "lifo"
+
+
+def test_capacity_violation(line_network):
+    fleet = FleetConfig(vehicles=[VehicleSpec(0, 2)], capacity=10)
+    verdict = check_feasibility(_overloaded_route(line_network), line_network, fleet)
     assert verdict.violation == "capacity"
 
 
 def test_late_delivery_violates_window(line_network, line_fleet):
-    o = make_order(0, created_at=0, latest_delivery=5)
-    route = _route(2, [Stop(2), Stop(0, [Action(PICKUP, o)]), Stop(1, [Action(DELIVER, o)]), Stop(2)])
-    simulate_timeline(route, line_network, 0.0)
-    verdict = check_feasibility(route, line_network, line_fleet)
+    verdict = check_feasibility(_late_route(line_network), line_network, line_fleet)
     assert verdict.violation == "time-window"
+
+
+@pytest.mark.parametrize("build", [_crossed_route, _late_route, _overloaded_route])
+def test_plan_refuses_infeasible_committed_route(build, line_network, line_fleet):
+    route = build(line_network)
+    o = make_order(5, pickup=0, delivery=1, created_at=0)
+    with pytest.raises(RuntimeError, match="became infeasible"):
+        plan_insertion(route, o, 0.0, line_network, line_fleet)
+
+
+def _unsimulated_route():
+    o1 = make_order(0, pickup=0, delivery=1, created_at=0)
+    o3 = make_order(3, pickup=1, delivery=0, created_at=0)
+    return _route(2, [
+        Stop(2),
+        Stop(0, [Action(PICKUP, o1)]),
+        Stop(1, [Action(DELIVER, o1), Action(PICKUP, o3)]),
+        Stop(0, [Action(DELIVER, o3)]),
+        Stop(2),
+    ])
+
+
+@pytest.mark.parametrize("deadline", [16, 30])
+def test_unsimulated_route_is_walked_from_now(deadline, line_network, line_fleet):
+    # From minute 10 the new order reaches node 1 at 17 at the earliest, so
+    # the deadline of 16 only fits a walk that wrongly starts at minute 0.
+    route = _unsimulated_route()
+    o = make_order(8, pickup=0, delivery=1, created_at=0, latest_delivery=deadline)
+    res = plan_insertion(route, o, 10.0, line_network, line_fleet)
+    oracle = brute_force_best_insertion(route, o, 10.0, line_network, line_fleet)
+    if oracle is None:
+        assert not res.feasible
+    else:
+        assert res.feasible
+        assert res.new_len == pytest.approx(oracle, abs=1e-9)
+    assert route.start_time is None
+    assert all(s.arrival == s.departure == 0.0 for s in route.stops)
 
 
 def test_route_must_return_to_depot(line_network, line_fleet):
