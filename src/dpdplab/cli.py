@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .baselines import GREEDY_ALIASES, make_greedy_policy, make_plan_policy, solve_exact, validate_routes
-from .demand import build_demand_grid, predict_grid
-from .env import EpisodeReport, run_episode
+from .demand import build_demand_grid
+from .env import EpisodeReport, episode_demand_grid, run_episode
 from .instance import Instance, generate_instance, load_instance, save_instance
 from .policy import QNetwork, QNetworkConfig, Trainer, TrainerConfig, make_learned_policy
 from .routing import route_dump
@@ -323,12 +323,10 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     _write_config(outdir, args)
     instance = load_instance(args.instance)
     n = instance.network.n_factories
-    if args.source == "orders" or not instance.history:
+    if args.source == "orders":
         grid = build_demand_grid(instance.orders, n, instance.horizon)
     else:
-        grid = predict_grid(
-            [build_demand_grid(day, n, instance.horizon) for day in instance.history]
-        )
+        grid = episode_demand_grid(instance)
     (outdir / "grid.csv").write_text(grid.to_csv(), encoding="utf-8")
     (outdir / "grid.svg").write_text(
         _svg_heatmap(grid.values, f"demand grid ({args.source})"), encoding="utf-8"

@@ -1,14 +1,15 @@
 """Episode simulator and the route-centric decision process.
 
 Orders are processed strictly in creation order, each immediately on
-arrival.  For every order the simulator asks the insertion planner for each
-vehicle's feasibility, current/new route length, demand-alignment score,
-used flag and the current interval index (five features per vehicle), hands
-the joint state to a dispatch policy, and commits the chosen vehicle's best
-insertion.  Rewards are cost-shaped: an instant term charging the per-km
-cost of the detour plus the fixed cost when the assignment activates a
-fresh vehicle, and an episode-mean term added to every order's reward once
-the day ends so the summed signal equals the negated scaled total cost.
+arrival.  For every order the simulator plans the order onto each vehicle's
+route, builds the joint state from the plans (five features per vehicle:
+current/new route length from the planner, demand-alignment score of the
+planned route, used flag and the current interval index), hands it to a
+dispatch policy, and commits the chosen vehicle's best insertion.  Rewards
+are cost-shaped: an instant term charging the per-km cost of the detour
+plus the fixed cost when the assignment activates a fresh vehicle, and an
+episode-mean term added to every order's reward once the day ends so the
+summed signal equals the negated scaled total cost.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import demand, routing
 from .demand import DemandGrid, build_demand_grid, predict_grid
 from .instance import DeliveryOrder, Instance
 from .routing import PlannerResult, Route, plan_insertion
@@ -39,9 +41,12 @@ class UnserviceableOrderError(RuntimeError):
 class JointState:
     """Fleet state with respect to one order, one row per vehicle.
 
-    ``features`` holds each vehicle's five planner features (current and new
-    route length, demand-alignment score, used flag, interval; all -1 when
-    the vehicle is infeasible) and ``positions`` its current coordinates.
+    ``features`` holds each vehicle's five features: the current and new
+    route length from the insertion planner, the Jensen-Shannon score
+    between the planned route's residual capacity and the demand forecast,
+    the used flag (1 once the vehicle has a committed order) and the
+    interval of the decision time; the row is all -1 when the vehicle is
+    infeasible.  ``positions`` holds each vehicle's current coordinates.
     ``accepted`` carries each vehicle's committed order count as side
     information for dispatch rules; it is not part of the feature rows.
     """
@@ -149,14 +154,6 @@ def long_term_reward(instant_rewards: Sequence[float]) -> float:
     return float(sum(instant_rewards) / len(instant_rewards))
 
 
-@dataclass
-class _VehicleRuntime:
-    vehicle_id: int
-    depot: int
-    route: Route
-    served: int = 0
-
-
 def episode_demand_grid(instance: Instance) -> DemandGrid:
     """Forecast grid for an episode: mean over history days when available,
     otherwise the instance's own order stream."""
@@ -167,39 +164,41 @@ def episode_demand_grid(instance: Instance) -> DemandGrid:
     return build_demand_grid(instance.orders, n, instance.horizon)
 
 
-def _plan_all(
+def _fleet_state(
     order: DeliveryOrder,
-    runtimes: Sequence[_VehicleRuntime],
+    routes: Sequence[Route],
+    accepted: Sequence[int],
     instance: Instance,
     predicted: DemandGrid,
     now: float,
-) -> list[PlannerResult]:
-    return [
-        plan_insertion(
-            rt.route, order, now, instance.network, instance.fleet, instance.horizon, predicted
-        )
-        for rt in runtimes
-    ]
+) -> tuple[JointState, list[PlannerResult]]:
+    """Plan ``order`` onto every route; returns the joint state and the plans.
 
-
-def _joint_state(
-    order: DeliveryOrder,
-    runtimes: Sequence[_VehicleRuntime],
-    instance: Instance,
-    results: Sequence[PlannerResult],
-    now: float,
-) -> JointState:
-    from .routing import vehicle_position
-
-    return JointState(
-        features=np.array([r.features() for r in results], dtype=float),
-        feasible=np.array([r.feasible for r in results], dtype=bool),
-        positions=np.array(
-            [vehicle_position(rt.route, instance.network, now) for rt in runtimes], dtype=float
-        ),
-        accepted=np.array([rt.served for rt in runtimes], dtype=int),
+    The planner, the demand functions and ``vehicle_position`` are looked up
+    at call time (``plan_insertion`` as this module's global, the others
+    through their modules), so a wrapper installed there, as the perfbench
+    tracer installs, sees every call.
+    """
+    network, fleet = instance.network, instance.fleet
+    plans = [plan_insertion(route, order, now, network, fleet) for route in routes]
+    interval = instance.interval_of(now)
+    features = np.full((len(routes), 5), -1.0)
+    for k, (route, plan) in enumerate(zip(routes, plans)):
+        if plan.feasible:
+            best = plan.best_route
+            cap_vec = demand.capacity_profile(best, fleet.capacity, network, instance.horizon)
+            dem_vec = demand.demand_profile(best, predicted, network)
+            score = demand.divergence_score(cap_vec, dem_vec)
+            used_flag = 0.0 if route.is_empty else 1.0
+            features[k] = (plan.cur_len, plan.new_len, score, used_flag, interval)
+    state = JointState(
+        features=features,
+        feasible=np.array([plan.feasible for plan in plans], dtype=bool),
+        positions=np.array([routing.vehicle_position(r, network, now) for r in routes], dtype=float),
+        accepted=np.array(accepted, dtype=int),
         order_id=order.id,
     )
+    return state, plans
 
 
 def build_joint_state(
@@ -214,11 +213,8 @@ def build_joint_state(
         predicted = episode_demand_grid(instance)
     if now is None:
         now = float(order.created_at)
-    runtimes = [
-        _VehicleRuntime(r.vehicle, r.depot, r, served=len(r.order_ids())) for r in routes
-    ]
-    results = _plan_all(order, runtimes, instance, predicted, now)
-    return _joint_state(order, runtimes, instance, results, now)
+    accepted = [len(r.order_ids()) for r in routes]
+    return _fleet_state(order, routes, accepted, instance, predicted, now)[0]
 
 
 PolicyFn = Callable[[JointState], int]
@@ -238,9 +234,8 @@ def run_episode(
     if predicted is None:
         predicted = episode_demand_grid(instance)
     fleet = instance.fleet
-    runtimes = [
-        _VehicleRuntime(v.id, v.depot, Route.empty(v.id, v.depot)) for v in fleet.vehicles
-    ]
+    routes = [Route.empty(v.id, v.depot) for v in fleet.vehicles]
+    accepted = [0] * len(routes)
     orders = instance.orders
     intervals = [instance.interval_of(o.created_at) for o in orders]
     last_in_interval = [
@@ -255,28 +250,26 @@ def run_episode(
     for idx, order in enumerate(orders):
         now = float(order.created_at)
         t0 = time.perf_counter()
-        results = _plan_all(order, runtimes, instance, predicted, now)
-        state = _joint_state(order, runtimes, instance, results, now)
+        state, plans = _fleet_state(order, routes, accepted, instance, predicted, now)
         if not state.feasible.any():
             raise UnserviceableOrderError(order.id)
         k = int(policy(state))
         decision_times.append(time.perf_counter() - t0)
-        result = results[k]
-        if not result.feasible:
+        plan = plans[k]
+        if not plan.feasible:
             raise ValueError(f"policy chose infeasible vehicle {k} for order {order.id}")
 
-        rt = runtimes[k]
-        prev_sigs = rt.route.signatures()
-        new_route = result.best_route
+        new_route = plan.best_route
         frozen = new_route.frozen_until
-        if new_route.signatures()[: frozen + 1] != prev_sigs[: frozen + 1]:
+        if new_route.signatures()[: frozen + 1] != routes[k].signatures()[: frozen + 1]:
             raise RuntimeError(
                 f"insertion for order {order.id} altered the frozen prefix of vehicle {k}"
             )
-        delta = result.new_len - result.cur_len
-        r = instant_reward(result.used_flag, delta, fleet.fixed_cost, fleet.unit_cost, alpha)
-        rt.route = new_route
-        rt.served += 1
+        delta = plan.new_len - plan.cur_len
+        used_flag = int(state.features[k, 3])
+        r = instant_reward(used_flag, delta, fleet.fixed_cost, fleet.unit_cost, alpha)
+        routes[k] = new_route
+        accepted[k] += 1
         rewards.append(r)
         records.append(
             AssignmentRecord(
@@ -299,14 +292,14 @@ def run_episode(
             tr.reward = tr.reward + mean_reward
             rec.reward = tr.reward
 
-    nuv = sum(1 for rt in runtimes if rt.served > 0)
-    ttl = sum(rt.route.length for rt in runtimes)
+    nuv = sum(1 for n in accepted if n > 0)
+    ttl = sum(r.length for r in routes)
     report = EpisodeReport(
         nuv=nuv,
         ttl=ttl,
         tc=fleet.fixed_cost * nuv + fleet.unit_cost * ttl,
         assignments=records,
-        routes=[rt.route for rt in runtimes],
+        routes=routes,
         decision_seconds_mean=float(np.mean(decision_times)) if decision_times else 0.0,
         decision_seconds_max=float(max(decision_times)) if decision_times else 0.0,
     )

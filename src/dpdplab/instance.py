@@ -82,6 +82,9 @@ class FleetConfig:
     unit_cost: float = 2.0
 
     def validate(self, depot_ids: set[int]) -> None:
+        for i, v in enumerate(self.vehicles):
+            if v.id != i:
+                raise InstanceError(f"fleet.vehicles[{i}].id must equal its position {i}")
         if self.capacity <= 0:
             raise InstanceError("fleet.capacity must be positive")
         if self.fixed_cost < 0:
@@ -195,6 +198,7 @@ class Instance:
         for where, orders in [("orders", self.orders)] + [
             (f"history[{d}]", day) for d, day in enumerate(self.history or [])
         ]:
+            seen: set[int] = set()
             for i, order in enumerate(orders):
                 prefix = f"{where}[{i}]"
                 order.validate(prefix)
@@ -202,6 +206,9 @@ class Instance:
                     raise InstanceError(f"{prefix}.pickup must be a factory node")
                 if order.delivery not in factory_ids:
                     raise InstanceError(f"{prefix}.delivery must be a factory node")
+                if order.id in seen:
+                    raise InstanceError(f"{prefix}.id {order.id} repeats an earlier order id")
+                seen.add(order.id)
         for i in range(1, len(self.orders)):
             if self.orders[i].created_at < self.orders[i - 1].created_at:
                 raise InstanceError(f"orders[{i}] breaks ascending created_at order")
@@ -228,15 +235,21 @@ def _reading(field: str):
         raise InstanceError(f"{field} is malformed: {exc}") from None
 
 
+def _integer(value, field: str) -> int:
+    """A JSON number with an integer value; booleans, strings and fractions
+    are an InstanceError naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise InstanceError(f"{field} must be an integer, not {value!r}")
+    return int(value)
+
+
 def _order_from_dict(d: dict, prefix: str) -> DeliveryOrder:
     with _reading(prefix):
         return DeliveryOrder(
-            id=int(d["id"]),
-            pickup=int(d["pickup"]),
-            delivery=int(d["delivery"]),
-            quantity=int(d["quantity"]),
-            created_at=int(d["created_at"]),
-            latest_delivery=int(d["latest_delivery"]),
+            **{
+                name: _integer(d[name], f"{prefix}.{name}")
+                for name in ("id", "pickup", "delivery", "quantity", "created_at", "latest_delivery")
+            }
         )
 
 
@@ -249,8 +262,13 @@ def instance_from_dict(doc: dict) -> Instance:
     net = doc["network"]
     with _reading("network.nodes entry"):
         nodes = [
-            Node(id=int(n["id"]), role=str(n["role"]), x=float(n["x"]), y=float(n["y"]))
-            for n in net["nodes"]
+            Node(
+                id=_integer(n["id"], f"network.nodes[{i}].id"),
+                role=str(n["role"]),
+                x=float(n["x"]),
+                y=float(n["y"]),
+            )
+            for i, n in enumerate(net["nodes"])
         ]
     with _reading("network"):
         if net.get("dist") is None:
@@ -269,10 +287,13 @@ def instance_from_dict(doc: dict) -> Instance:
     with _reading("fleet"):
         fleet = FleetConfig(
             vehicles=[
-                VehicleSpec(id=int(v["id"]), depot=int(v["depot"]))
-                for v in fleet_doc["vehicles"]
+                VehicleSpec(
+                    id=_integer(v["id"], f"fleet.vehicles[{i}].id"),
+                    depot=_integer(v["depot"], f"fleet.vehicles[{i}].depot"),
+                )
+                for i, v in enumerate(fleet_doc["vehicles"])
             ],
-            capacity=int(fleet_doc["capacity"]),
+            capacity=_integer(fleet_doc["capacity"], "fleet.capacity"),
             fixed_cost=float(fleet_doc.get("fixed_cost", 300.0)),
             unit_cost=float(fleet_doc.get("unit_cost", 2.0)),
         )
@@ -286,7 +307,7 @@ def instance_from_dict(doc: dict) -> Instance:
                 for d, day in enumerate(history)
             ]
     with _reading("horizon"):
-        horizon = int(doc.get("horizon", 144))
+        horizon = _integer(doc.get("horizon", 144), "horizon")
     inst = Instance(network=network, orders=orders, fleet=fleet, horizon=horizon, history=history)
     inst.validate()
     return inst

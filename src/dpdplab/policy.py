@@ -28,6 +28,11 @@ from .neural import Adam, AttentionBlock, Mlp, load_tensors, save_tensors
 SENTINEL_Q = -1e9
 
 
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
 @dataclass
 class QNetworkConfig:
     state_dim: int = 5
@@ -44,6 +49,18 @@ class QNetworkConfig:
         # JSON round trips hand the sequences back as lists.
         self.mlp_hidden = tuple(self.mlp_hidden)
         self.feature_scale = tuple(self.feature_scale)
+        _check(self.state_dim == 5, f"state_dim must be 5, the feature row length, not {self.state_dim}")
+        for name in ("embed_dim", "attn_heads", "attn_head_dim"):
+            _check(getattr(self, name) >= 1, f"{name} must be >= 1, not {getattr(self, name)}")
+        _check(
+            all(h >= 1 for h in self.mlp_hidden),
+            f"mlp_hidden entries must be >= 1, not {list(self.mlp_hidden)}",
+        )
+        _check(self.neighbors >= 0, f"neighbors must be >= 0, not {self.neighbors}")
+        _check(
+            len(self.feature_scale) == self.state_dim,
+            f"feature_scale must hold state_dim = {self.state_dim} entries, not {len(self.feature_scale)}",
+        )
 
 
 def neighbor_indices(positions: np.ndarray, n_neighbors: int) -> np.ndarray:
@@ -183,7 +200,8 @@ def _same_json_type(value, default) -> bool:
 
 def _config_from_meta(cls, meta, key: str, path: str | Path):
     """Build config dataclass ``cls`` from ``meta[key]``; a field that is
-    unknown, missing or of another type than its default is a ValueError."""
+    unknown, missing, of another type than its default or out of range is a
+    ValueError."""
     doc = meta.get(key) if isinstance(meta, dict) else None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: meta.{key} must be an object")
@@ -194,7 +212,10 @@ def _config_from_meta(cls, meta, key: str, path: str | Path):
     for name, default in defaults.items():
         if not _same_json_type(doc[name], default):
             raise ValueError(f"{path}: meta.{key}.{name} is {doc[name]!r}, of another type than its default {default!r}")
-    return cls(**doc)
+    try:
+        return cls(**doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: meta.{key}.{exc}") from None
 
 
 def _copy_weights(path: str | Path, tensors: dict[str, np.ndarray], nets: list[tuple[str, QNetwork]]) -> None:
@@ -252,6 +273,15 @@ class TrainerConfig:
     learning_rate: float = 1e-3
     alpha: float = 0.01
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("batch_size", "target_period"):
+            _check(getattr(self, name) >= 1, f"{name} must be >= 1, not {getattr(self, name)}")
+        _check(self.steps_per_episode >= 0, f"steps_per_episode must be >= 0, not {self.steps_per_episode}")
+        _check(
+            self.buffer_capacity >= self.batch_size,
+            f"buffer_capacity must be >= batch_size = {self.batch_size}, not {self.buffer_capacity}",
+        )
 
 
 class Trainer:

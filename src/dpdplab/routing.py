@@ -16,6 +16,10 @@ insertion candidate from a recorded state instead of re-walking the prefix.
 Dispatching must not interfere with a moving vehicle: stops up to
 ``frozen_until`` (the stop the vehicle currently occupies or is driving
 toward) are immutable, and new stops may only be inserted after them.
+
+The planner answers only whether an order fits a vehicle, the route length
+before and after, and the best route; :mod:`dpdplab.env` turns plans into
+the fleet state's feature rows.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
-from .instance import DeliveryOrder, FleetConfig, MINUTES_PER_DAY, RoadNetwork
+from .instance import DeliveryOrder, FleetConfig, RoadNetwork
 
 PICKUP = "pickup"
 DELIVER = "deliver"
@@ -114,32 +118,21 @@ class Route:
 
 @dataclass
 class PlannerResult:
-    """Outcome of planning one order onto one vehicle.
+    """Outcome of planning one order onto one vehicle: the route length
+    before and after the insertion and the simulated best route.
 
-    When no feasible insertion exists every numeric field is the sentinel
-    ``-1`` and ``best_route`` is ``None``.
+    When no feasible insertion exists both lengths are the sentinel ``-1``
+    and ``best_route`` is ``None``.
     """
 
     feasible: bool
     cur_len: float
     new_len: float
-    score: float
-    used_flag: int
-    interval: int
     best_route: Route | None
 
     @classmethod
     def no_fit(cls) -> "PlannerResult":
-        return cls(False, -1.0, -1.0, -1.0, -1, -1, None)
-
-    def features(self) -> tuple[float, float, float, float, float]:
-        return (
-            float(self.cur_len),
-            float(self.new_len),
-            float(self.score),
-            float(self.used_flag),
-            float(self.interval),
-        )
+        return cls(False, -1.0, -1.0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +323,6 @@ def plan_insertion(
     now: float,
     network: RoadNetwork,
     fleet: FleetConfig,
-    horizon: int = 144,
-    predicted=None,
 ) -> PlannerResult:
     """Find the shortest feasible way to serve ``order`` with this vehicle.
 
@@ -341,8 +332,6 @@ def plan_insertion(
     appended).  Ties on length resolve to the lexicographically smallest gap
     pair.  Infeasibility is a value (`PlannerResult.no_fit`), not an error.
     """
-    from . import demand as _demand
-
     capacity = fleet.capacity
     start = route.start_time if route.start_time is not None else float(now)
     walk, violation = route.walk, route.violation
@@ -357,10 +346,6 @@ def plan_insertion(
     if frozen == len(base) - 1:
         base = [*base, Stop(route.depot)]
     last = len(base) - 1
-
-    used_flag = 0 if route.is_empty else 1
-    interval_minutes = MINUTES_PER_DAY / horizon
-    interval = min(max(int(now // interval_minutes), 0), horizon - 1)
 
     # A candidate with the pickup in gap i starts from the walk state after
     # stop i - 1 of the committed route.
@@ -390,23 +375,7 @@ def plan_insertion(
     new_stops = _coalesce([*base[:i], pick, *base[i:j], drop, *base[j:]], frozen)
     best_route = Route(vehicle=route.vehicle, depot=route.depot, stops=new_stops, frozen_until=frozen)
     simulate_timeline(best_route, network, start)
-
-    score = 0.0
-    if predicted is not None:
-        cap_vec = _demand.capacity_profile(best_route, capacity, network, horizon)
-        dem_vec = _demand.demand_profile(best_route, predicted, network)
-        if len(cap_vec.values):
-            score = _demand.divergence_score(cap_vec, dem_vec)
-
-    return PlannerResult(
-        feasible=True,
-        cur_len=route.length,
-        new_len=best_route.length,
-        score=score,
-        used_flag=used_flag,
-        interval=interval,
-        best_route=best_route,
-    )
+    return PlannerResult(True, route.length, best_route.length, best_route)
 
 
 def route_dump(route: Route) -> str:

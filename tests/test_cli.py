@@ -253,7 +253,8 @@ def _swapped(doc, path, value):
 @st.composite
 def _broken_instance_texts(draw):
     """A proper prefix of the instance file, or the file with one value
-    swapped: containers become scalars, scalars containers or a non-number."""
+    swapped: containers become scalars, scalars containers or a non-number,
+    and integers a boolean or a fraction."""
     text = json.dumps(_DOC)
     if draw(st.booleans()):
         return text[: draw(st.integers(0, len(text) - 1))]
@@ -262,6 +263,8 @@ def _broken_instance_texts(draw):
     for key in path:
         node = node[key]
     choices = [5, "?"] if isinstance(node, (dict, list)) else [[], {}, "?"]
+    if type(node) is int:
+        choices += [True, node + 0.5]
     return json.dumps(_swapped(_DOC, path, draw(st.sampled_from(choices))))
 
 
@@ -272,6 +275,27 @@ def test_broken_instance_fails_cleanly(text):
         path = Path(tmp) / "inst.json"
         path.write_text(text)
         _assert_clean_failure(*_main_in(tmp, ["run", "--instance", str(path), "--policy", "greedy1"]))
+
+
+_BAD_INSTANCES = [
+    # (swapped path, value, command, field named in the error)
+    (("fleet", "vehicles"), [dict(v, id=i) for v, i in zip(_DOC["fleet"]["vehicles"], (5, 7))],
+     ["run", "--policy", "exact_plan"], "fleet.vehicles[0].id"),
+    (("orders", 1, "id"), _DOC["orders"][0]["id"], ["exact"], "orders[1].id"),
+    (("orders", 0, "quantity"), 2.7, ["run", "--policy", "greedy1"], "orders[0].quantity"),
+    (("fleet", "capacity"), 12.9, ["run", "--policy", "greedy1"], "fleet.capacity"),
+    (("fleet", "vehicles", 1, "id"), True, ["run", "--policy", "greedy1"], "fleet.vehicles[1].id"),
+    (("network", "nodes", 0, "id"), "0", ["run", "--policy", "greedy1"], "network.nodes[0].id"),
+]
+
+
+@pytest.mark.parametrize("path, value, command, field", _BAD_INSTANCES)
+def test_instance_with_wrong_ids_or_integers_fails_cleanly(tmp_path, path, value, command, field):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_swapped(_DOC, path, value)))
+    rc, err = _main_in(str(tmp_path), [*command, "--instance", str(inst)])
+    _assert_clean_failure(rc, err)
+    assert field in err
 
 
 _SMALL = QNetworkConfig(embed_dim=4, mlp_hidden=(4,), attn_heads=1, attn_head_dim=2)
@@ -358,3 +382,58 @@ def test_malformed_checkpoint_fails_cleanly(checkpoint_parts, data):
         rc, err = _main_in(tmp, argv)
         _assert_clean_failure(rc, err)
         assert str(ckpt) in err
+
+
+_OUT_OF_RANGE = [
+    ("qnetwork_config", "neighbors", -1),
+    ("qnetwork_config", "neighbors", -3),
+    ("qnetwork_config", "feature_scale", [1.0]),
+    ("qnetwork_config", "attn_head_dim", 0),
+    ("qnetwork_config", "attn_heads", 0),
+    ("qnetwork_config", "embed_dim", 0),
+    ("qnetwork_config", "mlp_hidden", [4, 0]),
+    ("qnetwork_config", "state_dim", 4),
+    ("trainer_config", "batch_size", 0),
+    ("trainer_config", "target_period", 0),
+    ("trainer_config", "steps_per_episode", -1),
+    ("trainer_config", "buffer_capacity", 10),
+]
+
+
+@pytest.mark.parametrize("section, field, value", _OUT_OF_RANGE)
+def test_out_of_range_checkpoint_config_fails_cleanly(tmp_path, checkpoint_parts, section, field, value):
+    """Bare network checkpoints are read by ``run``, trainer checkpoints by
+    ``eval``; the error names the file and the field."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_DOC))
+    for command in ("run", "eval") if section == "qnetwork_config" else ("eval",):
+        tensors, meta = checkpoint_parts[command]
+        meta = json.loads(json.dumps(meta))
+        meta[section][field] = value
+        ckpt = tmp_path / f"{command}.ckpt"
+        save_tensors(ckpt, dict(tensors), meta)
+        if command == "eval":
+            argv = ["eval", "--checkpoint", str(ckpt), "--instance", str(inst)]
+        else:
+            argv = ["run", "--instance", str(inst), "--policy", "learned", "--checkpoint", str(ckpt)]
+        rc, err = _main_in(str(tmp_path), argv)
+        _assert_clean_failure(rc, err)
+        assert str(ckpt) in err and f"meta.{section}.{field}" in err
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--batch-size", "0"], "batch_size"),
+        (["--target-period", "0"], "target_period"),
+        (["--steps-per-episode", "-1"], "steps_per_episode"),
+        (["--buffer-capacity", "4", "--batch-size", "8"], "buffer_capacity"),
+        (["--neighbors", "-1"], "neighbors"),
+    ],
+)
+def test_out_of_range_train_flags_fail_cleanly(tmp_path, flags, field):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_DOC))
+    rc, err = _main_in(str(tmp_path), ["train", "--instance", str(inst), "--episodes", "2", *flags])
+    _assert_clean_failure(rc, err)
+    assert field in err

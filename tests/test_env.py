@@ -1,6 +1,7 @@
 import pytest
 
 from dpdplab.baselines import make_greedy_policy, validate_routes
+from dpdplab.demand import capacity_profile, demand_profile, divergence_score
 from dpdplab.env import (
     UnserviceableOrderError,
     build_joint_state,
@@ -10,7 +11,7 @@ from dpdplab.env import (
     run_episode,
 )
 from dpdplab.instance import DEPOT, FACTORY, FleetConfig, VehicleSpec, generate_instance
-from dpdplab.routing import Route
+from dpdplab.routing import Route, plan_insertion
 
 from conftest import make_instance, make_network, make_order
 
@@ -85,6 +86,29 @@ def test_used_flag_rises_after_first_assignment(line_network):
     _, transitions = run_episode(inst, make_greedy_policy("incremental"))
     assert transitions[0].state.features[0, 3] == 0.0
     assert transitions[1].state.features[0, 3] == 1.0
+
+
+@pytest.mark.parametrize("created_at, interval", [(0, 0), (100, 10), (725, 72)])
+def test_feasible_vehicle_row(line_network, created_at, interval):
+    fleet = FleetConfig(vehicles=[VehicleSpec(0, 2)], capacity=10)
+    order = make_order(0, pickup=0, delivery=1, created_at=created_at)
+    inst = make_instance(line_network, [order], fleet)
+    now = float(created_at)
+    state = build_joint_state(order, [Route.empty(0, 2)], inst)
+    cur_len, new_len, score, used_flag, row_interval = state.features[0].tolist()
+    d = line_network.dist
+    assert state.feasible[0]
+    assert (cur_len, used_flag, row_interval) == (0.0, 0.0, float(interval))
+    assert new_len == pytest.approx(d[2, 0] + d[0, 1] + d[1, 2])
+    # The pickup and delivery stops form the profiles; the score is their JS value.
+    best = plan_insertion(Route.empty(0, 2), order, now, line_network, fleet).best_route
+    grid = episode_demand_grid(inst)
+    expected = divergence_score(
+        capacity_profile(best, fleet.capacity, line_network, inst.horizon),
+        demand_profile(best, grid, line_network),
+    )
+    assert score == expected
+    assert 0.0 <= score <= 1.0
 
 
 def test_infeasible_vehicle_has_sentinel_row(line_network):

@@ -3,13 +3,17 @@
 Each digest is the sha256 of an episode's trace lines plus its report JSON
 (without the two wall-clock fields).  The first set was recorded before the
 fleet state became arrays, the second (two depots, two minutes of service
-per action) before the route walkers were folded into one.  A refactor that
-is meant to keep behaviour must keep these bytes.
+per action) before the route walkers were folded into one.  The fleet-state
+digests cover every transition's ``features``, ``feasible``, ``positions``
+and ``accepted`` bytes; they were recorded before the feature rows moved
+from the planner into the environment.  A refactor that is meant to keep
+behaviour must keep these bytes.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from dpdplab.baselines import make_greedy_policy
@@ -45,6 +49,22 @@ RECORDED_SERVICE_DEPOTS_JSON = {
     1: "8625fad02e5ec332f653ce6ef1d2fdf5f77cf258e0fecb2f10950711621301cb",
 }
 
+# (seed, service and two depots, rule) -> sha256 of every transition's state arrays.
+RECORDED_FLEET_STATES = {
+    (0, False, "incremental"): "8e2ef09109fd5d3a231dfec583d0894f4a9e122fdc47b6711890c2a1ad8b2230",
+    (0, False, "total"): "c71c9450e0fadc3cf3893199a85e78080956411bc358a24a99a3851488303839",
+    (0, False, "max_orders"): "be98471a861a40d9076b0c84db8285520277a6968878db5f3bdc209e62c49ed8",
+    (0, True, "incremental"): "d18f28912bdcec4a7c423ecf6a959a82ec2675702a075e3a6c73ac4dc49b1e92",
+    (0, True, "total"): "3b1662cdbc1516754bc45f2f45917b6151606abb25105eaa40318fe09d34af89",
+    (0, True, "max_orders"): "19e108885bf071d4e923a0a76482746595639db1a00e62e9a08ee01c7f0afb3c",
+    (1, False, "incremental"): "07a9dad671e9b3da634c4d267a914c6d96dd0fae76433768052a4ffa80275e6b",
+    (1, False, "total"): "d86f22b3f672fb9e702ad39b1242119f527e5ccbe9aac832b47fbf9a8939c57c",
+    (1, False, "max_orders"): "acb4bac806e0bb9c718421ca00054feb6880e3e0d477df4efa406618ccd62e13",
+    (1, True, "incremental"): "9aa24dda771435191d183283c7c9ba03b74b9b407aacacabd55cf185ecf0f574",
+    (1, True, "total"): "33a9e6e42154380692bb23aea6859df712041da2d9d32843372cf1bbbd3f60aa",
+    (1, True, "max_orders"): "810106a187cb60274b53decdaecb78e972e71169dc938714ab44f63f8dac3161",
+}
+
 
 def _instance(seed, **kwargs):
     return generate_instance(seed=seed, n_factories=10, n_orders=30, n_vehicles=8, **kwargs)
@@ -68,3 +88,15 @@ def test_greedy_outputs_with_service_and_two_depots_match_recorded_digest(seed, 
     inst = _instance(seed, **SERVICE_DEPOTS)
     assert hashlib.sha256(inst.to_json().encode()).hexdigest() == RECORDED_SERVICE_DEPOTS_JSON[seed]
     assert _digest(inst, rule) == RECORDED_SERVICE_DEPOTS[(seed, rule)]
+
+
+@pytest.mark.parametrize("seed, service_depots, rule", sorted(RECORDED_FLEET_STATES))
+def test_greedy_fleet_states_match_recorded_digest(seed, service_depots, rule):
+    inst = _instance(seed, **(SERVICE_DEPOTS if service_depots else {}))
+    _, transitions = run_episode(inst, make_greedy_policy(rule))
+    digest = hashlib.sha256()
+    for tr in transitions:
+        s = tr.state
+        for array in (s.features, s.feasible, s.positions, s.accepted):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == RECORDED_FLEET_STATES[(seed, service_depots, rule)]

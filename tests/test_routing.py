@@ -196,8 +196,6 @@ def test_plan_on_empty_route(line_network, line_fleet):
     d = line_network.dist
     assert res.new_len == pytest.approx(d[2, 0] + d[0, 1] + d[1, 2])
     assert res.cur_len == 0.0
-    assert res.used_flag == 0
-    assert res.interval == 0
 
 
 def test_plan_infeasible_returns_sentinels(line_network, line_fleet):
@@ -205,7 +203,7 @@ def test_plan_infeasible_returns_sentinels(line_network, line_fleet):
     o = make_order(0, pickup=0, delivery=1, created_at=100, latest_delivery=102)
     res = plan_insertion(route, o, 100.0, line_network, line_fleet)
     assert not res.feasible
-    assert (res.cur_len, res.new_len, res.score, res.used_flag, res.interval) == (-1, -1, -1, -1, -1)
+    assert (res.cur_len, res.new_len) == (-1, -1)
     assert res.best_route is None
 
 
