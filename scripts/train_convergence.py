@@ -15,7 +15,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dpdplab.baselines import make_greedy_policy
-from dpdplab.cli import _svg_polyline
+from dpdplab.cli import _svg_polyline, write_curve
 from dpdplab.env import run_episode
 from dpdplab.instance import generate_instance
 from dpdplab.policy import Trainer, TrainerConfig
@@ -54,11 +54,7 @@ def main() -> int:
     log = trainer.train([inst], args.episodes)
     trainer.save_checkpoint(outdir / "checkpoint.ckpt")
 
-    lines = ["episode,loss,nuv,ttl,tc,epsilon"] + [
-        f"{r['episode']},{r['loss']!r},{r['nuv']},{r['ttl']!r},{r['tc']!r},{r['epsilon']!r}"
-        for r in log
-    ]
-    (outdir / "curve.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_curve(outdir / "curve.csv", log)
 
     tcs = [r["tc"] for r in log]
     series = {"learned": tcs}
@@ -68,8 +64,10 @@ def main() -> int:
         _svg_polyline(series, "total cost per training episode"), encoding="utf-8"
     )
 
-    first, last = np.mean(tcs[: len(tcs) // 4]), np.mean(tcs[-len(tcs) // 4 :])
-    print(f"mean TC first quarter {first:.1f} -> last quarter {last:.1f}")
+    if tcs:
+        # A quarter of the run, at least one episode.
+        q = max(1, len(tcs) // 4)
+        print(f"mean TC first quarter {np.mean(tcs[:q]):.1f} -> last quarter {np.mean(tcs[-q:]):.1f}")
     print(f"wrote {outdir / 'curve.csv'} and curve_tc.svg")
     return 0
 

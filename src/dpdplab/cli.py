@@ -24,7 +24,7 @@ from .baselines import GREEDY_ALIASES, make_greedy_policy, make_plan_policy, sol
 from .demand import build_demand_grid
 from .env import EpisodeReport, episode_demand_grid, run_episode
 from .instance import Instance, generate_instance, load_instance, save_instance
-from .policy import QNetwork, QNetworkConfig, Trainer, TrainerConfig, make_learned_policy
+from .policy import QNetworkConfig, Trainer, TrainerConfig, make_learned_policy
 from .routing import route_dump
 
 POLICY_CHOICES = sorted(set(GREEDY_ALIASES)) + ["learned", "exact_plan"]
@@ -91,24 +91,23 @@ def _policy_for(name: str, checkpoint: str | None, epsilon: float, seed: int, in
         return make_greedy_policy(name)
     if name == "learned":
         if not checkpoint:
-            raise SystemExit("--checkpoint is required for the learned policy")
-        net, _ = _load_any_checkpoint(checkpoint)
+            raise ValueError("--checkpoint is required for the learned policy")
         rng = np.random.default_rng(seed) if epsilon > 0 else None
-        return make_learned_policy(net, epsilon=epsilon, rng=rng)
+        return make_learned_policy(Trainer.load_checkpoint(checkpoint).online, epsilon=epsilon, rng=rng)
     if name == "exact_plan":
         plan = solve_exact(instance)
         return make_plan_policy(plan.assignment)
-    raise SystemExit(f"unknown policy {name!r}")
+    raise ValueError(f"unknown policy {name!r}")
 
 
-def _load_any_checkpoint(path: str | Path) -> tuple[QNetwork, dict]:
-    from .neural import load_tensors
-
-    tensors, meta = load_tensors(path)
-    if any(name.startswith("online.") for name in tensors):
-        trainer = Trainer.load_checkpoint(path)
-        return trainer.online, meta
-    return QNetwork.load(path)
+def write_curve(path: Path, log: Sequence[dict]) -> None:
+    """Write ``Trainer.train``'s log rows as ``curve.csv``."""
+    lines = ["episode,loss,nuv,ttl,tc,epsilon"]
+    lines += [
+        f"{r['episode']},{r['loss']!r},{r['nuv']},{r['ttl']!r},{r['tc']!r},{r['epsilon']!r}"
+        for r in log
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +245,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     trainer = Trainer(qconfig, tconfig)
     log = trainer.train(instances, args.episodes)
     ckpt = trainer.save_checkpoint(outdir / "checkpoint.ckpt")
-    curve = outdir / "curve.csv"
-    lines = ["episode,loss,nuv,ttl,tc,epsilon"]
-    lines += [
-        f"{r['episode']},{r['loss']!r},{r['nuv']},{r['ttl']!r},{r['tc']!r},{r['epsilon']!r}"
-        for r in log
-    ]
-    curve.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_curve(outdir / "curve.csv", log)
     final = log[-1]["tc"] if log else float("nan")
     print(f"trained {args.episodes} episodes -> {ckpt} (final TC {final})")
     return 0
@@ -261,7 +254,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     _write_config(outdir, args)
-    net, _ = _load_any_checkpoint(args.checkpoint)
+    net = Trainer.load_checkpoint(args.checkpoint).online
     reports = []
     for path in args.instance:
         instance = load_instance(path)
@@ -325,6 +318,8 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     n = instance.network.n_factories
     if args.source == "orders":
         grid = build_demand_grid(instance.orders, n, instance.horizon)
+    elif not instance.history:
+        raise ValueError(f"{args.instance} has no history days; use --source orders")
     else:
         grid = episode_demand_grid(instance)
     (outdir / "grid.csv").write_text(grid.to_csv(), encoding="utf-8")
@@ -348,7 +343,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     for metric in args.metrics.split(","):
         metric = metric.strip()
         if metric not in data:
-            raise SystemExit(f"curve file has no column {metric!r}")
+            raise ValueError(f"curve file has no column {metric!r}")
         svg = _svg_polyline({metric: data[metric]}, f"{metric} per episode")
         (outdir / f"curve_{metric}.svg").write_text(svg, encoding="utf-8")
     print(f"wrote curves for {args.metrics} into {outdir}")
@@ -391,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", action="append", required=True, help="repeatable")
     p.add_argument("--episodes", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gamma", type=float, default=0.95)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--buffer-capacity", type=int, default=100_000)
-    p.add_argument("--target-period", type=int, default=5)
-    p.add_argument("--steps-per-episode", type=int, default=1)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--neighbors", type=int, default=8)
+    p.add_argument("--gamma", type=float, default=TrainerConfig.gamma)
+    p.add_argument("--batch-size", type=int, default=TrainerConfig.batch_size)
+    p.add_argument("--buffer-capacity", type=int, default=TrainerConfig.buffer_capacity)
+    p.add_argument("--target-period", type=int, default=TrainerConfig.target_period)
+    p.add_argument("--steps-per-episode", type=int, default=TrainerConfig.steps_per_episode)
+    p.add_argument("--lr", type=float, default=TrainerConfig.learning_rate)
+    p.add_argument("--alpha", type=float, default=TrainerConfig.alpha)
+    p.add_argument("--neighbors", type=int, default=QNetworkConfig.neighbors)
     p.add_argument("--no-attention", action="store_true")
     p.add_argument("--no-score", action="store_true")
     p.add_argument("--out")

@@ -4,12 +4,13 @@ A demand grid is an ``n_factories x intervals`` matrix whose cell (i, j)
 holds the total cargo quantity created at factory i during interval j.
 Forecasting is element-wise averaging over past days' grids.
 
-For a planned route we extract two aligned vectors over its factory stops:
-the vehicle's residual capacity on arrival and the forecast demand at each
-(factory, arrival-interval) cell.  Their Jensen-Shannon divergence (base-2
-logarithm, so the value lies in [0, 1]) measures how poorly the route's
-spare capacity tracks where demand is expected; low values indicate cheap
-opportunities to absorb nearby future orders.
+For a planned route we find the (factory, arrival-interval) cell of each
+factory stop once, with :func:`route_cells`, and read two aligned vectors
+over those cells: the vehicle's residual capacity on arrival and the
+forecast demand.  Their Jensen-Shannon divergence (base-2 logarithm, so the
+value lies in [0, 1]) measures how poorly the route's spare capacity tracks
+where demand is expected; low values indicate cheap opportunities to absorb
+nearby future orders.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .routing import Route
 
 
 class DemandError(ValueError):
-    """Raised on malformed grids or misaligned profile vectors."""
+    """Raised on malformed grids or profile vectors."""
 
 
 @dataclass
@@ -80,67 +81,43 @@ def predict_grid(history: Sequence[DemandGrid]) -> DemandGrid:
     return DemandGrid(stacked.mean(axis=0))
 
 
-@dataclass
-class RouteProfile:
-    """Values indexed by (factory, interval) coordinates along a route's stops."""
-
-    coords: list[tuple[int, int]]
-    values: np.ndarray
-    kind: str  # "capacity" | "demand"
-
-
-def _stop_coords(route: Route, network: RoadNetwork, intervals: int) -> list[tuple[int, int, int]]:
-    """(stop index, factory, arrival interval) for each non-depot stop.
-
-    Arrival intervals past the end of the day clamp to the final interval.
-    """
+def route_cells(route: Route, network: RoadNetwork, intervals: int) -> list[tuple[int, int, int]]:
+    """(stop index, factory, arrival interval) for each non-depot stop of a
+    simulated route; arrival intervals past the end of the day clamp to the
+    final interval."""
     width = MINUTES_PER_DAY / intervals
-    out = []
-    for idx, stop in enumerate(route.stops):
-        if network.is_depot(stop.node):
-            continue
-        j = min(max(int(stop.arrival // width), 0), intervals - 1)
-        out.append((idx, stop.node, j))
-    return out
+    return [
+        (idx, stop.node, min(max(int(stop.arrival // width), 0), intervals - 1))
+        for idx, stop in enumerate(route.stops)
+        if not network.is_depot(stop.node)
+    ]
 
 
-def capacity_profile(route: Route, capacity: int, network: RoadNetwork, intervals: int) -> RouteProfile:
-    """Residual capacity on arrival at each factory stop of a simulated route."""
-    entries = _stop_coords(route, network, intervals)
-    values = []
-    coords = []
-    for idx, factory, j in entries:
-        load_on_arrival = route.walk[idx - 1].load if idx > 0 else 0
-        values.append(float(capacity - load_on_arrival))
-        coords.append((factory, j))
-    return RouteProfile(coords=coords, values=np.array(values, dtype=float), kind="capacity")
+def capacity_profile(route: Route, cells: Sequence[tuple[int, int, int]], capacity: int) -> np.ndarray:
+    """Residual capacity on arrival at each of the route's cells."""
+    return np.array(
+        [float(capacity - (route.walk[idx - 1].load if idx > 0 else 0)) for idx, _, _ in cells], dtype=float
+    )
 
 
-def demand_profile(route: Route, grid: DemandGrid, network: RoadNetwork) -> RouteProfile:
-    """Forecast demand at each factory stop's spatial-temporal coordinate."""
-    entries = _stop_coords(route, network, grid.intervals)
-    coords = [(factory, j) for _, factory, j in entries]
-    values = np.array([grid.values[f, j] for f, j in coords], dtype=float)
-    return RouteProfile(coords=coords, values=values, kind="demand")
+def demand_profile(cells: Sequence[tuple[int, int, int]], grid: DemandGrid) -> np.ndarray:
+    """Forecast demand at each cell's (factory, interval) coordinate."""
+    return np.array([grid.values[f, j] for _, f, j in cells], dtype=float)
 
 
-def divergence_score(capacity: RouteProfile, demand: RouteProfile, smoothing: float = 1e-9) -> float:
+def divergence_score(capacity: np.ndarray, demand: np.ndarray, smoothing: float = 1e-9) -> float:
     """Base-2 Jensen-Shannon divergence between the two normalized profiles.
 
-    Both value vectors are additively smoothed and renormalized into
-    probability distributions (an all-zero vector becomes uniform), so the
-    result is well-defined and bounded in [0, 1]; 0 means identical shapes.
+    Both vectors are additively smoothed and renormalized into probability
+    distributions (an all-zero vector becomes uniform), so the result is
+    well-defined and bounded in [0, 1]; 0 means identical shapes.
     """
-    if len(capacity.values) != len(demand.values):
-        raise DemandError(
-            f"profile length mismatch: {len(capacity.values)} vs {len(demand.values)}"
-        )
-    if len(capacity.values) == 0:
+    if len(capacity) != len(demand):
+        raise DemandError(f"profile length mismatch: {len(capacity)} vs {len(demand)}")
+    if len(capacity) == 0:
         raise DemandError("profiles must contain at least one entry")
-    if capacity.coords != demand.coords:
-        raise DemandError("profiles are not aligned on the same coordinates")
-    p = np.asarray(capacity.values, dtype=float) + smoothing
-    q = np.asarray(demand.values, dtype=float) + smoothing
+    p = np.asarray(capacity, dtype=float) + smoothing
+    q = np.asarray(demand, dtype=float) + smoothing
     p /= p.sum()
     q /= q.sum()
     m = 0.5 * (p + q)

@@ -5,7 +5,9 @@ arrival.  For every order the simulator plans the order onto each vehicle's
 route, builds the joint state from the plans (five features per vehicle:
 current/new route length from the planner, demand-alignment score of the
 planned route, used flag and the current interval index), hands it to a
-dispatch policy, and commits the chosen vehicle's best insertion.  Rewards
+dispatch policy, and commits the chosen vehicle's best insertion.  The
+demand score reads a forecast grid of ``n_factories x horizon`` cells; a
+caller's grid of another shape is refused up front.  Rewards
 are cost-shaped: an instant term charging the per-km cost of the detour
 plus the fixed cost when the assignment activates a fresh vehicle, and an
 episode-mean term added to every order's reward once the day ends so the
@@ -22,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import demand, routing
-from .demand import DemandGrid, build_demand_grid, predict_grid
+from .demand import DemandError, DemandGrid, build_demand_grid, predict_grid
 from .instance import DeliveryOrder, Instance
 from .routing import PlannerResult, Route, plan_insertion
 
@@ -164,6 +166,17 @@ def episode_demand_grid(instance: Instance) -> DemandGrid:
     return build_demand_grid(instance.orders, n, instance.horizon)
 
 
+def _forecast(instance: Instance, predicted: DemandGrid | None) -> DemandGrid:
+    """The episode's forecast grid, or a caller's grid once its shape is
+    checked against the instance's (factories, intervals)."""
+    if predicted is None:
+        return episode_demand_grid(instance)
+    shape = (instance.network.n_factories, instance.horizon)
+    if predicted.values.shape != shape:
+        raise DemandError(f"forecast grid shape {predicted.values.shape} does not match (factories, horizon) {shape}")
+    return predicted
+
+
 def _fleet_state(
     order: DeliveryOrder,
     routes: Sequence[Route],
@@ -186,9 +199,10 @@ def _fleet_state(
     for k, (route, plan) in enumerate(zip(routes, plans)):
         if plan.feasible:
             best = plan.best_route
-            cap_vec = demand.capacity_profile(best, fleet.capacity, network, instance.horizon)
-            dem_vec = demand.demand_profile(best, predicted, network)
-            score = demand.divergence_score(cap_vec, dem_vec)
+            cells = demand.route_cells(best, network, instance.horizon)
+            score = demand.divergence_score(
+                demand.capacity_profile(best, cells, fleet.capacity), demand.demand_profile(cells, predicted)
+            )
             used_flag = 0.0 if route.is_empty else 1.0
             features[k] = (plan.cur_len, plan.new_len, score, used_flag, interval)
     state = JointState(
@@ -209,8 +223,7 @@ def build_joint_state(
     now: float | None = None,
 ) -> JointState:
     """Assemble the fleet state for one order from committed routes."""
-    if predicted is None:
-        predicted = episode_demand_grid(instance)
+    predicted = _forecast(instance, predicted)
     if now is None:
         now = float(order.created_at)
     accepted = [len(r.order_ids()) for r in routes]
@@ -229,10 +242,11 @@ def run_episode(
     """Simulate one day; returns the cost report and the transitions.
 
     Deterministic given the instance and the policy's own randomness; aborts
-    with :class:`UnserviceableOrderError` when an order fits no vehicle.
+    with :class:`UnserviceableOrderError` when an order fits no vehicle, and
+    with :class:`DemandError` when ``predicted`` is not an
+    ``n_factories x horizon`` grid.
     """
-    if predicted is None:
-        predicted = episode_demand_grid(instance)
+    predicted = _forecast(instance, predicted)
     fleet = instance.fleet
     routes = [Route.empty(v.id, v.depot) for v in fleet.vehicles]
     accepted = [0] * len(routes)

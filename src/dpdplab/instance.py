@@ -133,9 +133,6 @@ class RoadNetwork:
         n = self.nodes[node]
         return (n.x, n.y)
 
-    def travel_time(self, a: int, b: int) -> float:
-        return float(self.dist[a, b]) / self.speed
-
     def validate(self) -> None:
         if not self.nodes:
             raise InstanceError("network.nodes must not be empty")
@@ -144,6 +141,8 @@ class RoadNetwork:
                 raise InstanceError(f"network.nodes[{i}].id must equal its position {i}")
             if node.role not in (FACTORY, DEPOT):
                 raise InstanceError(f"network.nodes[{i}].role must be 'factory' or 'depot'")
+            if node.role == FACTORY and i and self.nodes[i - 1].role == DEPOT:
+                raise InstanceError(f"network.nodes[{i}] is a factory after a depot; factories must come first")
         n = self.n_nodes
         if self.dist.shape != (n, n):
             raise InstanceError(f"network.dist must be a {n}x{n} matrix")

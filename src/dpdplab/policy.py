@@ -21,11 +21,14 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .env import JointState, Transition, run_episode
+from .env import DEFAULT_ALPHA, JointState, Transition, run_episode
 from .instance import Instance
 from .neural import Adam, AttentionBlock, Mlp, load_tensors, save_tensors
 
 SENTINEL_Q = -1e9
+# Per-column scale of a feature row (lengths in km, score, used flag,
+# interval of a 144-interval day) before it enters the initial MLP.
+FEATURE_SCALE = np.array([0.02, 0.02, 1.0, 1.0, 1.0 / 144.0])
 
 
 def _check(ok: bool, message: str) -> None:
@@ -35,7 +38,6 @@ def _check(ok: bool, message: str) -> None:
 
 @dataclass
 class QNetworkConfig:
-    state_dim: int = 5
     embed_dim: int = 64
     mlp_hidden: tuple[int, ...] = (64, 64)
     attn_heads: int = 4
@@ -43,13 +45,10 @@ class QNetworkConfig:
     neighbors: int = 8
     use_attention: bool = True
     use_score_feature: bool = True
-    feature_scale: tuple[float, ...] = (0.02, 0.02, 1.0, 1.0, 1.0 / 144.0)
 
     def __post_init__(self):
-        # JSON round trips hand the sequences back as lists.
+        # JSON round trips hand the sequence back as a list.
         self.mlp_hidden = tuple(self.mlp_hidden)
-        self.feature_scale = tuple(self.feature_scale)
-        _check(self.state_dim == 5, f"state_dim must be 5, the feature row length, not {self.state_dim}")
         for name in ("embed_dim", "attn_heads", "attn_head_dim"):
             _check(getattr(self, name) >= 1, f"{name} must be >= 1, not {getattr(self, name)}")
         _check(
@@ -57,10 +56,6 @@ class QNetworkConfig:
             f"mlp_hidden entries must be >= 1, not {list(self.mlp_hidden)}",
         )
         _check(self.neighbors >= 0, f"neighbors must be >= 0, not {self.neighbors}")
-        _check(
-            len(self.feature_scale) == self.state_dim,
-            f"feature_scale must hold state_dim = {self.state_dim} entries, not {len(self.feature_scale)}",
-        )
 
 
 def neighbor_indices(positions: np.ndarray, n_neighbors: int) -> np.ndarray:
@@ -82,7 +77,7 @@ class QNetwork:
         self.config = config or QNetworkConfig()
         cfg = self.config
         rng = np.random.default_rng(seed)
-        self.init_mlp = Mlp([cfg.state_dim, *cfg.mlp_hidden, cfg.embed_dim], rng)
+        self.init_mlp = Mlp([len(FEATURE_SCALE), *cfg.mlp_hidden, cfg.embed_dim], rng)
         if cfg.use_attention:
             self.attn1 = AttentionBlock(
                 cfg.embed_dim, cfg.attn_heads, cfg.attn_head_dim, cfg.embed_dim, rng
@@ -127,7 +122,7 @@ class QNetwork:
         x = state.features[rows]
         if not self.config.use_score_feature:
             x[:, 2] = 0.0
-        x = x * np.asarray(self.config.feature_scale, dtype=float)
+        x = x * FEATURE_SCALE
         h0, tape["init"] = self.init_mlp.forward(x)
         if self.attn1 is not None:
             idx = neighbor_indices(state.positions[rows], self.config.neighbors)
@@ -170,21 +165,6 @@ class QNetwork:
         else:
             dh0 = dcat
         self.init_mlp.backward(tape["init"], dh0)
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {name: p for name, p, _ in self.parameters()}
-
-    def save(self, path: str | Path, meta: dict | None = None) -> Path:
-        payload = dict(meta or {})
-        payload["qnetwork_config"] = asdict(self.config)
-        return save_tensors(path, self.tensors(), payload)
-
-    @classmethod
-    def load(cls, path: str | Path) -> tuple["QNetwork", dict]:
-        tensors, meta = load_tensors(path)
-        net = cls(_config_from_meta(QNetworkConfig, meta, "qnetwork_config", path), seed=0)
-        _copy_weights(path, tensors, [("", net)])
-        return net, meta
 
 
 def _same_json_type(value, default) -> bool:
@@ -271,7 +251,7 @@ class TrainerConfig:
     target_period: int = 5
     steps_per_episode: int = 1
     learning_rate: float = 1e-3
-    alpha: float = 0.01
+    alpha: float = DEFAULT_ALPHA
     seed: int = 0
 
     def __post_init__(self):

@@ -39,10 +39,6 @@ class Action:
     kind: str
     order: DeliveryOrder
 
-    @property
-    def order_id(self) -> int:
-        return self.order.id
-
     def signature(self) -> tuple[str, int]:
         return (self.kind, self.order.id)
 

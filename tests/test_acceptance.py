@@ -14,7 +14,7 @@ import pytest
 
 from dpdplab.baselines import make_greedy_policy, solve_exact, validate_routes
 from dpdplab.cli import main
-from dpdplab.demand import RouteProfile, divergence_score
+from dpdplab.demand import divergence_score
 from dpdplab.env import run_episode
 from dpdplab.instance import generate_instance
 from dpdplab.policy import (
@@ -186,23 +186,14 @@ def test_criterion_6_divergence_score_properties():
             n = int(rng.integers(1, 7))
             a = rng.uniform(0, 20, size=n)
             b = rng.uniform(0, 20, size=n)
-            coords = [(i, 0) for i in range(n)]
-            cap = RouteProfile(coords, a, "capacity")
-            dem = RouteProfile(coords, b, "demand")
-            s = divergence_score(cap, dem)
-            s_swapped = divergence_score(
-                RouteProfile(coords, b, "capacity"), RouteProfile(coords, a, "demand")
-            )
+            s = divergence_score(a, b)
+            s_swapped = divergence_score(b, a)
             assert s == pytest.approx(s_swapped, abs=1e-12)
             assert 0.0 <= s <= 1.0
             scale = float(rng.uniform(0.2, 5.0))
-            same = divergence_score(cap, RouteProfile(coords, a * scale, "demand"))
+            same = divergence_score(a, a * scale)
             assert same == pytest.approx(0.0, abs=1e-6)
-        coords = [(0, 0), (1, 0)]
-        worked = divergence_score(
-            RouteProfile(coords, np.array([0.5, 0.5]), "capacity"),
-            RouteProfile(coords, np.array([1.0, 0.0]), "demand"),
-        )
+        worked = divergence_score(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
         assert worked == pytest.approx(js_reference([0.5, 0.5], [1.0, 0.0]), abs=1e-4)
         assert worked == pytest.approx(0.3113, abs=1e-4)
 

@@ -323,14 +323,16 @@ def test_truncated_checkpoint_fails_cleanly(checkpoint_bytes, data):
 
 @pytest.fixture(scope="module")
 def checkpoint_parts(tmp_path_factory):
-    """(tensors, meta) of a trainer checkpoint, read by ``eval``, and of a
-    bare network checkpoint, read by ``run``."""
+    """(tensors, meta) of a trainer checkpoint, the one format ``run``,
+    ``eval`` and ``compare`` read."""
     tmp = tmp_path_factory.mktemp("parts")
-    trainer = Trainer(_SMALL, TrainerConfig(seed=1))
-    return {
-        "eval": load_tensors(trainer.save_checkpoint(tmp / "t.ckpt")),
-        "run": load_tensors(trainer.online.save(tmp / "n.ckpt")),
-    }
+    return load_tensors(Trainer(_SMALL, TrainerConfig(seed=1)).save_checkpoint(tmp / "t.ckpt"))
+
+
+def _checkpoint_argv(command: str, ckpt: Path, inst: Path) -> list[str]:
+    if command == "eval":
+        return ["eval", "--checkpoint", str(ckpt), "--instance", str(inst)]
+    return ["run", "--instance", str(inst), "--policy", "learned", "--checkpoint", str(ckpt)]
 
 
 def _wrong_values(value):
@@ -349,13 +351,13 @@ def test_malformed_checkpoint_fails_cleanly(checkpoint_parts, data):
     """A config field dropped, added or of another type, a tensor dropped, or
     a trainer-state value dropped or of another type: exit 1 and a one-line
     error naming the file."""
-    command = data.draw(st.sampled_from(sorted(checkpoint_parts)))
-    tensors, meta = checkpoint_parts[command]
+    command = data.draw(st.sampled_from(["eval", "run"]))
+    tensors, meta = checkpoint_parts
     tensors, meta = dict(tensors), json.loads(json.dumps(meta))
     how = data.draw(st.sampled_from(["tensor", "drop", "extra", "swap", "state"]))
     if how == "tensor":
         del tensors[data.draw(st.sampled_from(sorted(tensors)))]
-    elif how == "state" and command == "eval":
+    elif how == "state":
         key = data.draw(st.sampled_from(["episodes_trained", "epsilon", "rng_state"]))
         if key != "epsilon" and data.draw(st.booleans()):
             del meta[key]
@@ -375,11 +377,7 @@ def test_malformed_checkpoint_fails_cleanly(checkpoint_parts, data):
         inst.write_text(json.dumps(_DOC))
         ckpt = Path(tmp) / "bad.ckpt"
         save_tensors(ckpt, tensors, meta)
-        if command == "eval":
-            argv = ["eval", "--checkpoint", str(ckpt), "--instance", str(inst)]
-        else:
-            argv = ["run", "--instance", str(inst), "--policy", "learned", "--checkpoint", str(ckpt)]
-        rc, err = _main_in(tmp, argv)
+        rc, err = _main_in(tmp, _checkpoint_argv(command, ckpt, inst))
         _assert_clean_failure(rc, err)
         assert str(ckpt) in err
 
@@ -387,13 +385,11 @@ def test_malformed_checkpoint_fails_cleanly(checkpoint_parts, data):
 _OUT_OF_RANGE = [
     ("qnetwork_config", "neighbors", -1),
     ("qnetwork_config", "neighbors", -3),
-    ("qnetwork_config", "feature_scale", [1.0]),
     ("qnetwork_config", "attn_head_dim", 0),
     ("qnetwork_config", "attn_heads", 0),
     ("qnetwork_config", "embed_dim", 0),
-    ("qnetwork_config", "mlp_hidden", [4, 0]),
-    ("qnetwork_config", "state_dim", 4),
     ("trainer_config", "batch_size", 0),
+    ("qnetwork_config", "mlp_hidden", [4, 0]),
     ("trainer_config", "target_period", 0),
     ("trainer_config", "steps_per_episode", -1),
     ("trainer_config", "buffer_capacity", 10),
@@ -402,23 +398,44 @@ _OUT_OF_RANGE = [
 
 @pytest.mark.parametrize("section, field, value", _OUT_OF_RANGE)
 def test_out_of_range_checkpoint_config_fails_cleanly(tmp_path, checkpoint_parts, section, field, value):
-    """Bare network checkpoints are read by ``run``, trainer checkpoints by
-    ``eval``; the error names the file and the field."""
+    """``run`` and ``eval`` both refuse the file; the error names the file
+    and the field."""
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(_DOC))
-    for command in ("run", "eval") if section == "qnetwork_config" else ("eval",):
-        tensors, meta = checkpoint_parts[command]
-        meta = json.loads(json.dumps(meta))
-        meta[section][field] = value
-        ckpt = tmp_path / f"{command}.ckpt"
-        save_tensors(ckpt, dict(tensors), meta)
-        if command == "eval":
-            argv = ["eval", "--checkpoint", str(ckpt), "--instance", str(inst)]
-        else:
-            argv = ["run", "--instance", str(inst), "--policy", "learned", "--checkpoint", str(ckpt)]
-        rc, err = _main_in(str(tmp_path), argv)
+    tensors, meta = checkpoint_parts
+    meta = json.loads(json.dumps(meta))
+    meta[section][field] = value
+    ckpt = tmp_path / "bad.ckpt"
+    save_tensors(ckpt, dict(tensors), meta)
+    for command in ("run", "eval"):
+        rc, err = _main_in(str(tmp_path), _checkpoint_argv(command, ckpt, inst))
         _assert_clean_failure(rc, err)
         assert str(ckpt) in err and f"meta.{section}.{field}" in err
+
+
+@pytest.mark.parametrize(
+    "removed",
+    [
+        {"state_dim": 5},
+        {"feature_scale": [0.02, 0.02, 1.0, 1.0, 1.0 / 144.0]},
+        {"state_dim": 5, "feature_scale": [0.02, 0.02, 1.0, 1.0, 1.0 / 144.0]},
+    ],
+    ids=["state_dim", "feature_scale", "both"],
+)
+def test_checkpoint_with_removed_network_fields_is_refused(tmp_path, checkpoint_parts, removed):
+    """Older files whose ``qnetwork_config`` still holds ``state_dim`` or
+    ``feature_scale`` are refused as having unknown fields, not loaded."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_DOC))
+    tensors, meta = checkpoint_parts
+    meta = json.loads(json.dumps(meta))
+    meta["qnetwork_config"].update(removed)
+    ckpt = tmp_path / "old.ckpt"
+    save_tensors(ckpt, dict(tensors), meta)
+    for command in ("run", "eval"):
+        rc, err = _main_in(str(tmp_path), _checkpoint_argv(command, ckpt, inst))
+        _assert_clean_failure(rc, err)
+        assert str(ckpt) in err and f"unknown fields {sorted(removed)}" in err
 
 
 @pytest.mark.parametrize(
@@ -437,3 +454,43 @@ def test_out_of_range_train_flags_fail_cleanly(tmp_path, flags, field):
     rc, err = _main_in(str(tmp_path), ["train", "--instance", str(inst), "--episodes", "2", *flags])
     _assert_clean_failure(rc, err)
     assert field in err
+
+
+def test_heatmap_of_missing_history_fails_cleanly(tmp_path):
+    inst = _gen(tmp_path, extra=["--history-days", "0"])
+    rc, err = _main_in(str(tmp_path), ["heatmap", "--instance", str(inst), "--source", "history"])
+    _assert_clean_failure(rc, err)
+    assert "no history" in err and str(inst) in err
+    assert not (tmp_path / "out" / "grid.csv").exists()
+
+
+def test_malformed_arguments_fail_cleanly(tmp_path):
+    inst = _gen(tmp_path)
+    curve = tmp_path / "curve.csv"
+    curve.write_text("episode,tc\n0,1.0\n")
+    cases = [
+        (["run", "--instance", str(inst), "--policy", "learned"], "--checkpoint is required"),
+        (["compare", "--instance", str(inst), "--policies", "greedy1,nope"], "unknown policy 'nope'"),
+        (["curves", "--curve", str(curve), "--metrics", "loss"], "no column 'loss'"),
+    ]
+    for argv, message in cases:
+        rc, err = _main_in(str(tmp_path), argv)
+        _assert_clean_failure(rc, err)
+        assert message in err
+
+
+@pytest.mark.parametrize("command", [["run", "--policy", "greedy1"], ["exact"]])
+def test_depot_ahead_of_factories_is_refused(tmp_path, command):
+    nodes = [{"id": i, "role": role, "x": float(i), "y": 0.0} for i, role in enumerate(["depot", "factory", "factory"])]
+    doc = {
+        "network": {"nodes": nodes, "dist": None, "speed": 1.0, "service_time": 0.0},
+        "orders": [{"id": 0, "pickup": 1, "delivery": 2, "quantity": 1, "created_at": 0, "latest_delivery": 600}],
+        "fleet": {"vehicles": [{"id": 0, "depot": 0}], "capacity": 5, "fixed_cost": 300.0, "unit_cost": 2.0},
+        "horizon": 144,
+        "history": None,
+    }
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    rc, err = _main_in(str(tmp_path), [*command, "--instance", str(inst)])
+    _assert_clean_failure(rc, err)
+    assert "network.nodes[1]" in err

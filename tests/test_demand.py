@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from dpdplab.demand import (
     DemandError,
     DemandGrid,
-    RouteProfile,
     build_demand_grid,
     capacity_profile,
     demand_profile,
     divergence_score,
     predict_grid,
+    route_cells,
 )
 from dpdplab.routing import DELIVER, PICKUP, Action, Route, Stop, simulate_timeline
 
@@ -110,9 +110,8 @@ def test_capacity_profile_tracks_residual(line_network):
         line_network,
         [(0, [Action(PICKUP, o1)]), (1, [Action(DELIVER, o1)])],
     )
-    prof = capacity_profile(route, capacity=10, network=line_network, intervals=144)
-    assert prof.kind == "capacity"
-    assert list(prof.values) == [10.0, 6.0]
+    prof = capacity_profile(route, route_cells(route, line_network, 144), capacity=10)
+    assert list(prof) == [10.0, 6.0]
 
 
 def test_capacity_profile_returns_to_full_after_unload(line_network):
@@ -127,8 +126,8 @@ def test_capacity_profile_returns_to_full_after_unload(line_network):
             (1, [Action(DELIVER, o2)]),
         ],
     )
-    prof = capacity_profile(route, capacity=10, network=line_network, intervals=144)
-    assert list(prof.values) == [10.0, 6.0, 10.0, 8.0]
+    prof = capacity_profile(route, route_cells(route, line_network, 144), capacity=10)
+    assert list(prof) == [10.0, 6.0, 10.0, 8.0]
 
 
 def test_demand_profile_lookup(line_network):
@@ -137,9 +136,10 @@ def test_demand_profile_lookup(line_network):
     grid = DemandGrid(np.zeros((2, 144)))
     arrival_interval = int(route.stops[2].arrival // 10)
     grid.values[1, arrival_interval] = 9.0
-    prof = demand_profile(route, grid, line_network)
-    assert prof.values[1] == 9.0
-    assert prof.coords[1] == (1, arrival_interval)
+    cells = route_cells(route, line_network, grid.intervals)
+    prof = demand_profile(cells, grid)
+    assert prof[1] == 9.0
+    assert cells[1][1:] == (1, arrival_interval)
 
 
 def test_demand_profile_clamps_past_midnight(line_network):
@@ -147,23 +147,20 @@ def test_demand_profile_clamps_past_midnight(line_network):
     route = _simulated_route(line_network, [(0, [Action(PICKUP, o)]), (1, [Action(DELIVER, o)])], start=1430.0)
     assert route.stops[2].arrival < 1440 < route.stops[3].arrival
     grid = DemandGrid(np.zeros((2, 144)))
-    prof = demand_profile(route, grid, line_network)
-    assert prof.coords[0] == (0, 143)
-    assert prof.coords[1] == (1, 143)
+    cells = route_cells(route, line_network, grid.intervals)
+    assert cells[0][1:] == (0, 143)
+    assert cells[1][1:] == (1, 143)
 
 
 def test_depot_only_route_gives_empty_profiles(line_network):
     route = Route.empty(0, depot=2)
     simulate_timeline(route, line_network, 0.0)
-    prof = capacity_profile(route, 10, line_network, 144)
-    assert len(prof.values) == 0
+    prof = capacity_profile(route, route_cells(route, line_network, 144), 10)
+    assert len(prof) == 0
 
 
 def _profiles(cap_values, dem_values):
-    coords = [(i, 0) for i in range(len(cap_values))]
-    cap = RouteProfile(coords=coords, values=np.array(cap_values, dtype=float), kind="capacity")
-    dem = RouteProfile(coords=coords, values=np.array(dem_values, dtype=float), kind="demand")
-    return cap, dem
+    return np.array(cap_values, dtype=float), np.array(dem_values, dtype=float)
 
 
 def test_score_zero_for_proportional_vectors():
@@ -213,10 +210,8 @@ def test_score_symmetric_and_bounded(values):
     a = [v for v, _ in values]
     b = [v for _, v in values]
     cap, dem = _profiles(a, b)
-    rcap = RouteProfile(coords=cap.coords, values=dem.values, kind="capacity")
-    rdem = RouteProfile(coords=cap.coords, values=cap.values, kind="demand")
     s1 = divergence_score(cap, dem)
-    s2 = divergence_score(rcap, rdem)
+    s2 = divergence_score(dem, cap)
     assert s1 == pytest.approx(s2, abs=1e-12)
     assert 0.0 <= s1 <= 1.0
 

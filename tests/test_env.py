@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from dpdplab.baselines import make_greedy_policy, validate_routes
-from dpdplab.demand import capacity_profile, demand_profile, divergence_score
+from dpdplab.demand import DemandError, DemandGrid, capacity_profile, demand_profile, divergence_score, route_cells
 from dpdplab.env import (
     UnserviceableOrderError,
     build_joint_state,
@@ -103,10 +104,8 @@ def test_feasible_vehicle_row(line_network, created_at, interval):
     # The pickup and delivery stops form the profiles; the score is their JS value.
     best = plan_insertion(Route.empty(0, 2), order, now, line_network, fleet).best_route
     grid = episode_demand_grid(inst)
-    expected = divergence_score(
-        capacity_profile(best, fleet.capacity, line_network, inst.horizon),
-        demand_profile(best, grid, line_network),
-    )
+    cells = route_cells(best, line_network, inst.horizon)
+    expected = divergence_score(capacity_profile(best, cells, fleet.capacity), demand_profile(cells, grid))
     assert score == expected
     assert 0.0 <= score <= 1.0
 
@@ -204,6 +203,16 @@ def test_demand_grid_prefers_history():
     inst_no_hist = generate_instance(seed=8, n_factories=5, n_orders=6, n_vehicles=2, history_days=0)
     own = episode_demand_grid(inst_no_hist)
     assert own.total == sum(o.quantity for o in inst_no_hist.orders)
+
+
+@pytest.mark.parametrize("shape", [(4, 144), (5, 72), (144, 5)])
+def test_forecast_grid_of_another_shape_is_refused(shape):
+    inst = generate_instance(seed=8, n_factories=5, n_orders=6, n_vehicles=2, history_days=0)
+    grid = DemandGrid(np.zeros(shape))
+    with pytest.raises(DemandError, match=r"\(5, 144\)"):
+        run_episode(inst, make_greedy_policy("incremental"), predicted=grid)
+    with pytest.raises(DemandError, match=r"\(5, 144\)"):
+        build_joint_state(inst.orders[0], [Route.empty(v.id, v.depot) for v in inst.fleet.vehicles], inst, grid)
 
 
 def test_determinism_same_policy():
