@@ -1,10 +1,10 @@
 """Minimal float64 layer stack with exact reverse-mode gradients.
 
-Just the pieces the dispatch network needs: multi-layer perceptrons,
-multi-head scaled dot-product attention where the first row of each group
-is the query, and a concatenative dense head.  No block keeps activations
-between calls: ``forward`` returns ``(output, tape)``, where the tape holds
-what the matching ``backward(tape, grad)`` needs.  Gradients accumulate in
+Just the pieces the dispatch network needs: multi-layer perceptrons, and
+multi-head scaled dot-product attention within masked groups of rows, where
+every row is a query, followed by a concatenative dense head.  No block
+keeps activations between calls: ``forward`` returns ``(output, tape)``,
+where the tape holds what the matching ``backward(tape, grad)`` needs.  Gradients accumulate in
 mirrored buffers across backward calls until :meth:`zero_grad`.
 
 Checkpoints are a small named-tensor archive: a JSON manifest followed by
@@ -114,14 +114,19 @@ class Mlp(Block):
 
 
 class AttentionBlock(Block):
-    """Multi-head scaled dot-product attention with a concatenative dense head.
+    """Multi-head scaled dot-product attention within masked groups, with a
+    concatenative dense head.
 
-    Input is a batch of groups shaped ``(B, M, d_in)`` whose first row is the
-    querying member; output is its next-level representation ``(B, d_out)``:
-    per head ``softmax(q K^T / sqrt(d_head)) V``, heads concatenated, then
-    the query row is concatenated with the attention context and passed
-    through an affine + ReLU layer.  The tape's ``"weights"`` entry holds the
-    attention weights, shape ``(B, H, M)``.
+    The input is S groups of K rows, taken as the ``(S * K, d_in)`` row
+    matrix, and a ``(S, K, K)`` boolean mask: row i of group s attends to
+    row j of the same group where ``mask[s, i, j]``.  Every row is a query,
+    and Q, K and V are projected once per row.  Per head a row's context is
+    ``softmax(q K^T / sqrt(d_head)) V`` over the rows its mask admits; the
+    heads are concatenated, the row is concatenated with its context and
+    passed through an affine + ReLU layer, giving ``(S * K, d_out)``.  Each
+    mask row must admit at least one row.  The tape's ``"weights"`` entry
+    holds the attention weights, shape ``(S, H, K, K)``, zero outside the
+    mask.
     """
 
     def __init__(self, d_in: int, n_heads: int, d_head: int, d_out: int, rng: np.random.Generator):
@@ -137,54 +142,56 @@ class AttentionBlock(Block):
         self._add_param("W", glorot_uniform(rng, d_in + width, d_out, (d_in + width, d_out)))
         self._add_param("b", np.zeros(d_out, dtype=np.float64))
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        if x.ndim != 3 or x.shape[2] != self.d_in:
-            raise ValueError(f"expected input of shape (B, M, {self.d_in}), got {x.shape}")
-        B, M, _ = x.shape
-        H, dh = self.n_heads, self.d_head
-        q_in = x[:, 0, :]
-        Q = (q_in @ self.params["WQ"]).reshape(B, H, dh)
-        K = (x @ self.params["WK"]).reshape(B, M, H, dh)
-        V = (x @ self.params["WV"]).reshape(B, M, H, dh)
-        scores = np.einsum("bhd,bmhd->bhm", Q, K) / np.sqrt(dh)
-        weights = softmax(scores, axis=-1)
-        ctx = np.einsum("bhm,bmhd->bhd", weights, V).reshape(B, H * dh)
-        cat = np.concatenate([q_in, ctx], axis=1)
+    def _heads(self, rows: np.ndarray, S: int, K: int) -> np.ndarray:
+        """(S * K, H * dh) -> (S, H, K, dh)."""
+        return rows.reshape(S, K, self.n_heads, self.d_head).transpose(0, 2, 1, 3)
+
+    def _rows(self, heads: np.ndarray) -> np.ndarray:
+        """(S, H, K, dh) -> (S * K, H * dh)."""
+        S, H, K, dh = heads.shape
+        return heads.transpose(0, 2, 1, 3).reshape(S * K, H * dh)
+
+    def forward(self, x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, dict]:
+        if mask.ndim != 3 or mask.shape[1] != mask.shape[2]:
+            raise ValueError(f"expected a mask of shape (S, K, K), got {mask.shape}")
+        S, K, _ = mask.shape
+        if x.shape != (S * K, self.d_in):
+            raise ValueError(f"expected input of shape ({S * K}, {self.d_in}), got {x.shape}")
+        Q = self._heads(x @ self.params["WQ"], S, K)
+        Kh = self._heads(x @ self.params["WK"], S, K)
+        V = self._heads(x @ self.params["WV"], S, K)
+        scores = (Q @ Kh.transpose(0, 1, 3, 2)) / np.sqrt(self.d_head)
+        weights = softmax(np.where(mask[:, None], scores, -np.inf), axis=-1)
+        cat = np.concatenate([x, self._rows(weights @ V)], axis=1)
         pre = cat @ self.params["W"] + self.params["b"]
-        tape = {"x": x, "Q": Q, "K": K, "V": V, "weights": weights, "cat": cat, "pre": pre}
+        tape = {"x": x, "Q": Q, "K": Kh, "V": V, "weights": weights, "cat": cat, "pre": pre}
         return relu(pre), tape
 
     def backward(self, tape: dict, grad: np.ndarray) -> np.ndarray:
-        x, Q, K, V, weights, cat, pre = (
+        x, Q, Kh, V, weights, cat, pre = (
             tape["x"], tape["Q"], tape["K"], tape["V"], tape["weights"], tape["cat"], tape["pre"],
         )
-        B, M, _ = x.shape
-        H, dh = self.n_heads, self.d_head
-        width = H * dh
+        S, _, K, _ = Q.shape
 
         dpre = grad * (pre > 0)
         self.grads["W"] += cat.T @ dpre
         self.grads["b"] += dpre.sum(axis=0)
         dcat = dpre @ self.params["W"].T
-        dq_in = dcat[:, : self.d_in].copy()
-        dctx = dcat[:, self.d_in :].reshape(B, H, dh)
+        dctx = self._heads(dcat[:, self.d_in :], S, K)
 
-        dweights = np.einsum("bhd,bmhd->bhm", dctx, V)
-        dV = np.einsum("bhm,bhd->bmhd", weights, dctx)
+        dweights = dctx @ V.transpose(0, 1, 3, 2)
+        dV = self._rows(weights.transpose(0, 1, 3, 2) @ dctx)
         dscores = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
-        dscores /= np.sqrt(dh)
-        dQ = np.einsum("bhm,bmhd->bhd", dscores, K)
-        dK = np.einsum("bhm,bhd->bmhd", dscores, Q)
+        dscores /= np.sqrt(self.d_head)
+        dQ = self._rows(dscores @ Kh)
+        dK = self._rows(dscores.transpose(0, 1, 3, 2) @ Q)
 
-        q_in = x[:, 0, :]
-        self.grads["WQ"] += q_in.T @ dQ.reshape(B, width)
-        flat_x = x.reshape(B * M, self.d_in)
-        self.grads["WK"] += flat_x.T @ dK.reshape(B * M, width)
-        self.grads["WV"] += flat_x.T @ dV.reshape(B * M, width)
-
-        dx = dK.reshape(B, M, width) @ self.params["WK"].T
-        dx += dV.reshape(B, M, width) @ self.params["WV"].T
-        dx[:, 0, :] += dQ.reshape(B, width) @ self.params["WQ"].T + dq_in
+        self.grads["WQ"] += x.T @ dQ
+        self.grads["WK"] += x.T @ dK
+        self.grads["WV"] += x.T @ dV
+        dx = dcat[:, : self.d_in] + dQ @ self.params["WQ"].T
+        dx += dK @ self.params["WK"].T
+        dx += dV @ self.params["WV"].T
         return dx
 
 

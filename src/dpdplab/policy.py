@@ -10,6 +10,15 @@ emits the scalar Q-value.  Infeasible vehicles are excluded before any
 network evaluation: their Q-value is pinned to a large negative sentinel,
 they are never sampled or selected, and no gradient ever flows to or from
 their rows.
+
+One batched path evaluates a sequence of fleet states: the MLPs run on the
+states' packed feasible rows, and each attention level is masked attention
+over a zero-padded grid of one group per state, whose mask admits each
+row's neighbour group.  Acting evaluates a batch of one state; training
+runs one forward and one backward per block of ``BLOCK_STATES`` states of
+its minibatch, and evaluates the Double-Q targets' next states in the same
+blocks.  Greedy choices treat Q values equal up to rounding as ties and take
+the lowest vehicle id.
 """
 
 from __future__ import annotations
@@ -29,6 +38,11 @@ SENTINEL_Q = -1e9
 # Per-column scale of a feature row (lengths in km, score, used flag,
 # interval of a 144-interval day) before it enters the initial MLP.
 FEATURE_SCALE = np.array([0.02, 0.02, 1.0, 1.0, 1.0 / 144.0])
+# Relative gap under which two Q values are a tie (see greedy_index).
+TIE_TOLERANCE = 1e-12
+# States per forward/backward pass in training: large enough to fill the
+# matmuls, small enough that a pass's attention grid stays in cache.
+BLOCK_STATES = 8
 
 
 def _check(ok: bool, message: str) -> None:
@@ -111,25 +125,41 @@ class QNetwork:
         for name, p, _ in other.parameters():
             mine[name][...] = p
 
-    def q_values(self, state: JointState) -> tuple[np.ndarray, dict]:
-        """Q per vehicle and the tape :meth:`backward` needs; infeasible rows
-        get the sentinel without evaluation."""
-        rows = np.flatnonzero(state.feasible)
-        q = np.full(state.n_vehicles, SENTINEL_Q, dtype=float)
-        tape: dict = {"rows": rows}
+    def q_values(self, states: Sequence[JointState]) -> tuple[np.ndarray, dict]:
+        """Q per vehicle of every state, concatenated in order, and the tape
+        :meth:`backward` needs; ``tape["offsets"][s]`` is where state s
+        starts.  Infeasible rows get the sentinel without evaluation.
+
+        The MLPs run on the packed feasible rows.  Attention runs on a grid
+        of one group of ``Kmax`` rows per state, zero-padded past the
+        state's feasible rows; a padding row attends only to itself.
+        """
+        offsets = np.cumsum([0, *(s.n_vehicles for s in states)])
+        rows = np.flatnonzero(np.concatenate([s.feasible for s in states]))
+        q = np.full(offsets[-1], SENTINEL_Q, dtype=float)
+        tape: dict = {"rows": rows, "offsets": offsets}
         if not rows.size:
             return q, tape
-        x = state.features[rows]
+        x = np.concatenate([s.features for s in states])[rows]
         if not self.config.use_score_feature:
             x[:, 2] = 0.0
         x = x * FEATURE_SCALE
         h0, tape["init"] = self.init_mlp.forward(x)
         if self.attn1 is not None:
-            idx = neighbor_indices(state.positions[rows], self.config.neighbors)
-            h1, tape["attn1"] = self.attn1.forward(h0[idx])
-            h2, tape["attn2"] = self.attn2.forward(h1[idx])
-            tape["idx"] = idx
-            cat = np.concatenate([h0, h1, h2], axis=1)
+            counts = np.array([s.feasible.sum() for s in states])
+            kmax = counts.max()
+            slots = np.flatnonzero(np.arange(kmax) < counts[:, None])
+            mask = np.zeros((len(states), kmax, kmax), dtype=bool)
+            mask[:, np.arange(kmax), np.arange(kmax)] = True
+            for g, state in enumerate(states):
+                idx = neighbor_indices(state.positions[state.feasible], self.config.neighbors)
+                mask[g, np.arange(counts[g])[:, None], idx] = True
+            grid = np.zeros((len(states) * kmax, h0.shape[1]))
+            grid[slots] = h0
+            h1, tape["attn1"] = self.attn1.forward(grid, mask)
+            h2, tape["attn2"] = self.attn2.forward(h1, mask)
+            tape["slots"] = slots
+            cat = np.concatenate([h0, h1[slots], h2[slots]], axis=1)
         else:
             cat = h0
         out, tape["final"] = self.final_mlp.forward(cat)
@@ -138,7 +168,8 @@ class QNetwork:
 
     def backward(self, tape: dict, dq: np.ndarray) -> None:
         """Accumulate gradients of a scalar loss whose dL/dQ is ``dq`` (per
-        vehicle) through the forward pass recorded in ``tape``.
+        vehicle, over the same concatenation as the Q values) through the
+        forward pass recorded in ``tape``.
 
         Components on infeasible rows must be zero: those rows never entered
         the forward pass.
@@ -154,14 +185,12 @@ class QNetwork:
         dcat = self.final_mlp.backward(tape["final"], dout)
         if self.attn1 is not None:
             d = self.config.embed_dim
-            idx = tape["idx"]
-            dh0 = dcat[:, :d].copy()
-            dh1 = dcat[:, d : 2 * d].copy()
-            dh2 = dcat[:, 2 * d :].copy()
-            dx1 = self.attn2.backward(tape["attn2"], dh2)
-            np.add.at(dh1, idx, dx1)
-            dx0 = self.attn1.backward(tape["attn1"], dh1)
-            np.add.at(dh0, idx, dx0)
+            slots = tape["slots"]
+            dh2 = np.zeros_like(tape["attn2"]["x"])
+            dh2[slots] = dcat[:, 2 * d :]
+            dh1 = self.attn2.backward(tape["attn2"], dh2)
+            dh1[slots] += dcat[:, d : 2 * d]
+            dh0 = self.attn1.backward(tape["attn1"], dh1)[slots] + dcat[:, :d]
         else:
             dh0 = dcat
         self.init_mlp.backward(tape["init"], dh0)
@@ -211,6 +240,14 @@ def _copy_weights(path: str | Path, tensors: dict[str, np.ndarray], nets: list[t
         p[...] = tensors[name]
 
 
+def greedy_index(q: np.ndarray) -> int:
+    """Index of the largest Q value.  Values within ``TIE_TOLERANCE *
+    max(1, |max|)`` of the largest are ties, and ties go to the lowest
+    index, so interchangeable vehicles are not chosen by rounding noise."""
+    top = q.max()
+    return int(np.argmax(q >= top - TIE_TOLERANCE * max(1.0, abs(top))))
+
+
 def select_action(
     state: JointState,
     net: QNetwork,
@@ -226,8 +263,8 @@ def select_action(
             raise ValueError("exploration requires a random generator")
         if rng.random() < epsilon:
             return int(feasible[int(rng.integers(len(feasible)))])
-    q, _ = net.q_values(state)
-    return int(np.argmax(q))
+    q, _ = net.q_values([state])
+    return greedy_index(q)
 
 
 def make_learned_policy(
@@ -287,16 +324,22 @@ class Trainer:
         frac = min(1.0, episode / decay_span)
         return cfg.epsilon_start + frac * (cfg.epsilon_final - cfg.epsilon_start)
 
-    def double_q_target(self, transition: Transition) -> float:
-        """Terminal transitions return the raw reward; otherwise bootstrap with
-        the online argmax evaluated by the target network."""
-        if transition.interval_end or transition.next_state is None:
-            return float(transition.reward)
-        nxt = transition.next_state
-        online_q, _ = self.online.q_values(nxt)
-        target_q, _ = self.target.q_values(nxt)
-        best = int(np.argmax(online_q))
-        return float(transition.reward + self.config.gamma * target_q[best])
+    def double_q_target(self, batch: Sequence[Transition]) -> np.ndarray:
+        """One target per transition.  Terminal transitions take the raw
+        reward; the others bootstrap with the online argmax evaluated by the
+        target network, over their next states in blocks."""
+        targets = np.array([float(tr.reward) for tr in batch])
+        live = [i for i, tr in enumerate(batch) if not tr.interval_end and tr.next_state is not None]
+        for start in range(0, len(live), BLOCK_STATES):
+            part = live[start : start + BLOCK_STATES]
+            states = [batch[i].next_state for i in part]
+            online_q, tape = self.online.q_values(states)
+            target_q, _ = self.target.q_values(states)
+            offsets = tape["offsets"]
+            for i, lo, hi in zip(part, offsets, offsets[1:]):
+                best = lo + greedy_index(online_q[lo:hi])
+                targets[i] = batch[i].reward + self.config.gamma * target_q[best]
+        return targets
 
     def train_step(self) -> float | None:
         cfg = self.config
@@ -304,15 +347,17 @@ class Trainer:
             return None
         picks = self.rng.choice(len(self.buffer), size=cfg.batch_size, replace=False)
         batch = [self.buffer[int(i)] for i in picks]
-        targets = [self.double_q_target(tr) for tr in batch]
+        targets = self.double_q_target(batch)
         self.online.zero_grad()
         total = 0.0
-        for tr, y in zip(batch, targets):
-            q, tape = self.online.q_values(tr.state)
-            diff = float(q[tr.action]) - y
-            total += diff * diff
+        for start in range(0, len(batch), BLOCK_STATES):
+            part = batch[start : start + BLOCK_STATES]
+            q, tape = self.online.q_values([tr.state for tr in part])
+            picked = tape["offsets"][:-1] + [tr.action for tr in part]
+            diff = q[picked] - targets[start : start + BLOCK_STATES]
+            total += float(diff @ diff)
             dq = np.zeros_like(q)
-            dq[tr.action] = 2.0 * diff / cfg.batch_size
+            dq[picked] = 2.0 * diff / cfg.batch_size
             self.online.backward(tape, dq)
         self.optimizer.step()
         return total / cfg.batch_size

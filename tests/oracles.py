@@ -12,6 +12,7 @@ import itertools
 import math
 
 from dpdplab.instance import Instance
+from dpdplab.policy import FEATURE_SCALE, SENTINEL_Q
 from dpdplab.routing import PICKUP, Route
 
 
@@ -226,3 +227,40 @@ def neighbor_reference(positions, n_neighbors):
         )
         groups.append([i] + [j for _, j in others[:ne]])
     return groups
+
+
+def q_reference(net, state):
+    """Q per vehicle of one joint state by composing the loop references:
+    the initial MLP per feasible row, each attention level once per row over
+    the row's ``neighbor_reference`` group, the final MLP on the three
+    concatenated embeddings; infeasible rows get the sentinel."""
+    cfg = net.config
+
+    def layers(mlp):
+        return [(l.params["W"].tolist(), l.params["b"].tolist()) for l in mlp.layers]
+
+    def attend(block, rows, groups):
+        p = block.params
+        args = [p[k].tolist() for k in ("WQ", "WK", "WV", "W", "b")]
+        return [
+            attention_reference([rows[j] for j in group], *args, heads=block.n_heads, d_head=block.d_head)
+            for group in groups
+        ]
+
+    feasible = [k for k in range(state.n_vehicles) if state.feasible[k]]
+    h0 = []
+    for k in feasible:
+        x = [float(v) for v in state.features[k]]
+        if not cfg.use_score_feature:
+            x[2] = 0.0
+        h0.append(mlp_reference(layers(net.init_mlp), [v * float(s) for v, s in zip(x, FEATURE_SCALE)]))
+    cat = h0
+    if net.attn1 is not None and feasible:
+        groups = neighbor_reference([state.positions[k].tolist() for k in feasible], cfg.neighbors)
+        h1 = attend(net.attn1, h0, groups)
+        h2 = attend(net.attn2, h1, groups)
+        cat = [a + b + c for a, b, c in zip(h0, h1, h2)]
+    q = [SENTINEL_Q] * state.n_vehicles
+    for k, row in zip(feasible, cat):
+        q[k] = mlp_reference(layers(net.final_mlp), row)[0]
+    return q

@@ -34,12 +34,23 @@ def test_mlp_matches_loop_reference():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def _full_mask(groups, rows):
+    return np.ones((groups, rows, rows), dtype=bool)
+
+
+def _random_mask(groups, rows, seed):
+    """Random groups with the diagonal set, so every row admits itself."""
+    mask = np.random.default_rng(seed).random((groups, rows, rows)) < 0.5
+    mask[:, np.arange(rows), np.arange(rows)] = True
+    return mask
+
+
 def test_attention_uniform_weights_for_equal_scores():
     rng = np.random.default_rng(3)
     attn = AttentionBlock(d_in=4, n_heads=2, d_head=3, d_out=4, rng=rng)
     attn.params["WQ"][...] = 0.0  # all scores zero -> uniform softmax
-    x = np.random.default_rng(5).normal(size=(1, 5, 4))
-    _, tape = attn.forward(x)
+    x = np.random.default_rng(5).normal(size=(5, 4))
+    _, tape = attn.forward(x, _full_mask(1, 5))
     weights = tape["weights"]
     assert np.allclose(weights, 1.0 / 5.0)
 
@@ -47,42 +58,53 @@ def test_attention_uniform_weights_for_equal_scores():
 def test_attention_single_row_attends_to_self():
     rng = np.random.default_rng(4)
     attn = AttentionBlock(d_in=3, n_heads=2, d_head=2, d_out=3, rng=rng)
-    x = np.random.default_rng(6).normal(size=(1, 1, 3))
-    out, tape = attn.forward(x)
-    v = (x[0, 0] @ attn.params["WV"]).reshape(-1)
-    cat = np.concatenate([x[0, 0], v])
-    expected = np.maximum(cat @ attn.params["W"] + attn.params["b"], 0.0)
-    assert out[0] == pytest.approx(expected, rel=1e-12)
-    assert np.allclose(tape["weights"], 1.0)
+    x = np.random.default_rng(6).normal(size=(4, 3))
+    # Four groups of one row, and one group of four rows that see only themselves.
+    for mask in (_full_mask(4, 1), np.eye(4, dtype=bool)[None]):
+        out, tape = attn.forward(x, mask)
+        for i in range(4):
+            v = (x[i] @ attn.params["WV"]).reshape(-1)
+            cat = np.concatenate([x[i], v])
+            expected = np.maximum(cat @ attn.params["W"] + attn.params["b"], 0.0)
+            assert out[i] == pytest.approx(expected, rel=1e-12)
+        assert np.allclose(tape["weights"].sum(axis=-1), 1.0)
+        assert np.allclose(tape["weights"], mask[:, None].astype(float))
 
 
 def test_attention_weights_form_a_distribution():
     rng = np.random.default_rng(13)
     attn = AttentionBlock(d_in=4, n_heads=3, d_head=2, d_out=4, rng=rng)
-    x = np.random.default_rng(14).normal(size=(4, 5, 4))
-    _, tape = attn.forward(x)
+    x = np.random.default_rng(14).normal(size=(4 * 5, 4))
+    mask = _random_mask(4, 5, 15)
+    _, tape = attn.forward(x, mask)
     weights = tape["weights"]
+    assert weights.shape == (4, 3, 5, 5)
     assert np.all(weights >= 0.0)
+    assert np.all(weights[~np.broadcast_to(mask[:, None], weights.shape)] == 0.0)
     assert np.allclose(weights.sum(axis=-1), 1.0)
 
 
 def test_attention_matches_loop_reference():
     rng = np.random.default_rng(11)
     attn = AttentionBlock(d_in=4, n_heads=2, d_head=3, d_out=5, rng=rng)
-    x = np.random.default_rng(12).normal(size=(2, 3, 4))
-    got, _ = attn.forward(x)
-    for b in range(2):
-        want = attention_reference(
-            x[b].tolist(),
-            attn.params["WQ"].tolist(),
-            attn.params["WK"].tolist(),
-            attn.params["WV"].tolist(),
-            attn.params["W"].tolist(),
-            attn.params["b"].tolist(),
-            heads=2,
-            d_head=3,
-        )
-        assert got[b] == pytest.approx(want, rel=1e-10)
+    x = np.random.default_rng(12).normal(size=(2 * 3, 4))
+    mask = _random_mask(2, 3, 16)
+    got, _ = attn.forward(x, mask)
+    for s in range(2):
+        for i in range(3):
+            # The reference's query is its first row; the rest are the others the mask admits.
+            group = [i] + [j for j in range(3) if j != i and mask[s, i, j]]
+            want = attention_reference(
+                [x[3 * s + j].tolist() for j in group],
+                attn.params["WQ"].tolist(),
+                attn.params["WK"].tolist(),
+                attn.params["WV"].tolist(),
+                attn.params["W"].tolist(),
+                attn.params["b"].tolist(),
+                heads=2,
+                d_head=3,
+            )
+            assert got[3 * s + i] == pytest.approx(want, rel=1e-10)
 
 
 def test_linear_layer_closed_form_gradient():
@@ -110,13 +132,13 @@ def test_constant_head_stops_gradient():
     assert np.all(mlp.layers[0].grads["b"] == 0.0)
 
 
-def _central_difference_check(block, x, seeds=1, h=1e-4, tol=1e-4):
+def _central_difference_check(block, *inputs, h=1e-4, tol=1e-4):
     def loss():
-        out, _ = block.forward(x)
+        out, _ = block.forward(*inputs)
         return float(np.sum(out * weights_out))
 
     rng = np.random.default_rng(123)
-    out, tape = block.forward(x)
+    out, tape = block.forward(*inputs)
     weights_out = rng.normal(size=out.shape)
     block.zero_grad()
     block.backward(tape, weights_out.copy())
@@ -144,16 +166,17 @@ def test_mlp_gradients_match_finite_differences():
 def test_attention_gradients_match_finite_differences():
     rng = np.random.default_rng(23)
     attn = AttentionBlock(d_in=4, n_heads=2, d_head=3, d_out=4, rng=rng)
-    x = np.random.default_rng(24).normal(size=(3, 4, 4))
-    _central_difference_check(attn, x)
+    x = np.random.default_rng(24).normal(size=(3 * 4, 4))
+    _central_difference_check(attn, x, _random_mask(3, 4, 28))
 
 
 def test_attention_input_gradient_matches_finite_differences():
     rng = np.random.default_rng(25)
     attn = AttentionBlock(d_in=3, n_heads=2, d_head=2, d_out=3, rng=rng)
-    x = np.random.default_rng(26).normal(size=(2, 3, 3))
-    out_w = np.random.default_rng(27).normal(size=(2, 3))
-    _, tape = attn.forward(x)
+    x = np.random.default_rng(26).normal(size=(2 * 3, 3))
+    mask = _random_mask(2, 3, 29)
+    out_w = np.random.default_rng(27).normal(size=(2 * 3, 3))
+    _, tape = attn.forward(x, mask)
     dx = attn.backward(tape, out_w.copy())
     h = 1e-5
     flat = x.reshape(-1)
@@ -161,9 +184,9 @@ def test_attention_input_gradient_matches_finite_differences():
     for idx in range(flat.size):
         keep = flat[idx]
         flat[idx] = keep + h
-        up = float(np.sum(attn.forward(x)[0] * out_w))
+        up = float(np.sum(attn.forward(x, mask)[0] * out_w))
         flat[idx] = keep - h
-        down = float(np.sum(attn.forward(x)[0] * out_w))
+        down = float(np.sum(attn.forward(x, mask)[0] * out_w))
         flat[idx] = keep
         numeric = (up - down) / (2 * h)
         assert relative_error(dflat[idx], numeric) < 1e-4
@@ -172,17 +195,20 @@ def test_attention_input_gradient_matches_finite_differences():
 def test_backward_uses_its_own_tape():
     """A forward on other input between forward and backward changes nothing."""
     rng = np.random.default_rng(1)
-    blocks = [(AttentionBlock(3, 2, 2, 3, rng), (2, 4, 3)), (Mlp([3, 5, 2], rng), (4, 3))]
+    blocks = [
+        (AttentionBlock(3, 2, 2, 3, rng), (8, 3), ((_random_mask(2, 4, 3),), (_full_mask(2, 4),))),
+        (Mlp([3, 5, 2], rng), (4, 3), ((), ())),
+    ]
     data = np.random.default_rng(2)
-    for block, shape in blocks:
+    for block, shape, (mask, other_mask) in blocks:
         x, other = data.normal(size=shape), data.normal(size=shape)
-        out, tape = block.forward(x)
+        out, tape = block.forward(x, *mask)
         grad = data.normal(size=out.shape)
         block.zero_grad()
         dx = block.backward(tape, grad)
         want = [g.copy() for _, _, g in block.parameters()]
-        _, tape = block.forward(x)
-        block.forward(other)
+        _, tape = block.forward(x, *mask)
+        block.forward(other, *other_mask)
         block.zero_grad()
         assert np.array_equal(block.backward(tape, grad), dx)
         for w, (name, _, g) in zip(want, block.parameters()):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,17 +8,19 @@ from hypothesis import strategies as st
 from dpdplab.env import JointState, Transition
 from dpdplab.instance import generate_instance
 from dpdplab.policy import (
+    BLOCK_STATES,
     SENTINEL_Q,
     QNetwork,
     QNetworkConfig,
     Trainer,
     TrainerConfig,
+    greedy_index,
     make_learned_policy,
     neighbor_indices,
     select_action,
 )
 
-from oracles import neighbor_reference
+from oracles import neighbor_reference, q_reference
 
 SMALL = QNetworkConfig(embed_dim=8, mlp_hidden=(8,), attn_heads=2, attn_head_dim=4, neighbors=2)
 
@@ -39,7 +43,7 @@ def make_state(rows, positions=None, accepted=None, order_id=0):
 def test_sentinel_dominates_argmax():
     state = make_state([None, None, (5.0, 9.0, 0.2), None])
     net = QNetwork(SMALL, seed=0)
-    q, _ = net.q_values(state)
+    q, _ = net.q_values([state])
     assert q[2] > SENTINEL_Q
     assert np.argmax(q) == 2
     assert select_action(state, net) == 2
@@ -49,7 +53,7 @@ def test_sentinel_dominates_argmax():
 def test_lone_vehicle_still_evaluates():
     state = make_state([(0.0, 4.0, 0.1)])
     net = QNetwork(SMALL, seed=0)
-    q, _ = net.q_values(state)
+    q, _ = net.q_values([state])
     assert np.isfinite(q[0]) and q[0] != SENTINEL_Q
 
 
@@ -93,7 +97,7 @@ def test_neighbor_indices_match_sorting_reference(points, n_neighbors):
 def test_epsilon_zero_is_pure_argmax():
     state = make_state([(3.0, 8.0, 0.5), (1.0, 2.0, 0.1), None])
     net = QNetwork(SMALL, seed=1)
-    q, _ = net.q_values(state)
+    q, _ = net.q_values([state])
     rng = np.random.default_rng(0)
     picks = {select_action(state, net, epsilon=0.0, rng=rng) for _ in range(20)}
     assert picks == {int(np.argmax(q))}
@@ -117,7 +121,7 @@ def test_equal_q_tie_breaks_to_lowest_id():
     for _, p, _ in net.final_mlp.parameters():
         p[...] = 0.0
     state = make_state([(3.0, 8.0, 0.5), (3.0, 8.0, 0.5), None])
-    q, _ = net.q_values(state)
+    q, _ = net.q_values([state])
     assert q[0] == q[1]
     assert select_action(state, net) == 0
 
@@ -129,7 +133,7 @@ def test_feature_masking_without_score():
     net = QNetwork(cfg, seed=3)
     a = make_state([(3.0, 8.0, 0.1), (1.0, 2.0, 0.9)])
     b = make_state([(3.0, 8.0, 0.7), (1.0, 2.0, 0.2)])
-    assert net.q_values(a)[0] == pytest.approx(net.q_values(b)[0])
+    assert net.q_values([a])[0] == pytest.approx(net.q_values([b])[0])
 
 
 def test_plain_variant_skips_attention():
@@ -138,7 +142,7 @@ def test_plain_variant_skips_attention():
     names = [name for name, _, _ in net.parameters()]
     assert not any(name.startswith("attn") for name in names)
     state = make_state([(3.0, 8.0, 0.5), (1.0, 2.0, 0.1)])
-    assert np.isfinite(net.q_values(state)[0][0])
+    assert np.isfinite(net.q_values([state])[0][0])
 
 
 def test_permutation_equivariance():
@@ -146,10 +150,10 @@ def test_permutation_equivariance():
     rows = [(3.0, 8.0, 0.5), (1.0, 2.0, 0.1), (0.0, 5.0, 0.9), None]
     pos = [(0.0, 0.0), (1.2, 0.4), (5.0, 2.0), (9.0, 9.0)]
     state = make_state(rows, positions=pos)
-    q, _ = net.q_values(state)
+    q, _ = net.q_values([state])
     perm = [2, 0, 3, 1]
     state_p = make_state([rows[i] for i in perm], positions=[pos[i] for i in perm])
-    q_p, _ = net.q_values(state_p)
+    q_p, _ = net.q_values([state_p])
     for new_idx, old_idx in enumerate(perm):
         assert q_p[new_idx] == pytest.approx(q[old_idx], rel=1e-12)
 
@@ -158,22 +162,22 @@ def test_infeasible_rows_never_touch_network():
     net = QNetwork(SMALL, seed=6)
     rows = [(3.0, 8.0, 0.5), None, (1.0, 2.0, 0.1)]
     state = make_state(rows)
-    q1, _ = net.q_values(state)
+    q1, _ = net.q_values([state])
     # Changing an infeasible row's (sentinel) features cannot change anything.
     state.features[1] = 99.0
-    q2, _ = net.q_values(state)
+    q2, _ = net.q_values([state])
     assert np.array_equal(q1, q2)
     # Perturbing any weight leaves the sentinel untouched.
     for _, p, _ in net.parameters():
         p.flat[0] += 0.37
-    q3, _ = net.q_values(state)
+    q3, _ = net.q_values([state])
     assert q3[1] == SENTINEL_Q
 
 
 def test_gradient_on_infeasible_row_rejected():
     net = QNetwork(SMALL, seed=7)
     state = make_state([(3.0, 8.0, 0.5), None])
-    _, tape = net.q_values(state)
+    _, tape = net.q_values([state])
     dq = np.zeros(2)
     dq[1] = 1.0
     with pytest.raises(ValueError, match="infeasible row"):
@@ -184,7 +188,7 @@ def test_backward_only_flows_through_feasible_rows():
     net = QNetwork(SMALL, seed=8)
     state = make_state([(3.0, 8.0, 0.5), None, (1.0, 2.0, 0.1)])
     net.zero_grad()
-    _, tape = net.q_values(state)
+    _, tape = net.q_values([state])
     dq = np.zeros(3)
     dq[0] = 1.0
     net.backward(tape, dq)
@@ -199,12 +203,12 @@ def test_backward_uses_the_tape_it_is_given():
     other = make_state([(0.0, 5.0, 0.9), (2.0, 7.0, 0.3)])
     dq = np.array([1.0, 0.0, -0.5])
     net.zero_grad()
-    _, tape = net.q_values(state)
+    _, tape = net.q_values([state])
     net.backward(tape, dq)
     want = {name: g.copy() for name, _, g in net.parameters()}
     net.zero_grad()
-    _, tape = net.q_values(state)
-    net.q_values(other)
+    _, tape = net.q_values([state])
+    net.q_values([other])
     net.backward(tape, dq)
     for name, _, g in net.parameters():
         assert np.array_equal(want[name], g), name
@@ -217,7 +221,7 @@ def _terminal_transition(reward):
 
 def test_double_q_target_terminal():
     trainer = Trainer(SMALL, TrainerConfig(seed=0))
-    assert trainer.double_q_target(_terminal_transition(-5.0)) == -5.0
+    assert trainer.double_q_target([_terminal_transition(-5.0)])[0] == -5.0
 
 
 def _flat_q_trainer(online_bias, target_bias, gamma):
@@ -233,14 +237,14 @@ def test_double_q_target_bootstraps_with_target_net():
     trainer = _flat_q_trainer(online_bias=5.0, target_bias=-10.0, gamma=0.9)
     nxt = make_state([(1.0, 2.0, 0.1), (0.0, 4.0, 0.2)])
     tr = Transition(make_state([(3.0, 8.0, 0.5)]), 0, False, -1.0, nxt)
-    assert trainer.double_q_target(tr) == pytest.approx(-10.0)
+    assert trainer.double_q_target([tr])[0] == pytest.approx(-10.0)
 
 
 def test_double_q_target_gamma_zero_is_reward():
     trainer = _flat_q_trainer(online_bias=5.0, target_bias=-10.0, gamma=0.0)
     nxt = make_state([(1.0, 2.0, 0.1)])
     tr = Transition(make_state([(3.0, 8.0, 0.5)]), 0, False, -1.0, nxt)
-    assert trainer.double_q_target(tr) == -1.0
+    assert trainer.double_q_target([tr])[0] == -1.0
 
 
 def test_train_zero_episodes_is_noop(tmp_path):
@@ -324,7 +328,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert again.config == trainer.config
     assert again.last_epsilon == trainer.last_epsilon
     state = make_state([(3.0, 8.0, 0.5), (1.0, 2.0, 0.1)])
-    assert again.online.q_values(state)[0] == pytest.approx(trainer.online.q_values(state)[0])
+    assert again.online.q_values([state])[0] == pytest.approx(trainer.online.q_values([state])[0])
     assert again.rng.integers(1 << 30) == trainer.rng.integers(1 << 30)
 
 
@@ -347,7 +351,7 @@ def test_full_tower_gradcheck_small():
     )
     action = 2
     net.zero_grad()
-    _, tape = net.q_values(state)
+    _, tape = net.q_values([state])
     dq = np.zeros(4)
     dq[action] = 1.0
     net.backward(tape, dq)
@@ -358,9 +362,168 @@ def test_full_tower_gradcheck_small():
         for idx in range(0, flat_p.size, 7):  # sample every 7th weight for speed
             keep = flat_p[idx]
             flat_p[idx] = keep + h
-            up = net.q_values(state)[0][action]
+            up = net.q_values([state])[0][action]
             flat_p[idx] = keep - h
-            down = net.q_values(state)[0][action]
+            down = net.q_values([state])[0][action]
             flat_p[idx] = keep
             numeric = (up - down) / (2 * h)
             assert relative_error(flat_g[idx], numeric) < 1e-4, (name, idx)
+
+
+def _close(got, want, tol=1e-12):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    scale = np.maximum(1.0, np.maximum(np.abs(got), np.abs(want)))
+    return bool(np.all(np.abs(got - want) <= tol * scale))
+
+
+# Half-unit feature values and grid positions make ties and duplicate
+# positions common; None marks an infeasible vehicle.
+_rows = st.one_of(
+    st.none(),
+    st.tuples(*(st.integers(0, 6).map(lambda v: 0.5 * v) for _ in range(3))),
+)
+
+
+@st.composite
+def _states(draw, max_states=5):
+    states = []
+    for _ in range(draw(st.integers(1, max_states))):
+        k = draw(st.integers(1, 12))
+        rows = draw(st.lists(_rows, min_size=k, max_size=k))
+        points = draw(st.one_of(st.lists(_grid_points, min_size=k, max_size=k), st.lists(_free_points, min_size=k, max_size=k)))
+        states.append(make_state(rows, positions=points))
+    return states
+
+
+_NETS = {
+    "small": QNetwork(SMALL, seed=20),
+    "wide": QNetwork(QNetworkConfig(embed_dim=8, mlp_hidden=(8,), attn_heads=2, attn_head_dim=4, neighbors=12), seed=21),
+    "alone": QNetwork(QNetworkConfig(embed_dim=8, mlp_hidden=(8,), attn_heads=2, attn_head_dim=4, neighbors=0), seed=22),
+    "plain": QNetwork(QNetworkConfig(embed_dim=8, mlp_hidden=(8,), use_attention=False), seed=23),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_states(), st.sampled_from(sorted(_NETS)))
+def test_batched_q_equals_per_state_q(states, which):
+    net = _NETS[which]
+    q, tape = net.q_values(states)
+    assert tape["offsets"].tolist() == np.cumsum([0] + [s.n_vehicles for s in states]).tolist()
+    for state, lo, hi in zip(states, tape["offsets"], tape["offsets"][1:]):
+        own, _ = net.q_values([state])
+        assert _close(q[lo:hi], own)
+        assert np.all((q[lo:hi] == SENTINEL_Q) == ~state.feasible)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_states(), st.sampled_from(sorted(_NETS)), st.integers(0, 2**32 - 1))
+def test_batched_backward_equals_sum_of_per_state_backwards(states, which, seed):
+    net = _NETS[which]
+    feasible = np.concatenate([s.feasible for s in states])
+    dq = np.random.default_rng(seed).normal(size=feasible.size) * feasible
+    net.zero_grad()
+    _, tape = net.q_values(states)
+    net.backward(tape, dq)
+    batched = {name: g.copy() for name, _, g in net.parameters()}
+    net.zero_grad()
+    for state, lo, hi in zip(states, tape["offsets"], tape["offsets"][1:]):
+        _, own = net.q_values([state])
+        net.backward(own, dq[lo:hi])
+    for name, _, g in net.parameters():
+        assert _close(batched[name], g), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(_states(max_states=1), st.sampled_from(sorted(_NETS)))
+def test_q_values_match_loop_reference(states, which):
+    net = _NETS[which]
+    q, _ = net.q_values(states)
+    assert _close(q, q_reference(net, states[0]))
+
+
+def test_q_reference_without_score_feature():
+    cfg = QNetworkConfig(embed_dim=8, mlp_hidden=(8,), attn_heads=2, attn_head_dim=4, use_score_feature=False)
+    net = QNetwork(cfg, seed=24)
+    state = make_state([(3.0, 8.0, 0.5), None, (1.0, 2.0, 0.1), (1.0, 2.0, 0.9)])
+    assert _close(net.q_values([state])[0], q_reference(net, state))
+
+
+def test_greedy_ties_within_rounding_go_to_lowest_id():
+    one = 1.0
+    assert greedy_index(np.array([SENTINEL_Q, one, np.nextafter(one, 2.0), one])) == 1
+    assert greedy_index(np.array([1e6, 1e6 + 1e-7, SENTINEL_Q])) == 0
+    assert greedy_index(np.array([0.5, 0.5 + 1e-9])) == 1
+    assert greedy_index(np.array([SENTINEL_Q, SENTINEL_Q])) == 0
+
+
+def test_interchangeable_vehicles_go_to_the_lowest_id():
+    """Ten vehicles with one feature row at one position, as at the first
+    decision of an episode: every one is the same choice."""
+    k = 10
+    state = JointState(
+        features=np.tile([0.0, 23.5, 0.4, 0.0, 60.0], (k, 1)),
+        feasible=np.ones(k, dtype=bool),
+        positions=np.tile([3.0, 4.0], (k, 1)),
+        accepted=np.zeros(k, dtype=int),
+        order_id=0,
+    )
+    for seed in range(12):
+        assert select_action(state, QNetwork(QNetworkConfig(), seed=seed)) == 0, seed
+
+
+def test_double_q_target_breaks_rounding_ties_to_lowest_id():
+    trainer = _flat_q_trainer(online_bias=5.0, target_bias=0.0, gamma=0.5)
+    nxt = make_state([(1.0, 2.0, 0.1), (0.0, 4.0, 0.2)])
+    tr = Transition(make_state([(3.0, 8.0, 0.5)]), 0, False, -1.0, nxt)
+
+    def online_q(states):
+        return np.array([5.0, np.nextafter(5.0, 6.0)]), {"offsets": np.array([0, 2])}
+
+    def target_q(states):
+        return np.array([-10.0, 10.0]), {"offsets": np.array([0, 2])}
+
+    trainer.online.q_values, trainer.target.q_values = online_q, target_q
+    assert trainer.double_q_target([tr])[0] == -1.0 + 0.5 * -10.0
+
+
+def test_double_q_target_of_a_batch_matches_one_at_a_time():
+    trainer = Trainer(SMALL, TrainerConfig(seed=0))
+    rng = np.random.default_rng(3)
+    batch = []
+    for i in range(2 * BLOCK_STATES + 3):
+        k = int(rng.integers(1, 6))
+        rows = [(float(rng.uniform(0, 9)), float(rng.uniform(0, 9)), float(rng.uniform())) for _ in range(k)]
+        terminal = i % 4 == 0
+        nxt = None if i % 7 == 0 else make_state(rows, positions=rng.uniform(0, 5, size=(k, 2)))
+        batch.append(Transition(make_state([(3.0, 8.0, 0.5)]), 0, terminal, float(-i), nxt))
+    together = trainer.double_q_target(batch)
+    assert together.shape == (len(batch),)
+    for tr, y in zip(batch, together):
+        assert y == trainer.double_q_target([tr])[0]
+
+
+def test_training_batches_mix_fleet_sizes():
+    small = generate_instance(seed=8, n_factories=5, n_orders=6, n_vehicles=2)
+    large = generate_instance(seed=9, n_factories=5, n_orders=6, n_vehicles=5)
+    trainer = Trainer(SMALL, TrainerConfig(seed=5, batch_size=12, steps_per_episode=3))
+    log = trainer.train([small, large], 6)
+    assert {tr.state.n_vehicles for tr in trainer.buffer} == {2, 5}
+    losses = [row["loss"] for row in log[1:]]
+    assert losses and all(np.isfinite(loss) for loss in losses)
+
+
+def test_training_memory_stays_bounded_at_benchmark_shape():
+    """Training at the benchmark's train shape (10 factories, 30 orders,
+    10 vehicles; 8 episodes of 8 steps) allocates at most 8 MB at its peak
+    beyond the trainer itself.  Evaluating a whole 64-state minibatch in one
+    pass peaks at about 13 MB; blocks of BLOCK_STATES stay near 4 MB."""
+    inst = generate_instance(0, 10, 30, 10)
+    trainer = Trainer(config=TrainerConfig(seed=0, steps_per_episode=8))
+    tracemalloc.start()
+    try:
+        trainer.train([inst], 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trainer.optimizer.t == 48
+    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -1,8 +1,12 @@
 """Smoke runs of the experiment scripts at toy size."""
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -39,3 +43,45 @@ def test_compare_policies_writes_table(tmp_path):
     policies = [row.split(",")[1] for row in lines[1:]]
     assert policies == ["exact", "incremental", "total", "max_orders", "learned"] * 2
     assert all(float(row.split(",")[3]) > 0 for row in lines[1:])
+
+
+def _load(script: str):
+    spec = importlib.util.spec_from_file_location(script.removesuffix(".py"), SCRIPTS / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result(workload, trace, metrics, correct=True, failed=0):
+    return {
+        "workload": workload, "seed": 0, "seconds": 34, "trace": trace,
+        "environment": {"python": "3.11"}, "correct": correct, "attempted": 10, "failed": failed,
+        "failed_share": failed / 10, "problems": [] if correct else ["bad"],
+        "metrics": {k: {"value": v, "unit": "ms"} for k, v in metrics.items()},
+        "details": {"rounds": 6 + trace},
+    }
+
+
+def test_bench_snapshot_merges_both_traces_of_every_workload():
+    snapshot = _load("bench_snapshot.py")
+    results = {
+        ("greedy", 0): _result("greedy", 0, {"op_p50_ms": 3.4}),
+        ("greedy", 1): _result("greedy", 1, {"routing.x": 1.2}),
+        ("train", 0): _result("train", 0, {"op_p50_ms": 25.0}),
+        ("train", 1): _result("train", 1, {"policy.y": 7.0}, correct=False, failed=2),
+    }
+    merged = snapshot.merge("main", "abc123", 34, results)
+    assert (merged["label"], merged["commit"], merged["seed"], merged["seconds"]) == ("main", "abc123", 0, 34)
+    assert merged["environment"] == {"python": "3.11"}
+    assert list(merged["workloads"]) == ["greedy", "train"]
+    greedy, train = merged["workloads"]["greedy"], merged["workloads"]["train"]
+    assert greedy["end_to_end"] == {"op_p50_ms": {"value": 3.4, "unit": "ms"}}
+    assert greedy["per_layer"] == {"routing.x": {"value": 1.2, "unit": "ms"}}
+    assert greedy["correct"] and greedy["failed"] == 0 and greedy["attempted"] == 20
+    assert greedy["details"] == {"trace0": {"rounds": 6}, "trace1": {"rounds": 7}}
+    assert not train["correct"] and train["failed"] == 2 and train["problems"] == ["bad"]
+    json.dumps(merged)
+    swapped = dict(results)
+    swapped[("train", 0)] = _result("greedy", 0, {})
+    with pytest.raises(ValueError, match="train trace 0"):
+        snapshot.merge("main", "abc123", 34, swapped)
