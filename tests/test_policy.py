@@ -400,6 +400,7 @@ _NETS = {
     "wide": QNetwork(QNetworkConfig(embed_dim=8, mlp_hidden=(8,), attn_heads=2, attn_head_dim=4, neighbors=12), seed=21),
     "alone": QNetwork(QNetworkConfig(embed_dim=8, mlp_hidden=(8,), attn_heads=2, attn_head_dim=4, neighbors=0), seed=22),
     "plain": QNetwork(QNetworkConfig(embed_dim=8, mlp_hidden=(8,), use_attention=False), seed=23),
+    "noscore": QNetwork(QNetworkConfig(embed_dim=8, mlp_hidden=(8,), attn_heads=2, attn_head_dim=4, use_score_feature=False), seed=24),
 }
 
 
@@ -439,13 +440,6 @@ def test_q_values_match_loop_reference(states, which):
     net = _NETS[which]
     q, _ = net.q_values(states)
     assert _close(q, q_reference(net, states[0]))
-
-
-def test_q_reference_without_score_feature():
-    cfg = QNetworkConfig(embed_dim=8, mlp_hidden=(8,), attn_heads=2, attn_head_dim=4, use_score_feature=False)
-    net = QNetwork(cfg, seed=24)
-    state = make_state([(3.0, 8.0, 0.5), None, (1.0, 2.0, 0.1), (1.0, 2.0, 0.9)])
-    assert _close(net.q_values([state])[0], q_reference(net, state))
 
 
 def test_greedy_ties_within_rounding_go_to_lowest_id():
