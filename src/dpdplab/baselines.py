@@ -217,7 +217,7 @@ def solve_exact(instance: Instance, budget: float | None = None) -> ExactResult:
     When ``budget`` seconds elapse before the search finishes, the best
     incumbent is returned with ``optimal=False``.
     """
-    if budget is not None and budget <= 0:
+    if budget is not None and not budget > 0:
         raise ValueError("budget must be positive (or None for unlimited)")
     start = time.monotonic()
     orders = sorted(instance.orders, key=lambda o: (o.created_at, o.id))
@@ -295,7 +295,7 @@ def solve_exact(instance: Instance, budget: float | None = None) -> ExactResult:
         for kind, oid in seq:
             o = orders_by_id[oid]
             node = o.pickup if kind == PICKUP else o.delivery
-            stops.append(Stop(node, [Action(kind, o)]))
+            stops.append(Stop(node, (Action(kind, o),)))
         stops.append(Stop(vehicle.depot))
         route = Route(vehicle=vehicle.id, depot=vehicle.depot, stops=stops)
         simulate_timeline(route, instance.network, 0.0)

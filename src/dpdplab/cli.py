@@ -112,9 +112,11 @@ def write_curve(path: Path, log: Sequence[dict]) -> None:
 
 # ---------------------------------------------------------------------------
 # SVG rendering (hand-rolled: polylines and grid heatmaps)
+_PLOT_WIDTH, _PLOT_HEIGHT = 720, 400
+_HEATMAP_CELL = 6
 
 
-def _svg_polyline(series: dict[str, list[float]], title: str, width=720, height=400) -> str:
+def _svg_polyline(series: dict[str, list[float]], title: str) -> str:
     pad = 46
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
     all_vals = [v for vals in series.values() for v in vals if np.isfinite(v)]
@@ -125,19 +127,19 @@ def _svg_polyline(series: dict[str, list[float]], title: str, width=720, height=
         hi = lo + 1.0
     n = max(len(v) for v in series.values())
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<text x="{width // 2}" y="18" text-anchor="middle" font-size="14">{title}</text>',
-        f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" fill="none" stroke="#999"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PLOT_WIDTH}" height="{_PLOT_HEIGHT}">',
+        f'<text x="{_PLOT_WIDTH // 2}" y="18" text-anchor="middle" font-size="14">{title}</text>',
+        f'<rect x="{pad}" y="{pad}" width="{_PLOT_WIDTH - 2 * pad}" height="{_PLOT_HEIGHT - 2 * pad}" fill="none" stroke="#999"/>',
         f'<text x="8" y="{pad + 4}" font-size="11">{hi:.1f}</text>',
-        f'<text x="8" y="{height - pad}" font-size="11">{lo:.1f}</text>',
+        f'<text x="8" y="{_PLOT_HEIGHT - pad}" font-size="11">{lo:.1f}</text>',
     ]
     for ci, (name, vals) in enumerate(sorted(series.items())):
         pts = []
         for i, v in enumerate(vals):
             if not np.isfinite(v):
                 continue
-            x = pad + (width - 2 * pad) * (i / max(1, n - 1))
-            y = height - pad - (height - 2 * pad) * ((v - lo) / (hi - lo))
+            x = pad + (_PLOT_WIDTH - 2 * pad) * (i / max(1, n - 1))
+            y = _PLOT_HEIGHT - pad - (_PLOT_HEIGHT - 2 * pad) * ((v - lo) / (hi - lo))
             pts.append(f"{x:.1f},{y:.1f}")
         color = colors[ci % len(colors)]
         parts.append(f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" stroke-width="1.5"/>')
@@ -146,8 +148,9 @@ def _svg_polyline(series: dict[str, list[float]], title: str, width=720, height=
     return "\n".join(parts) + "\n"
 
 
-def _svg_heatmap(matrix: np.ndarray, title: str, cell=6) -> str:
+def _svg_heatmap(matrix: np.ndarray, title: str) -> str:
     rows, cols = matrix.shape
+    cell = _HEATMAP_CELL
     pad = 34
     width = cols * cell + 2 * pad
     height = rows * cell + 2 * pad

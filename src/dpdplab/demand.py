@@ -23,6 +23,8 @@ import numpy as np
 from .instance import DeliveryOrder, MINUTES_PER_DAY, RoadNetwork
 from .routing import Route
 
+JS_SMOOTHING = 1e-9
+
 
 class DemandError(ValueError):
     """Raised on malformed grids or profile vectors."""
@@ -87,8 +89,8 @@ def route_cells(route: Route, network: RoadNetwork, intervals: int) -> list[tupl
     final interval."""
     width = MINUTES_PER_DAY / intervals
     return [
-        (idx, stop.node, min(max(int(stop.arrival // width), 0), intervals - 1))
-        for idx, stop in enumerate(route.stops)
+        (idx, stop.node, min(max(int(state.arrival // width), 0), intervals - 1))
+        for idx, (stop, state) in enumerate(zip(route.stops, route.walk, strict=True))
         if not network.is_depot(stop.node)
     ]
 
@@ -105,7 +107,7 @@ def demand_profile(cells: Sequence[tuple[int, int, int]], grid: DemandGrid) -> n
     return np.array([grid.values[f, j] for _, f, j in cells], dtype=float)
 
 
-def divergence_score(capacity: np.ndarray, demand: np.ndarray, smoothing: float = 1e-9) -> float:
+def divergence_score(capacity: np.ndarray, demand: np.ndarray) -> float:
     """Base-2 Jensen-Shannon divergence between the two normalized profiles.
 
     Both vectors are additively smoothed and renormalized into probability
@@ -116,8 +118,8 @@ def divergence_score(capacity: np.ndarray, demand: np.ndarray, smoothing: float 
         raise DemandError(f"profile length mismatch: {len(capacity)} vs {len(demand)}")
     if len(capacity) == 0:
         raise DemandError("profiles must contain at least one entry")
-    p = np.asarray(capacity, dtype=float) + smoothing
-    q = np.asarray(demand, dtype=float) + smoothing
+    p = np.asarray(capacity, dtype=float) + JS_SMOOTHING
+    q = np.asarray(demand, dtype=float) + JS_SMOOTHING
     p /= p.sum()
     q /= q.sum()
     m = 0.5 * (p + q)

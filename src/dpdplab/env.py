@@ -26,7 +26,7 @@ import numpy as np
 from . import demand, routing
 from .demand import DemandError, DemandGrid, build_demand_grid, predict_grid
 from .instance import DeliveryOrder, Instance
-from .routing import PlannerResult, Route, plan_insertion
+from .routing import PlannerResult, Route, Stop, plan_insertion
 
 DEFAULT_ALPHA = 0.01
 
@@ -80,7 +80,7 @@ class AssignmentRecord:
     delta_d: float
     reward: float
     frozen_until: int
-    stops: tuple
+    stops: tuple[Stop, ...]
 
 
 @dataclass
@@ -118,11 +118,11 @@ class EpisodeReport:
                     "stops": [
                         {
                             "node": s.node,
-                            "arrival": s.arrival,
-                            "departure": s.departure,
+                            "arrival": w.arrival,
+                            "departure": w.departure,
                             "actions": [(a.kind, a.order.id) for a in s.actions],
                         }
-                        for s in r.stops
+                        for s, w in zip(r.stops, r.walk, strict=True)
                     ],
                     "length": r.length,
                 }
@@ -275,7 +275,7 @@ def run_episode(
 
         new_route = plan.best_route
         frozen = new_route.frozen_until
-        if new_route.signatures()[: frozen + 1] != routes[k].signatures()[: frozen + 1]:
+        if new_route.stops[: frozen + 1] != routes[k].stops[: frozen + 1]:
             raise RuntimeError(
                 f"insertion for order {order.id} altered the frozen prefix of vehicle {k}"
             )
@@ -292,7 +292,7 @@ def run_episode(
                 delta_d=delta,
                 reward=r,
                 frozen_until=frozen,
-                stops=new_route.signatures(),
+                stops=tuple(new_route.stops),
             )
         )
         tr = Transition(state, k, last_in_interval[idx], r, None)

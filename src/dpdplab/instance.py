@@ -337,6 +337,7 @@ def save_instance(instance: Instance, path: str | Path) -> Path:
 
 _HOT_WINDOWS = ((600, 720), (840, 1020))
 _LATEST_CREATION = 1020
+_AREA_KM = 10.0  # nodes lie in a square of this side
 
 
 def generate_instance(
@@ -352,7 +353,6 @@ def generate_instance(
     unit_cost: float = 2.0,
     speed: float = 1.0,
     service_time: float = 0.0,
-    area_km: float = 10.0,
     hot_spot: float = 0.4,
     history_days: int = 3,
 ) -> Instance:
@@ -366,8 +366,8 @@ def generate_instance(
     nodes = []
     for i in range(n_factories + n_depots):
         role = FACTORY if i < n_factories else DEPOT
-        x = round(float(rng.uniform(0.0, area_km)), 3)
-        y = round(float(rng.uniform(0.0, area_km)), 3)
+        x = round(float(rng.uniform(0.0, _AREA_KM)), 3)
+        y = round(float(rng.uniform(0.0, _AREA_KM)), 3)
         nodes.append(Node(id=i, role=role, x=x, y=y))
     network = RoadNetwork(
         nodes=nodes, dist=euclidean_matrix(nodes), speed=speed, service_time=service_time

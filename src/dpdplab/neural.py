@@ -195,35 +195,30 @@ class AttentionBlock(Block):
         return dx
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adaptive-moment optimizer over (name, param, grad) triples."""
 
-    def __init__(
-        self,
-        parameters: Iterable[tuple[str, np.ndarray, np.ndarray]],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, parameters: Iterable[tuple[str, np.ndarray, np.ndarray]], lr: float = 1e-3):
         self.triples = list(parameters)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for _, p, _ in self.triples]
         self.v = [np.zeros_like(p) for _, p, _ in self.triples]
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for i, (_, p, g) in enumerate(self.triples):
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * (g * g)
             m_hat = self.m[i] / (1 - b1**self.t)
             v_hat = self.v[i] / (1 - b2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

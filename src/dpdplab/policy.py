@@ -295,6 +295,13 @@ class TrainerConfig:
         for name in ("batch_size", "target_period"):
             _check(getattr(self, name) >= 1, f"{name} must be >= 1, not {getattr(self, name)}")
         _check(self.steps_per_episode >= 0, f"steps_per_episode must be >= 0, not {self.steps_per_episode}")
+        # Every comparison with NaN is false, so these also refuse NaN.
+        for name in ("gamma", "epsilon_start", "epsilon_final"):
+            _check(0.0 <= getattr(self, name) <= 1.0, f"{name} must be in [0, 1], not {getattr(self, name)}")
+        for name in ("learning_rate", "alpha"):
+            _check(0.0 < getattr(self, name) < np.inf, f"{name} must be finite and > 0, not {getattr(self, name)}")
+        decay = self.epsilon_decay_fraction
+        _check(0.0 <= decay < np.inf, f"epsilon_decay_fraction must be finite and >= 0, not {decay}")
         _check(
             self.buffer_capacity >= self.batch_size,
             f"buffer_capacity must be >= batch_size = {self.batch_size}, not {self.buffer_capacity}",

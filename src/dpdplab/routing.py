@@ -1,11 +1,12 @@
 """Route representation and the constrained insertion planner.
 
-A route is a depot-to-depot stop sequence.  Each stop carries an ordered
-list of load/unload actions; timing is simulated with a constant travel
-speed, a fixed per-action service time, and waiting at pickups whose order
-has not been created yet.  Feasibility covers four constraints: delivery
-time windows, vehicle capacity, LIFO loading (only the most recently
-loaded undelivered order may be unloaded), and back-to-depot.
+A route is a depot-to-depot sequence of stops: immutable values, each a
+node and a tuple of load/unload actions.  Its times live only in its walk,
+simulated with a constant travel speed, a fixed per-action service time and
+waiting at pickups whose order has not been created yet.  Feasibility
+covers four constraints: delivery time windows, vehicle capacity, LIFO
+loading (only the most recently loaded undelivered order may be unloaded),
+and back-to-depot.
 
 All walking rests on two pieces: :func:`_process_actions` runs one stop's
 actions, and :func:`_walk` advances a :class:`WalkState` through further
@@ -15,7 +16,7 @@ insertion candidate from a recorded state instead of re-walking the prefix.
 
 Dispatching must not interfere with a moving vehicle: stops up to
 ``frozen_until`` (the stop the vehicle currently occupies or is driving
-toward) are immutable, and new stops may only be inserted after them.
+toward) stay in place, and new stops may only be inserted after them.
 
 The planner answers only whether an order fits a vehicle, the route length
 before and after, and the best route; :mod:`dpdplab.env` turns plans into
@@ -39,19 +40,11 @@ class Action:
     kind: str
     order: DeliveryOrder
 
-    def signature(self) -> tuple[str, int]:
-        return (self.kind, self.order.id)
 
-
-@dataclass
+@dataclass(frozen=True)
 class Stop:
     node: int
-    actions: list[Action] = field(default_factory=list)
-    arrival: float = 0.0
-    departure: float = 0.0
-
-    def signature(self) -> tuple[int, tuple[tuple[str, int], ...]]:
-        return (self.node, tuple(a.signature() for a in self.actions))
+    actions: tuple[Action, ...] = ()
 
 
 @dataclass
@@ -68,11 +61,13 @@ FEASIBLE = Verdict(True)
 
 
 class WalkState(NamedTuple):
-    """Where a walk stands after a stop: the stop's node, the minute it is
-    left, the cargo load, the LIFO stack (bottom first) and the length driven."""
+    """Where a walk stands after a stop: the stop's node, the minutes it is
+    reached and left, the cargo load, the LIFO stack (bottom first) and the
+    length driven."""
 
     node: int
-    time: float
+    arrival: float
+    departure: float
     load: int
     stack: tuple[int, ...]
     length: float
@@ -83,9 +78,11 @@ class Route:
     """A vehicle's committed stop sequence plus its simulated timeline.
 
     ``start_time`` is the minute the vehicle first left its depot (``None``
-    until the first order is committed).  :func:`simulate_timeline` fills
-    ``walk`` with the walk state after each stop and ``violation`` with the
-    first time-window or LIFO violation it met (``None`` if there was none).
+    until the first order is committed).  ``walk`` is the route's only
+    timeline: ``walk[i]`` is the state after ``stops[i]``, its arrival and
+    departure included.  :func:`simulate_timeline` fills it and ``violation``,
+    the first time-window or LIFO violation met (``None`` if there was none).
+    An empty route's walk is its depot stop at minute 0.
     """
 
     vehicle: int
@@ -99,7 +96,7 @@ class Route:
 
     @classmethod
     def empty(cls, vehicle: int, depot: int) -> "Route":
-        return cls(vehicle=vehicle, depot=depot, stops=[Stop(node=depot)])
+        return cls(vehicle, depot, [Stop(depot)], walk=[WalkState(depot, 0.0, 0.0, 0, (), 0.0)])
 
     @property
     def is_empty(self) -> bool:
@@ -107,9 +104,6 @@ class Route:
 
     def order_ids(self) -> list[int]:
         return [a.order.id for s in self.stops for a in s.actions if a.kind == PICKUP]
-
-    def signatures(self) -> tuple[tuple[int, tuple[tuple[str, int], ...]], ...]:
-        return tuple(s.signature() for s in self.stops)
 
 
 @dataclass
@@ -177,8 +171,8 @@ def _process_actions(
 def _record_walk(
     stops: Sequence[Stop], network: RoadNetwork, start_time: float
 ) -> tuple[list[WalkState], str | None]:
-    """Walk every stop at unlimited capacity, stamping arrival and departure
-    on each; returns the walk state after each stop and the first violation.
+    """Walk every stop at unlimited capacity; returns the walk state after
+    each stop and the first violation.
 
     The first stop is reached by a zero-length leg (``dist`` has a zero
     diagonal), so the walk starts there at ``start_time``.
@@ -196,19 +190,17 @@ def _record_walk(
     for stop in stops:
         leg = float(dist[prev, stop.node])
         length += leg
-        t += leg / speed
-        stop.arrival = t
-        t, load, kind, _ = _process_actions(t, load, stack, stop.actions, service, math.inf)
+        arrival = t + leg / speed
+        t, load, kind, _ = _process_actions(arrival, load, stack, stop.actions, service, math.inf)
         violation = violation or kind
-        stop.departure = t
         prev = stop.node
-        walk.append(WalkState(prev, t, load, tuple(stack), length))
+        walk.append(WalkState(prev, arrival, t, load, tuple(stack), length))
     return walk, violation
 
 
 def simulate_timeline(route: Route, network: RoadNetwork, start_time: float) -> Route:
-    """Fill per-stop arrival/departure, the walk state after each stop, the
-    first violation met and the length.
+    """Record the walk state after each stop, the first violation met and
+    the length.
 
     Pure recomputation at unlimited capacity: a violation is recorded and the
     walk goes on; :func:`check_feasibility` judges the route against a fleet.
@@ -235,7 +227,7 @@ def _walk(
     dist = network.dist
     speed = network.speed
     service = network.service_time
-    prev, t, load, stack, length = state
+    prev, arrival, t, load, stack, length = state
     stack = list(stack)
     for stop in stops:
         node = stop.node
@@ -243,12 +235,12 @@ def _walk(
         length += leg
         if length >= best_len:
             return None, None, ""
-        t += leg / speed
+        arrival = t + leg / speed
         prev = node
-        t, load, kind, detail = _process_actions(t, load, stack, stop.actions, service, capacity)
+        t, load, kind, detail = _process_actions(arrival, load, stack, stop.actions, service, capacity)
         if kind is not None:
             return None, kind, detail
-    return WalkState(prev, t, load, tuple(stack), length), None, ""
+    return WalkState(prev, arrival, t, load, tuple(stack), length), None, ""
 
 
 def frozen_index(route: Route, now: float) -> int:
@@ -259,19 +251,18 @@ def frozen_index(route: Route, now: float) -> int:
     """
     if route.start_time is None:
         return 0
-    for idx, stop in enumerate(route.stops):
-        if stop.departure > now:
+    for idx, (_, state) in enumerate(zip(route.stops, route.walk, strict=True)):
+        if state.departure > now:
             return idx
     return len(route.stops) - 1
 
 
 def vehicle_position(route: Route, network: RoadNetwork, now: float) -> tuple[float, float]:
     """Planar position at ``now``: linear interpolation along the current leg."""
-    stops = route.stops
-    if route.start_time is None or now <= stops[0].departure:
-        return network.coords(stops[0].node)
-    for i in range(1, len(stops)):
-        prev, cur = stops[i - 1], stops[i]
+    walk = route.walk
+    if route.start_time is None or now <= walk[0].departure:
+        return network.coords(route.stops[0].node)
+    for prev, cur in zip(walk, walk[1:]):
         if now < cur.arrival:
             travel = cur.arrival - prev.departure
             frac = (now - prev.departure) / travel if travel > 0 else 1.0
@@ -280,7 +271,7 @@ def vehicle_position(route: Route, network: RoadNetwork, now: float) -> tuple[fl
             return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
         if now < cur.departure:
             return network.coords(cur.node)
-    return network.coords(stops[-1].node)
+    return network.coords(walk[-1].node)
 
 
 def check_feasibility(route: Route, network: RoadNetwork, fleet: FleetConfig) -> Verdict:
@@ -289,7 +280,7 @@ def check_feasibility(route: Route, network: RoadNetwork, fleet: FleetConfig) ->
     if stops[0].node != route.depot or stops[-1].node != route.depot:
         return Verdict(False, "back-to-depot", f"route of vehicle {route.vehicle} must start and end at depot {route.depot}")
     start = route.start_time if route.start_time is not None else 0.0
-    origin = WalkState(stops[0].node, float(start), 0, (), 0.0)
+    origin = WalkState(stops[0].node, float(start), float(start), 0, (), 0.0)
     end, kind, detail = _walk(origin, stops, network, fleet.capacity)
     if kind is not None:
         return Verdict(False, kind, detail)
@@ -305,11 +296,11 @@ def check_feasibility(route: Route, network: RoadNetwork, fleet: FleetConfig) ->
 def _coalesce(stops: list[Stop], protect: int) -> list[Stop]:
     """Merge adjacent same-node stops, never touching indices <= protect."""
     out: list[Stop] = []
-    for i, stop in enumerate(stops):
+    for stop in stops:
         if out and len(out) - 1 > protect and out[-1].node == stop.node:
-            out[-1].actions.extend(stop.actions)
+            out[-1] = Stop(stop.node, out[-1].actions + stop.actions)
         else:
-            out.append(Stop(stop.node, list(stop.actions)))
+            out.append(stop)
     return out
 
 
@@ -332,8 +323,7 @@ def plan_insertion(
     start = route.start_time if route.start_time is not None else float(now)
     walk, violation = route.walk, route.violation
     if route.start_time is None:
-        # Never simulated: walk copies, so the route's own stops keep their times.
-        walk, violation = _record_walk([Stop(s.node, s.actions) for s in route.stops], network, start)
+        walk, violation = _record_walk(route.stops, network, start)
     if violation is not None or max(s.load for s in walk) > capacity:
         raise RuntimeError(f"committed route of vehicle {route.vehicle} became infeasible")
 
@@ -345,8 +335,8 @@ def plan_insertion(
 
     # A candidate with the pickup in gap i starts from the walk state after
     # stop i - 1 of the committed route.
-    pick = Stop(order.pickup, [Action(PICKUP, order)])
-    drop = Stop(order.delivery, [Action(DELIVER, order)])
+    pick = Stop(order.pickup, (Action(PICKUP, order),))
+    drop = Stop(order.delivery, (Action(DELIVER, order),))
 
     best_len = math.inf
     best_pair: tuple[int, int] | None = None
@@ -377,10 +367,10 @@ def plan_insertion(
 def route_dump(route: Route) -> str:
     """One line per stop: ``node arrival departure [+id|-id]...`` for trace diffing."""
     lines = []
-    for stop in route.stops:
+    for stop, state in zip(route.stops, route.walk, strict=True):
         marks = " ".join(
             ("+" if a.kind == PICKUP else "-") + str(a.order.id) for a in stop.actions
         )
-        line = f"{stop.node} {stop.arrival:.3f} {stop.departure:.3f}"
+        line = f"{stop.node} {state.arrival:.3f} {state.departure:.3f}"
         lines.append(line + (" " + marks if marks else ""))
     return "\n".join(lines)

@@ -58,7 +58,7 @@ def brute_force_best_insertion(route: Route, order, now, network, fleet):
         frozen = 0
     else:
         frozen = next(
-            (i for i, s in enumerate(route.stops) if s.departure > now), len(route.stops) - 1
+            (i for i, w in enumerate(route.walk) if w.departure > now), len(route.stops) - 1
         )
     base = [(s.node, [(a.kind, a.order) for a in s.actions]) for s in route.stops]
     if frozen == len(base) - 1:

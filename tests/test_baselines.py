@@ -114,8 +114,9 @@ def test_exact_matches_exhaustive_enumerator():
 
 def test_exact_budget_validation():
     inst = generate_instance(seed=12, n_factories=6, n_orders=3, n_vehicles=2)
-    with pytest.raises(ValueError, match="budget must be positive"):
-        solve_exact(inst, budget=0)
+    for budget in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            solve_exact(inst, budget=budget)
 
 
 def test_exact_budget_exhaustion_flags_result():
@@ -172,9 +173,9 @@ def test_validator_names_crossed_lifo_pair(line_network):
         depot=2,
         stops=[
             Stop(2),
-            Stop(0, [Action(PICKUP, o1)]),
-            Stop(1, [Action(PICKUP, o2), Action(DELIVER, o1)]),
-            Stop(0, [Action(DELIVER, o2)]),
+            Stop(0, (Action(PICKUP, o1),)),
+            Stop(1, (Action(PICKUP, o2), Action(DELIVER, o1))),
+            Stop(0, (Action(DELIVER, o2),)),
             Stop(2),
         ],
     )
@@ -194,6 +195,19 @@ def test_validator_catches_tampered_tc():
     verdict = validate_routes(report, inst)
     assert not verdict.ok
     assert any("tc identity" in v for v in verdict.violations)
+
+
+def test_validator_catches_rewritten_frozen_prefix():
+    inst = generate_instance(seed=24, n_factories=6, n_orders=8, n_vehicles=2)
+    report, _ = run_episode(inst, make_greedy_policy("incremental"))
+    assert validate_routes(report, inst).ok
+    # A vehicle's second commit, whose first stop is then replaced by its second.
+    vehicles = [r.vehicle for r in report.assignments]
+    rec = next(r for i, r in enumerate(report.assignments) if r.vehicle in vehicles[:i])
+    rec.stops = (rec.stops[1], *rec.stops[1:])
+    verdict = validate_routes(report, inst)
+    assert f"frozen-prefix: vehicle {rec.vehicle} commit for order {rec.order_id} rewrote frozen stops" in verdict.violations
+    assert all(v.startswith("frozen-prefix") for v in verdict.violations)
 
 
 def test_validator_catches_unserved_order():

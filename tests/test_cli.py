@@ -393,6 +393,19 @@ _OUT_OF_RANGE = [
     ("trainer_config", "target_period", 0),
     ("trainer_config", "steps_per_episode", -1),
     ("trainer_config", "buffer_capacity", 10),
+    ("trainer_config", "gamma", -5.0),
+    ("trainer_config", "gamma", 1.5),
+    ("trainer_config", "gamma", float("nan")),
+    ("trainer_config", "learning_rate", float("nan")),
+    ("trainer_config", "learning_rate", 0.0),
+    ("trainer_config", "learning_rate", float("inf")),
+    ("trainer_config", "epsilon_start", 1.5),
+    ("trainer_config", "epsilon_final", -0.1),
+    ("trainer_config", "epsilon_final", float("nan")),
+    ("trainer_config", "epsilon_decay_fraction", -1.0),
+    ("trainer_config", "epsilon_decay_fraction", float("inf")),
+    ("trainer_config", "alpha", float("nan")),
+    ("trainer_config", "alpha", 0.0),
 ]
 
 
@@ -446,6 +459,12 @@ def test_checkpoint_with_removed_network_fields_is_refused(tmp_path, checkpoint_
         (["--steps-per-episode", "-1"], "steps_per_episode"),
         (["--buffer-capacity", "4", "--batch-size", "8"], "buffer_capacity"),
         (["--neighbors", "-1"], "neighbors"),
+        (["--lr", "nan"], "learning_rate"),
+        (["--lr", "0"], "learning_rate"),
+        (["--gamma", "-5"], "gamma"),
+        (["--gamma", "nan"], "gamma"),
+        (["--alpha", "nan"], "alpha"),
+        (["--alpha", "inf"], "alpha"),
     ],
 )
 def test_out_of_range_train_flags_fail_cleanly(tmp_path, flags, field):
@@ -472,6 +491,7 @@ def test_malformed_arguments_fail_cleanly(tmp_path):
         (["run", "--instance", str(inst), "--policy", "learned"], "--checkpoint is required"),
         (["compare", "--instance", str(inst), "--policies", "greedy1,nope"], "unknown policy 'nope'"),
         (["curves", "--curve", str(curve), "--metrics", "loss"], "no column 'loss'"),
+        (["exact", "--instance", str(inst), "--budget", "nan"], "budget must be positive"),
     ]
     for argv, message in cases:
         rc, err = _main_in(str(tmp_path), argv)

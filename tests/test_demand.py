@@ -98,7 +98,7 @@ def test_predict_permutation_invariant(perm):
 
 def _simulated_route(net, actions_by_stop, depot=2, start=0.0):
     route = Route(vehicle=0, depot=depot, stops=[Stop(depot)] + [
-        Stop(node, acts) for node, acts in actions_by_stop
+        Stop(node, tuple(acts)) for node, acts in actions_by_stop
     ] + [Stop(depot)])
     simulate_timeline(route, net, start)
     return route
@@ -134,7 +134,7 @@ def test_demand_profile_lookup(line_network):
     o = make_order(0, pickup=0, delivery=1, created_at=70)
     route = _simulated_route(line_network, [(0, [Action(PICKUP, o)]), (1, [Action(DELIVER, o)])], start=70.0)
     grid = DemandGrid(np.zeros((2, 144)))
-    arrival_interval = int(route.stops[2].arrival // 10)
+    arrival_interval = int(route.walk[2].arrival // 10)
     grid.values[1, arrival_interval] = 9.0
     cells = route_cells(route, line_network, grid.intervals)
     prof = demand_profile(cells, grid)
@@ -145,7 +145,7 @@ def test_demand_profile_lookup(line_network):
 def test_demand_profile_clamps_past_midnight(line_network):
     o = make_order(0, pickup=0, delivery=1, created_at=1430, latest_delivery=1440)
     route = _simulated_route(line_network, [(0, [Action(PICKUP, o)]), (1, [Action(DELIVER, o)])], start=1430.0)
-    assert route.stops[2].arrival < 1440 < route.stops[3].arrival
+    assert route.walk[2].arrival < 1440 < route.walk[3].arrival
     grid = DemandGrid(np.zeros((2, 144)))
     cells = route_cells(route, line_network, grid.intervals)
     assert cells[0][1:] == (0, 143)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dpdplab import env
 from dpdplab.baselines import make_greedy_policy, validate_routes
 from dpdplab.demand import DemandError, DemandGrid, capacity_profile, demand_profile, divergence_score, route_cells
 from dpdplab.env import (
@@ -12,7 +13,7 @@ from dpdplab.env import (
     run_episode,
 )
 from dpdplab.instance import DEPOT, FACTORY, FleetConfig, VehicleSpec, generate_instance
-from dpdplab.routing import Route, plan_insertion
+from dpdplab.routing import PICKUP, Action, Route, Stop, plan_insertion
 
 from conftest import make_instance, make_network, make_order
 
@@ -145,6 +146,23 @@ def test_policy_choosing_infeasible_vehicle_rejected(line_network):
 
     report, _ = run_episode(inst, bad_policy)
     assert report.nuv == 1
+
+
+def test_insertion_that_alters_the_frozen_prefix_is_refused(monkeypatch):
+    inst = generate_instance(seed=5, n_factories=6, n_orders=6, n_vehicles=2)
+    planner = env.plan_insertion
+
+    def tampered(route, order, now, network, fleet):
+        # A dispatched route's plan gets one more action at its last frozen stop.
+        plan = planner(route, order, now, network, fleet)
+        if plan.feasible and route.start_time is not None:
+            stops, f = plan.best_route.stops, plan.best_route.frozen_until
+            stops[f] = Stop(stops[f].node, (*stops[f].actions, Action(PICKUP, order)))
+        return plan
+
+    monkeypatch.setattr(env, "plan_insertion", tampered)
+    with pytest.raises(RuntimeError, match="altered the frozen prefix of vehicle 0"):
+        run_episode(inst, make_greedy_policy("incremental"))
 
 
 def test_episode_invariants_on_generated_instance():

@@ -4,9 +4,14 @@ The layers, lowest first: ``instance`` and ``neural``; ``routing``;
 ``demand``; ``env``; ``policy`` and ``baselines`` (with the package root,
 which re-exports the lower layers); ``cli``.  Modules on one layer do not
 import each other.  Imports inside functions count too.
+
+The benchmark's tracer wraps dpdplab functions by name; every name it
+patches must still resolve, so a refactor that renames one fails here and
+not only in the benchmark's own tests.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -15,6 +20,7 @@ import dpdplab
 
 PACKAGE = Path(dpdplab.__file__).parent
 ROOT = "__init__"
+PERFBENCH_LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 LAYERS = {
     "instance": 0,
@@ -72,3 +78,37 @@ def test_module_imports_only_lower_layers(module):
 def test_function_level_imports_are_seen():
     tree = ast.parse("def f():\n    from . import demand as d\n    from .env import run_episode\n")
     assert imported_modules(tree) == {"demand", "env"}
+
+
+def traced_names() -> list[tuple[str, str]]:
+    """(owner, attribute) of every tuple in the list that ``patches()`` in
+    the benchmark's ``layers.py`` returns, read from its AST."""
+    tree = ast.parse(PERFBENCH_LAYERS.read_text(encoding="utf-8"))
+    patches = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "patches")
+    returned = next(n for n in ast.walk(patches) if isinstance(n, ast.Return)).value
+    return [(ast.unparse(t.elts[0]), t.elts[1].value) for t in returned.elts]
+
+
+def unresolved(names: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """The (owner, attribute) pairs whose ``dpdplab.<module>[.<class>]``
+    owner or attribute does not exist."""
+    missing = []
+    for owner, attr in names:
+        _, module, *classes = owner.split(".")
+        obj = importlib.import_module(f"dpdplab.{module}")
+        for name in classes:
+            obj = getattr(obj, name, None)
+        if not hasattr(obj, attr):
+            missing.append((owner, attr))
+    return missing
+
+
+def test_perfbench_traced_names_resolve():
+    names = traced_names()
+    assert ("dpdplab.routing", "simulate_timeline") in names
+    assert ("dpdplab.policy.QNetwork", "q_values") in names
+    assert unresolved(names) == []
+    assert unresolved([("dpdplab.routing", "walk_route"), ("dpdplab.policy.Planner", "step")]) == [
+        ("dpdplab.routing", "walk_route"),
+        ("dpdplab.policy.Planner", "step"),
+    ]

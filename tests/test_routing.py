@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ def test_empty_route_length_zero(line_network):
     route = Route.empty(0, depot=2)
     simulate_timeline(route, line_network, 0.0)
     assert route.length == 0.0
-    assert route.stops[0].arrival == route.stops[0].departure == 0.0
+    assert route.walk[0].arrival == route.walk[0].departure == 0.0
 
 
 def test_out_and_back_arithmetic():
@@ -39,23 +41,23 @@ def test_out_and_back_arithmetic():
     o = make_order(pickup=0, delivery=1, created_at=0)
     route = _route(2, [
         Stop(2),
-        Stop(0, [Action(PICKUP, o)]),
-        Stop(1, [Action(DELIVER, o)]),
+        Stop(0, (Action(PICKUP, o),)),
+        Stop(1, (Action(DELIVER, o),)),
         Stop(2),
     ])
     simulate_timeline(route, net, 0.0)
-    assert route.stops[1].arrival == pytest.approx(5.0)
-    assert route.stops[2].arrival == pytest.approx(9.0)
-    assert route.stops[3].arrival == pytest.approx(18.0)
+    assert route.walk[1].arrival == pytest.approx(5.0)
+    assert route.walk[2].arrival == pytest.approx(9.0)
+    assert route.walk[3].arrival == pytest.approx(18.0)
     assert route.length == pytest.approx(5.0 + 4.0 + 9.0)
 
 
 def test_pickup_waits_for_creation(line_network):
     o = make_order(pickup=0, delivery=1, created_at=20)
-    route = _route(2, [Stop(2), Stop(0, [Action(PICKUP, o)]), Stop(1, [Action(DELIVER, o)]), Stop(2)])
+    route = _route(2, [Stop(2), Stop(0, (Action(PICKUP, o),)), Stop(1, (Action(DELIVER, o),)), Stop(2)])
     simulate_timeline(route, line_network, 0.0)
-    assert route.stops[1].arrival == pytest.approx(3.0)
-    assert route.stops[1].departure >= 20.0
+    assert route.walk[1].arrival == pytest.approx(3.0)
+    assert route.walk[1].departure >= 20.0
 
 
 def test_service_time_per_action():
@@ -68,13 +70,13 @@ def test_service_time_per_action():
     o2 = make_order(1, pickup=0, delivery=1, quantity=2)
     route = _route(2, [
         Stop(2),
-        Stop(0, [Action(PICKUP, o1), Action(PICKUP, o2)]),
-        Stop(1, [Action(DELIVER, o2), Action(DELIVER, o1)]),
+        Stop(0, (Action(PICKUP, o1), Action(PICKUP, o2))),
+        Stop(1, (Action(DELIVER, o2), Action(DELIVER, o1))),
         Stop(2),
     ])
     simulate_timeline(route, net, 0.0)
-    stop = route.stops[1]
-    assert stop.departure - stop.arrival == pytest.approx(8.0)
+    state = route.walk[1]
+    assert state.departure - state.arrival == pytest.approx(8.0)
     assert [w.load for w in route.walk] == [0, 3, 0, 0]
     assert route.walk[1].stack == (0, 1)
 
@@ -84,10 +86,10 @@ def test_nested_pairs_feasible(line_network, line_fleet):
     o2 = make_order(1, pickup=1, delivery=0)
     route = _route(2, [
         Stop(2),
-        Stop(0, [Action(PICKUP, o1)]),
-        Stop(1, [Action(PICKUP, o2)]),
-        Stop(0, [Action(DELIVER, o2)]),
-        Stop(1, [Action(DELIVER, o1)]),
+        Stop(0, (Action(PICKUP, o1),)),
+        Stop(1, (Action(PICKUP, o2),)),
+        Stop(0, (Action(DELIVER, o2),)),
+        Stop(1, (Action(DELIVER, o1),)),
         Stop(2),
     ])
     simulate_timeline(route, line_network, 0.0)
@@ -99,9 +101,9 @@ def _crossed_route(network):
     o2 = make_order(1, pickup=1, delivery=0)
     route = _route(2, [
         Stop(2),
-        Stop(0, [Action(PICKUP, o1)]),
-        Stop(1, [Action(PICKUP, o2), Action(DELIVER, o1)]),
-        Stop(0, [Action(DELIVER, o2)]),
+        Stop(0, (Action(PICKUP, o1),)),
+        Stop(1, (Action(PICKUP, o2), Action(DELIVER, o1))),
+        Stop(0, (Action(DELIVER, o2),)),
         Stop(2),
     ])
     return simulate_timeline(route, network, 0.0)
@@ -112,8 +114,8 @@ def _overloaded_route(network):
     o2 = make_order(1, quantity=6)
     route = _route(2, [
         Stop(2),
-        Stop(0, [Action(PICKUP, o1), Action(PICKUP, o2)]),
-        Stop(1, [Action(DELIVER, o2), Action(DELIVER, o1)]),
+        Stop(0, (Action(PICKUP, o1), Action(PICKUP, o2))),
+        Stop(1, (Action(DELIVER, o2), Action(DELIVER, o1))),
         Stop(2),
     ])
     return simulate_timeline(route, network, 0.0)
@@ -121,7 +123,7 @@ def _overloaded_route(network):
 
 def _late_route(network):
     o = make_order(0, created_at=0, latest_delivery=5)
-    route = _route(2, [Stop(2), Stop(0, [Action(PICKUP, o)]), Stop(1, [Action(DELIVER, o)]), Stop(2)])
+    route = _route(2, [Stop(2), Stop(0, (Action(PICKUP, o),)), Stop(1, (Action(DELIVER, o),)), Stop(2)])
     return simulate_timeline(route, network, 0.0)
 
 
@@ -155,9 +157,9 @@ def _unsimulated_route():
     o3 = make_order(3, pickup=1, delivery=0, created_at=0)
     return _route(2, [
         Stop(2),
-        Stop(0, [Action(PICKUP, o1)]),
-        Stop(1, [Action(DELIVER, o1), Action(PICKUP, o3)]),
-        Stop(0, [Action(DELIVER, o3)]),
+        Stop(0, (Action(PICKUP, o1),)),
+        Stop(1, (Action(DELIVER, o1), Action(PICKUP, o3))),
+        Stop(0, (Action(DELIVER, o3),)),
         Stop(2),
     ])
 
@@ -176,12 +178,12 @@ def test_unsimulated_route_is_walked_from_now(deadline, line_network, line_fleet
         assert res.feasible
         assert res.new_len == pytest.approx(oracle, abs=1e-9)
     assert route.start_time is None
-    assert all(s.arrival == s.departure == 0.0 for s in route.stops)
+    assert route.walk == []
 
 
 def test_route_must_return_to_depot(line_network, line_fleet):
     o = make_order(0)
-    route = _route(2, [Stop(2), Stop(0, [Action(PICKUP, o)]), Stop(1, [Action(DELIVER, o)])])
+    route = _route(2, [Stop(2), Stop(0, (Action(PICKUP, o),)), Stop(1, (Action(DELIVER, o),))])
     simulate_timeline(route, line_network, 0.0)
     assert check_feasibility(route, line_network, line_fleet).violation == "back-to-depot"
 
@@ -239,9 +241,9 @@ def test_plan_tie_breaks_to_earliest_gap():
     res = plan_insertion(route, o, 0.0, net, fleet)
     oracle = brute_force_best_insertion(route, o, 0.0, net, fleet)
     assert res.new_len == pytest.approx(oracle, abs=1e-9)
-    sig = [s.signature() for s in res.best_route.stops]
-    first_new = min(i for i, s in enumerate(sig) if any(a == ("pickup", 8) for a in s[1]))
-    alt = [i for i, s in enumerate(sig) if any(a == ("deliver", 8) for a in s[1])]
+    stops = res.best_route.stops
+    first_new = min(i for i, s in enumerate(stops) if Action(PICKUP, o) in s.actions)
+    alt = [i for i, s in enumerate(stops) if Action(DELIVER, o) in s.actions]
     assert first_new < alt[0]
 
 
@@ -255,13 +257,13 @@ def test_frozen_prefix_preserved(line_network, line_fleet):
     o2 = make_order(1, pickup=0, delivery=1, created_at=4)
     res = plan_insertion(route, o2, now, line_network, line_fleet)
     assert res.feasible
-    assert res.best_route.signatures()[: frozen + 1] == route.signatures()[: frozen + 1]
+    assert res.best_route.stops[: frozen + 1] == route.stops[: frozen + 1]
 
 
 def test_completed_route_extends_with_new_trip(line_network, line_fleet):
     o1 = make_order(0, pickup=0, delivery=1, created_at=0)
     route = plan_insertion(Route.empty(0, 2), o1, 0.0, line_network, line_fleet).best_route
-    finish = route.stops[-1].departure
+    finish = route.walk[-1].departure
     now = finish + 100.0
     o2 = make_order(1, pickup=1, delivery=0, created_at=int(now))
     res = plan_insertion(route, o2, now, line_network, line_fleet)
@@ -347,7 +349,9 @@ def test_planner_matches_oracle_fuzz():
         if order is None:
             continue
         now = max(now, float(order.created_at))
+        before = copy.deepcopy((route.stops, route.walk))
         res = plan_insertion(route, order, now, inst.network, inst.fleet)
+        assert (route.stops, route.walk) == before
         oracle = brute_force_best_insertion(route, order, now, inst.network, inst.fleet)
         if oracle is None:
             assert not res.feasible
@@ -358,7 +362,7 @@ def test_planner_matches_oracle_fuzz():
             verdict = check_feasibility(res.best_route, inst.network, inst.fleet)
             assert verdict.feasible, verdict.detail
             new_actions = [
-                a.signature() for s in res.best_route.stops for a in s.actions
+                (a.kind, a.order.id) for s in res.best_route.stops for a in s.actions
                 if a.order.id == order.id
             ]
             assert new_actions == [("pickup", order.id), ("deliver", order.id)]
