@@ -220,14 +220,11 @@ def build_joint_state(
     routes: Sequence[Route],
     instance: Instance,
     predicted: DemandGrid | None = None,
-    now: float | None = None,
 ) -> JointState:
-    """Assemble the fleet state for one order from committed routes."""
+    """Assemble the fleet state for one order from committed routes, at the order's creation time."""
     predicted = _forecast(instance, predicted)
-    if now is None:
-        now = float(order.created_at)
     accepted = [len(r.order_ids()) for r in routes]
-    return _fleet_state(order, routes, accepted, instance, predicted, now)[0]
+    return _fleet_state(order, routes, accepted, instance, predicted, float(order.created_at))[0]
 
 
 PolicyFn = Callable[[JointState], int]

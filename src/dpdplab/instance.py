@@ -14,8 +14,10 @@ from midnight, quantities are integer cargo units.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -100,15 +102,19 @@ class FleetConfig:
 class RoadNetwork:
     """Complete directed network over factory and depot nodes.
 
-    ``dist`` may be asymmetric when loaded from a file; when omitted it is
-    derived from coordinates as Euclidean distance (then symmetric and
+    ``dist`` may be asymmetric when loaded from a file; when it is ``None``
+    it is derived from coordinates as Euclidean distance (then symmetric and
     triangle-inequality consistent).
     """
 
     nodes: list[Node]
-    dist: np.ndarray
-    speed: float
+    dist: np.ndarray | None = None
+    speed: float = 1.0
     service_time: float = 0.0
+
+    def __post_init__(self):
+        if self.dist is None:
+            self.dist = euclidean_matrix(self.nodes)
 
     @property
     def n_nodes(self) -> int:
@@ -159,7 +165,7 @@ class RoadNetwork:
 
 
 def euclidean_matrix(nodes: Sequence[Node]) -> np.ndarray:
-    xy = np.array([[n.x, n.y] for n in nodes], dtype=float)
+    xy = np.array([[n.x, n.y] for n in nodes], dtype=float).reshape(-1, 2)
     diff = xy[:, None, :] - xy[None, :, :]
     return np.sqrt((diff**2).sum(axis=2))
 
@@ -221,93 +227,76 @@ class Instance:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
 
 
-@contextmanager
-def _reading(field: str):
-    """Report a missing or malformed value under ``field`` as an InstanceError."""
-    try:
-        yield
-    except InstanceError:
-        raise
-    except KeyError as exc:
-        raise InstanceError(f"{field} is missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise InstanceError(f"{field} is malformed: {exc}") from None
+_JSON_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
 
 
-def _integer(value, field: str) -> int:
-    """A JSON number with an integer value; booleans, strings and fractions
-    are an InstanceError naming ``field``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
-        raise InstanceError(f"{field} must be an integer, not {value!r}")
-    return int(value)
+@cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
 
 
-def _order_from_dict(d: dict, prefix: str) -> DeliveryOrder:
-    with _reading(prefix):
-        return DeliveryOrder(
-            **{
-                name: _integer(d[name], f"{prefix}.{name}")
-                for name in ("id", "pickup", "delivery", "quantity", "created_at", "latest_delivery")
-            }
-        )
+def _refused(where: str, expected: str, value) -> InstanceError:
+    shown = {dict: "an object", list: "an array"}.get(type(value)) or repr(value)
+    return InstanceError(f"{where or 'document'} must be {expected}, not {shown}")
+
+
+def read_json(tp, value, where: str):
+    """Build a value of type ``tp`` from parsed JSON ``value``.
+
+    One rule for every typed file the program reads: a dataclass comes from
+    an object, whose absent fields take their defaults and whose unknown
+    keys are ignored; a list or tuple from an array; an ``ndarray`` from
+    equal-length arrays of numbers; an ``int`` from a number with an integer
+    value; a ``float`` from any number; a ``str`` or ``bool`` only from
+    itself.  Booleans are not numbers, and ``null`` fills only an
+    ``X | None`` field.  Anything else is an InstanceError naming the path
+    ``where``, and so is a ValueError from a dataclass's own checks, whose
+    message starts with the field it names.
+    """
+    if tp in _JSON_NAMES:
+        if tp in (int, float) and type(value) in (int, float):
+            try:
+                number = float(value)
+            except OverflowError:
+                raise InstanceError(f"{where} is too large a number") from None
+            if tp is float or number % 1 == 0:
+                return tp(value)
+        elif type(value) is tp:
+            return value
+        raise _refused(where, _JSON_NAMES[tp], value)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        (tp,) = [a for a in args if a is not type(None)]
+        return None if value is None else read_json(tp, value, where)
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise _refused(where, "an array", value)
+        items = [read_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+        return items if origin is list else tuple(items)
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise _refused(where, "an object", value)
+        prefix = f"{where}." if where else ""
+        kwargs = {}
+        for f in fields(tp):
+            if f.name in value:
+                kwargs[f.name] = read_json(_field_types(tp)[f.name], value[f.name], prefix + f.name)
+            elif f.default is MISSING:
+                raise InstanceError(f"{where or 'document'} is missing field {f.name!r}")
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise InstanceError(prefix + str(exc)) from None
+    if tp is not np.ndarray:
+        raise TypeError(f"read_json cannot build {tp!r}")
+    rows = read_json(list[list[float]], value, where)
+    if len({len(row) for row in rows}) > 1:
+        raise InstanceError(f"{where} must have rows of equal length")
+    return np.array(rows, dtype=float)
 
 
 def instance_from_dict(doc: dict) -> Instance:
-    if not isinstance(doc, dict):
-        raise InstanceError("instance document must be a JSON object")
-    for key in ("network", "orders", "fleet"):
-        if key not in doc:
-            raise InstanceError(f"instance document is missing top-level key {key!r}")
-    net = doc["network"]
-    with _reading("network.nodes entry"):
-        nodes = [
-            Node(
-                id=_integer(n["id"], f"network.nodes[{i}].id"),
-                role=str(n["role"]),
-                x=float(n["x"]),
-                y=float(n["y"]),
-            )
-            for i, n in enumerate(net["nodes"])
-        ]
-    with _reading("network"):
-        if net.get("dist") is None:
-            dist = euclidean_matrix(nodes)
-        else:
-            dist = np.array(net["dist"], dtype=float)
-            if dist.ndim != 2:
-                raise InstanceError("network.dist must be a square matrix")
-        network = RoadNetwork(
-            nodes=nodes,
-            dist=dist,
-            speed=float(net.get("speed", 1.0)),
-            service_time=float(net.get("service_time", 0.0)),
-        )
-    fleet_doc = doc["fleet"]
-    with _reading("fleet"):
-        fleet = FleetConfig(
-            vehicles=[
-                VehicleSpec(
-                    id=_integer(v["id"], f"fleet.vehicles[{i}].id"),
-                    depot=_integer(v["depot"], f"fleet.vehicles[{i}].depot"),
-                )
-                for i, v in enumerate(fleet_doc["vehicles"])
-            ],
-            capacity=_integer(fleet_doc["capacity"], "fleet.capacity"),
-            fixed_cost=float(fleet_doc.get("fixed_cost", 300.0)),
-            unit_cost=float(fleet_doc.get("unit_cost", 2.0)),
-        )
-    with _reading("orders"):
-        orders = [_order_from_dict(o, f"orders[{i}]") for i, o in enumerate(doc["orders"])]
-    history = doc.get("history")
-    if history is not None:
-        with _reading("history"):
-            history = [
-                [_order_from_dict(o, f"history[{d}][{i}]") for i, o in enumerate(day)]
-                for d, day in enumerate(history)
-            ]
-    with _reading("horizon"):
-        horizon = _integer(doc.get("horizon", 144), "horizon")
-    inst = Instance(network=network, orders=orders, fleet=fleet, horizon=horizon, history=history)
+    inst = read_json(Instance, doc, "")
     inst.validate()
     return inst
 
@@ -369,9 +358,7 @@ def generate_instance(
         x = round(float(rng.uniform(0.0, _AREA_KM)), 3)
         y = round(float(rng.uniform(0.0, _AREA_KM)), 3)
         nodes.append(Node(id=i, role=role, x=x, y=y))
-    network = RoadNetwork(
-        nodes=nodes, dist=euclidean_matrix(nodes), speed=speed, service_time=service_time
-    )
+    network = RoadNetwork(nodes=nodes, speed=speed, service_time=service_time)
 
     n_hot = max(1, n_factories // 5)
     hot_factories = np.sort(rng.choice(n_factories, size=n_hot, replace=False))

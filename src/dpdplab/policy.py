@@ -24,14 +24,14 @@ the lowest vehicle id.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .env import DEFAULT_ALPHA, JointState, Transition, run_episode
-from .instance import Instance
+from .instance import Instance, read_json
 from .neural import Adam, AttentionBlock, Mlp, load_tensors, save_tensors
 
 SENTINEL_Q = -1e9
@@ -61,8 +61,6 @@ class QNetworkConfig:
     use_score_feature: bool = True
 
     def __post_init__(self):
-        # JSON round trips hand the sequence back as a list.
-        self.mlp_hidden = tuple(self.mlp_hidden)
         for name in ("embed_dim", "attn_heads", "attn_head_dim"):
             _check(getattr(self, name) >= 1, f"{name} must be >= 1, not {getattr(self, name)}")
         _check(
@@ -196,35 +194,16 @@ class QNetwork:
         self.init_mlp.backward(tape["init"], dh0)
 
 
-def _same_json_type(value, default) -> bool:
-    """Whether a JSON value fits a config field with this default: booleans
-    and numbers differ, an integer field takes only integers, a float field
-    any number, and a tuple field a list of values fitting its first item."""
-    if isinstance(default, tuple):
-        return isinstance(value, list) and all(_same_json_type(v, default[0]) for v in value)
-    if isinstance(default, float) and not isinstance(value, bool):
-        return isinstance(value, (int, float))
-    return type(value) is type(default)
-
-
 def _config_from_meta(cls, meta, key: str, path: str | Path):
-    """Build config dataclass ``cls`` from ``meta[key]``; a field that is
-    unknown, missing, of another type than its default or out of range is a
-    ValueError."""
+    """Build config dataclass ``cls`` from ``meta[key]`` by :func:`read_json`;
+    the program writes every field, so an unknown or missing field is a
+    ValueError too."""
     doc = meta.get(key) if isinstance(meta, dict) else None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: meta.{key} must be an object")
-    defaults = asdict(cls())
-    if set(doc) != set(defaults):
-        unknown, missing = sorted(set(doc) - set(defaults)), sorted(set(defaults) - set(doc))
+    names = {f.name for f in fields(cls)}
+    if isinstance(doc, dict) and set(doc) != names:
+        unknown, missing = sorted(set(doc) - names), sorted(names - set(doc))
         raise ValueError(f"{path}: meta.{key} has unknown fields {unknown} and lacks fields {missing}")
-    for name, default in defaults.items():
-        if not _same_json_type(doc[name], default):
-            raise ValueError(f"{path}: meta.{key}.{name} is {doc[name]!r}, of another type than its default {default!r}")
-    try:
-        return cls(**doc)
-    except ValueError as exc:
-        raise ValueError(f"{path}: meta.{key}.{exc}") from None
+    return read_json(cls, doc, f"{path}: meta.{key}")
 
 
 def _copy_weights(path: str | Path, tensors: dict[str, np.ndarray], nets: list[tuple[str, QNetwork]]) -> None:
@@ -270,6 +249,8 @@ def select_action(
 def make_learned_policy(
     net: QNetwork, epsilon: float = 0.0, rng: np.random.Generator | None = None
 ) -> Callable[[JointState], int]:
+    _check(0.0 <= epsilon <= 1.0, f"epsilon must be in [0, 1], not {epsilon}")
+
     def policy(state: JointState) -> int:
         return select_action(state, net, epsilon, rng)
 
@@ -432,15 +413,13 @@ class Trainer:
         tconfig = _config_from_meta(TrainerConfig, meta, "trainer_config", path)
         trainer = cls(qconfig, tconfig)
         _copy_weights(path, tensors, [("online.", trainer.online), ("target.", trainer.target)])
-        episodes = meta.get("episodes_trained")
-        epsilon = meta.get("epsilon", tconfig.epsilon_start)
-        if not (_same_json_type(episodes, 0) and _same_json_type(epsilon, 0.0)):
-            raise ValueError(f"{path}: meta.episodes_trained must be an integer and meta.epsilon a number")
+        episodes = read_json(int, meta.get("episodes_trained"), f"{path}: meta.episodes_trained")
+        epsilon = read_json(float, meta.get("epsilon", tconfig.epsilon_start), f"{path}: meta.epsilon")
         try:
             trainer.rng.bit_generator.state = meta["rng_state"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: meta.rng_state is malformed: {exc!r}") from None
         trainer.episodes_trained = episodes
-        trainer.last_epsilon = float(epsilon)
+        trainer.last_epsilon = epsilon
         return trainer
 

@@ -254,7 +254,7 @@ def _swapped(doc, path, value):
 def _broken_instance_texts(draw):
     """A proper prefix of the instance file, or the file with one value
     swapped: containers become scalars, scalars containers or a non-number,
-    and integers a boolean or a fraction."""
+    numbers a boolean or their own numeric string, and integers a fraction."""
     text = json.dumps(_DOC)
     if draw(st.booleans()):
         return text[: draw(st.integers(0, len(text) - 1))]
@@ -263,8 +263,10 @@ def _broken_instance_texts(draw):
     for key in path:
         node = node[key]
     choices = [5, "?"] if isinstance(node, (dict, list)) else [[], {}, "?"]
+    if type(node) in (int, float):
+        choices += [True, str(node)]
     if type(node) is int:
-        choices += [True, node + 0.5]
+        choices.append(node + 0.5)
     return json.dumps(_swapped(_DOC, path, draw(st.sampled_from(choices))))
 
 
@@ -286,6 +288,12 @@ _BAD_INSTANCES = [
     (("fleet", "capacity"), 12.9, ["run", "--policy", "greedy1"], "fleet.capacity"),
     (("fleet", "vehicles", 1, "id"), True, ["run", "--policy", "greedy1"], "fleet.vehicles[1].id"),
     (("network", "nodes", 0, "id"), "0", ["run", "--policy", "greedy1"], "network.nodes[0].id"),
+    (("network", "speed"), True, ["run", "--policy", "greedy1"], "network.speed"),
+    (("network", "nodes", 0, "x"), "1.5", ["run", "--policy", "greedy1"], "network.nodes[0].x"),
+    (("network", "dist", 0, 1), True, ["exact"], "network.dist[0][1]"),
+    (("network", "dist", 0), [0.0], ["run", "--policy", "greedy1"], "network.dist must have rows of equal length"),
+    (("fleet", "fixed_cost"), "300", ["run", "--policy", "greedy1"], "fleet.fixed_cost"),
+    pytest.param(("fleet", "capacity"), 10**400, ["run", "--policy", "greedy1"], "fleet.capacity", id="capacity-10**400"),
 ]
 
 
@@ -424,6 +432,29 @@ def test_out_of_range_checkpoint_config_fails_cleanly(tmp_path, checkpoint_parts
         rc, err = _main_in(str(tmp_path), _checkpoint_argv(command, ckpt, inst))
         _assert_clean_failure(rc, err)
         assert str(ckpt) in err and f"meta.{section}.{field}" in err
+
+
+def test_integral_number_in_checkpoint_config_loads(tmp_path, checkpoint_parts):
+    """An integer config field takes a number with an integer value, as an
+    instance file's integer fields do."""
+    tensors, meta = checkpoint_parts
+    meta = json.loads(json.dumps(meta))
+    meta["qnetwork_config"]["embed_dim"] = 4.0
+    ckpt = tmp_path / "float.ckpt"
+    save_tensors(ckpt, dict(tensors), meta)
+    config = Trainer.load_checkpoint(ckpt).online.config
+    assert config == _SMALL and type(config.embed_dim) is int
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "-1", "5"])
+def test_out_of_range_run_epsilon_fails_cleanly(tmp_path, checkpoint_bytes, epsilon):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_DOC))
+    ckpt = tmp_path / "t.ckpt"
+    ckpt.write_bytes(checkpoint_bytes)
+    rc, err = _main_in(str(tmp_path), [*_checkpoint_argv("run", ckpt, inst), f"--epsilon={epsilon}"])
+    _assert_clean_failure(rc, err)
+    assert "epsilon must be in [0, 1]" in err
 
 
 @pytest.mark.parametrize(

@@ -55,9 +55,22 @@ def test_order_window_must_be_positive():
 
 
 def test_missing_dist_derives_euclidean():
-    inst = instance_from_dict(MINIMAL)
-    assert inst.network.dist[0, 1] == pytest.approx(5.0)
-    assert np.all(np.diag(inst.network.dist) == 0)
+    bare = json.loads(json.dumps(MINIMAL))
+    for key in ("dist", "speed", "service_time"):
+        del bare["network"][key]
+    bare["network"]["note"] = "unknown keys are ignored"
+    for doc in (MINIMAL, bare):
+        inst = instance_from_dict(doc)
+        assert inst.network.dist[0, 1] == pytest.approx(5.0)
+        assert np.all(np.diag(inst.network.dist) == 0)
+        assert (inst.network.speed, inst.network.service_time) == (1.0, 0.0)
+
+
+def test_empty_network_is_refused():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["network"]["nodes"] = []
+    with pytest.raises(InstanceError, match="network.nodes must not be empty"):
+        instance_from_dict(doc)
 
 
 def test_missing_field_is_named():
@@ -98,12 +111,13 @@ def test_depot_reference_checked():
 
 
 def test_round_trip_identity(tmp_path):
-    inst = generate_instance(seed=9, n_factories=5, n_orders=7, n_vehicles=3)
-    path = save_instance(inst, tmp_path / "a.json")
-    again = load_instance(path)
-    assert again.to_dict() == inst.to_dict()
-    path2 = save_instance(again, tmp_path / "b.json")
-    assert path.read_bytes() == path2.read_bytes()
+    for i, extra in enumerate([{}, {"n_depots": 2, "service_time": 1.5, "history_days": 0}]):
+        inst = generate_instance(seed=9, n_factories=5, n_orders=7, n_vehicles=3, **extra)
+        path = save_instance(inst, tmp_path / f"a{i}.json")
+        again = load_instance(path)
+        assert again.to_dict() == inst.to_dict()
+        path2 = save_instance(again, tmp_path / f"b{i}.json")
+        assert path.read_bytes() == path2.read_bytes()
 
 
 def test_same_seed_same_bytes():

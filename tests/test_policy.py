@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpdplab.env import JointState, Transition
-from dpdplab.instance import generate_instance
+from dpdplab.instance import generate_instance, read_json
 from dpdplab.policy import (
     BLOCK_STATES,
     SENTINEL_Q,
@@ -330,6 +332,13 @@ def test_checkpoint_round_trip(tmp_path):
     state = make_state([(3.0, 8.0, 0.5), (1.0, 2.0, 0.1)])
     assert again.online.q_values([state])[0] == pytest.approx(trainer.online.q_values([state])[0])
     assert again.rng.integers(1 << 30) == trainer.rng.integers(1 << 30)
+
+
+@pytest.mark.parametrize("cls", [QNetworkConfig, TrainerConfig])
+def test_default_config_round_trips_through_json(cls):
+    """Every config field has a type the checkpoint reader can build."""
+    config = cls()
+    assert read_json(cls, json.loads(json.dumps(asdict(config))), "meta") == config
 
 
 def test_learned_policy_runs_episode():
