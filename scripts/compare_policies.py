@@ -18,12 +18,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dpdplab.baselines import make_greedy_policy, solve_exact
+from dpdplab.baselines import GREEDY_RULES, make_greedy_policy, solve_exact
 from dpdplab.env import run_episode
 from dpdplab.instance import generate_instance
 from dpdplab.policy import Trainer, TrainerConfig, make_learned_policy
-
-GREEDY = ("incremental", "total", "max_orders")
 
 
 def main() -> int:
@@ -61,7 +59,7 @@ def main() -> int:
     for i, inst in enumerate(instances):
         exact = solve_exact(inst)
         rows.append((i, "exact", exact.nuv, exact.tc))
-        for rule in GREEDY:
+        for rule in GREEDY_RULES:
             report, _ = run_episode(inst, make_greedy_policy(rule))
             rows.append((i, rule, report.nuv, report.tc))
         learned_tcs = []

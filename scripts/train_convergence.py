@@ -14,7 +14,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dpdplab.baselines import make_greedy_policy
+from dpdplab.baselines import GREEDY_RULES, make_greedy_policy
 from dpdplab.cli import _svg_polyline, write_curve
 from dpdplab.env import run_episode
 from dpdplab.instance import generate_instance
@@ -43,7 +43,7 @@ def main() -> int:
     )
 
     greedy_tc = {}
-    for rule in ("incremental", "total", "max_orders"):
+    for rule in GREEDY_RULES:
         report, _ = run_episode(inst, make_greedy_policy(rule))
         greedy_tc[rule] = report.tc
         print(f"greedy {rule}: NUV={report.nuv} TC={report.tc:.1f}")

@@ -15,12 +15,11 @@ from .instance import (
     save_instance,
 )
 from .routing import PlannerResult, Route, Stop, Verdict, check_feasibility, plan_insertion, simulate_timeline
-from .demand import DemandGrid, build_demand_grid, divergence_score, predict_grid
+from .demand import build_demand_grid, divergence_score, predict_grid
 from .env import EpisodeReport, JointState, Transition, UnserviceableOrderError, run_episode
 
 __all__ = [
     "DeliveryOrder",
-    "DemandGrid",
     "EpisodeReport",
     "FleetConfig",
     "Instance",

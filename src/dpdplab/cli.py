@@ -86,7 +86,7 @@ def _summary_csv(summary: dict) -> str:
     return ",".join(keys) + "\n" + ",".join(repr(summary[k]) for k in keys) + "\n"
 
 
-def _policy_for(name: str, checkpoint: str | None, epsilon: float, seed: int, instance: Instance):
+def _policy_for(name: str, checkpoint: str | None, instance: Instance, epsilon: float = 0.0, seed: int = 0):
     if name in GREEDY_ALIASES:
         return make_greedy_policy(name)
     if name == "learned":
@@ -216,7 +216,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     _write_config(outdir, args)
     instance = load_instance(args.instance)
-    policy = _policy_for(args.policy, args.checkpoint, args.epsilon, args.seed, instance)
+    policy = _policy_for(args.policy, args.checkpoint, instance, args.epsilon, args.seed)
     label = getattr(policy, "policy_name", args.policy)
     report = _run_one(instance, policy, outdir, label, Path(args.instance).stem)
     if args.dump_routes:
@@ -297,7 +297,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     for name in args.policies.split(","):
         name = name.strip()
-        policy = _policy_for(name, args.checkpoint, 0.0, args.seed, instance)
+        policy = _policy_for(name, args.checkpoint, instance)
         label = getattr(policy, "policy_name", name)
         report = _run_one(instance, policy, outdir, label, Path(args.instance).stem)
         rows.append({"policy": label, "nuv": report.nuv, "ttl": report.ttl, "tc": report.tc})
@@ -325,10 +325,9 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.instance} has no history days; use --source orders")
     else:
         grid = episode_demand_grid(instance)
-    (outdir / "grid.csv").write_text(grid.to_csv(), encoding="utf-8")
-    (outdir / "grid.svg").write_text(
-        _svg_heatmap(grid.values, f"demand grid ({args.source})"), encoding="utf-8"
-    )
+    rows = [",".join(repr(float(v)) for v in row) for row in grid]
+    (outdir / "grid.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (outdir / "grid.svg").write_text(_svg_heatmap(grid, f"demand grid ({args.source})"), encoding="utf-8")
     print(f"wrote {outdir / 'grid.csv'} ({n}x{instance.horizon})")
     return 0
 
@@ -420,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--exact", action="store_true")
     p.add_argument("--budget", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_compare)
 

@@ -1,7 +1,7 @@
 """Spatial-temporal demand grids and the capacity/demand alignment score.
 
-A demand grid is an ``n_factories x intervals`` matrix whose cell (i, j)
-holds the total cargo quantity created at factory i during interval j.
+A demand grid is a plain ``(n_factories, intervals)`` float array whose cell
+(i, j) holds the total cargo quantity created at factory i during interval j.
 Forecasting is element-wise averaging over past days' grids.
 
 For a planned route we find the (factory, arrival-interval) cell of each
@@ -15,7 +15,6 @@ nearby future orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,30 +29,9 @@ class DemandError(ValueError):
     """Raised on malformed grids or profile vectors."""
 
 
-@dataclass
-class DemandGrid:
-    values: np.ndarray  # shape (n_factories, intervals), non-negative
-
-    @property
-    def n_factories(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def intervals(self) -> int:
-        return int(self.values.shape[1])
-
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
-
-    def to_csv(self) -> str:
-        lines = [",".join(repr(float(v)) for v in row) for row in self.values]
-        return "\n".join(lines) + "\n"
-
-
 def build_demand_grid(
     orders: Sequence[DeliveryOrder], n_factories: int, intervals: int
-) -> DemandGrid:
+) -> np.ndarray:
     """Accumulate order quantities into (pickup factory, creation interval) cells.
 
     Intervals are left-closed right-open, so a creation time exactly on a
@@ -68,19 +46,18 @@ def build_demand_grid(
         if not 0 <= j < intervals:
             raise DemandError(f"order {o.id} created_at {o.created_at} outside the day horizon")
         grid[o.pickup, j] += o.quantity
-    return DemandGrid(grid)
+    return grid
 
 
-def predict_grid(history: Sequence[DemandGrid]) -> DemandGrid:
+def predict_grid(history: Sequence[np.ndarray]) -> np.ndarray:
     """Element-wise mean of past days' grids."""
     if not history:
         raise DemandError("history must contain at least one grid")
-    shape = history[0].values.shape
+    shape = history[0].shape
     for g in history[1:]:
-        if g.values.shape != shape:
-            raise DemandError(f"grid shape {g.values.shape} does not match {shape}")
-    stacked = np.stack([g.values for g in history])
-    return DemandGrid(stacked.mean(axis=0))
+        if g.shape != shape:
+            raise DemandError(f"grid shape {g.shape} does not match {shape}")
+    return np.stack(history).mean(axis=0)
 
 
 def route_cells(route: Route, network: RoadNetwork, intervals: int) -> list[tuple[int, int, int]]:
@@ -102,9 +79,9 @@ def capacity_profile(route: Route, cells: Sequence[tuple[int, int, int]], capaci
     )
 
 
-def demand_profile(cells: Sequence[tuple[int, int, int]], grid: DemandGrid) -> np.ndarray:
+def demand_profile(cells: Sequence[tuple[int, int, int]], grid: np.ndarray) -> np.ndarray:
     """Forecast demand at each cell's (factory, interval) coordinate."""
-    return np.array([grid.values[f, j] for _, f, j in cells], dtype=float)
+    return np.array([grid[f, j] for _, f, j in cells], dtype=float)
 
 
 def divergence_score(capacity: np.ndarray, demand: np.ndarray) -> float:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import demand, routing
-from .demand import DemandError, DemandGrid, build_demand_grid, predict_grid
+from .demand import DemandError, build_demand_grid, predict_grid
 from .instance import DeliveryOrder, Instance
 from .routing import PlannerResult, Route, Stop, plan_insertion
 
@@ -156,7 +156,7 @@ def long_term_reward(instant_rewards: Sequence[float]) -> float:
     return float(sum(instant_rewards) / len(instant_rewards))
 
 
-def episode_demand_grid(instance: Instance) -> DemandGrid:
+def episode_demand_grid(instance: Instance) -> np.ndarray:
     """Forecast grid for an episode: mean over history days when available,
     otherwise the instance's own order stream."""
     n = instance.network.n_factories
@@ -166,14 +166,14 @@ def episode_demand_grid(instance: Instance) -> DemandGrid:
     return build_demand_grid(instance.orders, n, instance.horizon)
 
 
-def _forecast(instance: Instance, predicted: DemandGrid | None) -> DemandGrid:
+def _forecast(instance: Instance, predicted: np.ndarray | None) -> np.ndarray:
     """The episode's forecast grid, or a caller's grid once its shape is
     checked against the instance's (factories, intervals)."""
     if predicted is None:
         return episode_demand_grid(instance)
     shape = (instance.network.n_factories, instance.horizon)
-    if predicted.values.shape != shape:
-        raise DemandError(f"forecast grid shape {predicted.values.shape} does not match (factories, horizon) {shape}")
+    if predicted.shape != shape:
+        raise DemandError(f"forecast grid shape {predicted.shape} does not match (factories, horizon) {shape}")
     return predicted
 
 
@@ -182,7 +182,7 @@ def _fleet_state(
     routes: Sequence[Route],
     accepted: Sequence[int],
     instance: Instance,
-    predicted: DemandGrid,
+    predicted: np.ndarray,
     now: float,
 ) -> tuple[JointState, list[PlannerResult]]:
     """Plan ``order`` onto every route; returns the joint state and the plans.
@@ -219,7 +219,7 @@ def build_joint_state(
     order: DeliveryOrder,
     routes: Sequence[Route],
     instance: Instance,
-    predicted: DemandGrid | None = None,
+    predicted: np.ndarray | None = None,
 ) -> JointState:
     """Assemble the fleet state for one order from committed routes, at the order's creation time."""
     predicted = _forecast(instance, predicted)
@@ -234,7 +234,7 @@ def run_episode(
     instance: Instance,
     policy: PolicyFn,
     alpha: float = DEFAULT_ALPHA,
-    predicted: DemandGrid | None = None,
+    predicted: np.ndarray | None = None,
 ) -> tuple[EpisodeReport, list[Transition]]:
     """Simulate one day; returns the cost report and the transitions.
 
@@ -277,8 +277,7 @@ def run_episode(
                 f"insertion for order {order.id} altered the frozen prefix of vehicle {k}"
             )
         delta = plan.new_len - plan.cur_len
-        used_flag = int(state.features[k, 3])
-        r = instant_reward(used_flag, delta, fleet.fixed_cost, fleet.unit_cost, alpha)
+        r = instant_reward(accepted[k] > 0, delta, fleet.fixed_cost, fleet.unit_cost, alpha)
         routes[k] = new_route
         accepted[k] += 1
         rewards.append(r)

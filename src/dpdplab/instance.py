@@ -89,10 +89,10 @@ class FleetConfig:
                 raise InstanceError(f"fleet.vehicles[{i}].id must equal its position {i}")
         if self.capacity <= 0:
             raise InstanceError("fleet.capacity must be positive")
-        if self.fixed_cost < 0:
-            raise InstanceError("fleet.fixed_cost must be non-negative")
-        if self.unit_cost < 0:
-            raise InstanceError("fleet.unit_cost must be non-negative")
+        # Every comparison with NaN is false, so these also refuse NaN.
+        for name in ("fixed_cost", "unit_cost"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise InstanceError(f"fleet.{name} must be finite and non-negative")
         for v in self.vehicles:
             if v.depot not in depot_ids:
                 raise InstanceError(f"fleet.vehicles[{v.id}].depot is not a depot node")
@@ -149,6 +149,9 @@ class RoadNetwork:
                 raise InstanceError(f"network.nodes[{i}].role must be 'factory' or 'depot'")
             if node.role == FACTORY and i and self.nodes[i - 1].role == DEPOT:
                 raise InstanceError(f"network.nodes[{i}] is a factory after a depot; factories must come first")
+            for axis in ("x", "y"):
+                if not np.isfinite(getattr(node, axis)):
+                    raise InstanceError(f"network.nodes[{i}].{axis} must be finite")
         n = self.n_nodes
         if self.dist.shape != (n, n):
             raise InstanceError(f"network.dist must be a {n}x{n} matrix")
@@ -158,10 +161,10 @@ class RoadNetwork:
             raise InstanceError("network.dist entries must be non-negative")
         if np.any(np.diag(self.dist) != 0):
             raise InstanceError("network.dist diagonal must be zero")
-        if not self.speed > 0:
-            raise InstanceError("network.speed must be positive")
-        if self.service_time < 0:
-            raise InstanceError("network.service_time must be non-negative")
+        if not 0 < self.speed < np.inf:
+            raise InstanceError("network.speed must be finite and positive")
+        if not 0 <= self.service_time < np.inf:
+            raise InstanceError("network.service_time must be finite and non-negative")
 
 
 def euclidean_matrix(nodes: Sequence[Node]) -> np.ndarray:

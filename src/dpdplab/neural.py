@@ -134,7 +134,6 @@ class AttentionBlock(Block):
         self.d_in = d_in
         self.n_heads = n_heads
         self.d_head = d_head
-        self.d_out = d_out
         width = n_heads * d_head
         self._add_param("WQ", glorot_uniform(rng, d_in, width, (d_in, width)))
         self._add_param("WK", glorot_uniform(rng, d_in, width, (d_in, width)))

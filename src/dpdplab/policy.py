@@ -304,7 +304,6 @@ class Trainer:
         self.rng = np.random.default_rng(self.config.seed)
         self.optimizer = Adam(self.online.parameters(), lr=self.config.learning_rate)
         self.episodes_trained = 0
-        self.last_epsilon = self.config.epsilon_start
 
     def epsilon_at(self, episode: int, max_episode: int) -> float:
         cfg = self.config
@@ -369,7 +368,6 @@ class Trainer:
         log: list[dict] = []
         for episode in range(max_episode):
             eps = self.epsilon_at(episode, max_episode)
-            self.last_epsilon = eps
             instance = instances[episode % len(instances)]
             policy = make_learned_policy(self.online, epsilon=eps, rng=self.rng)
             report, transitions = run_episode(instance, policy, alpha=self.config.alpha)
@@ -401,7 +399,6 @@ class Trainer:
             "qnetwork_config": asdict(self.online.config),
             "trainer_config": asdict(self.config),
             "episodes_trained": self.episodes_trained,
-            "epsilon": self.last_epsilon,
             "rng_state": self.rng.bit_generator.state,
         }
         return save_tensors(path, tensors, meta)
@@ -414,12 +411,11 @@ class Trainer:
         trainer = cls(qconfig, tconfig)
         _copy_weights(path, tensors, [("online.", trainer.online), ("target.", trainer.target)])
         episodes = read_json(int, meta.get("episodes_trained"), f"{path}: meta.episodes_trained")
-        epsilon = read_json(float, meta.get("epsilon", tconfig.epsilon_start), f"{path}: meta.epsilon")
+        _check(episodes >= 0, f"{path}: meta.episodes_trained must be >= 0, not {episodes}")
         try:
             trainer.rng.bit_generator.state = meta["rng_state"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: meta.rng_state is malformed: {exc!r}") from None
         trainer.episodes_trained = episodes
-        trainer.last_epsilon = epsilon
         return trainer
 

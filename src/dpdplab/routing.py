@@ -51,7 +51,6 @@ class Stop:
 class Verdict:
     feasible: bool
     violation: str | None = None  # "time-window" | "capacity" | "lifo" | "back-to-depot"
-    detail: str = ""
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -136,16 +135,15 @@ def _process_actions(
     actions: Iterable[Action],
     service_time: float,
     capacity: float,
-) -> tuple[float, int, str | None, str]:
-    """Run all of a stop's actions; returns (time, load, violation, detail)
-    with the first violation met, or ``None`` and ``""``.
+) -> tuple[float, int, str | None]:
+    """Run all of a stop's actions; returns (time, load, violation) with the
+    first violation met, or ``None``.
 
     Pickups wait for the order's creation minute before loading; a delivery
     must finish (including its service time) by the order's deadline.  A
     delivery whose order is not on top of the stack skips its pop.
     """
     kind = None
-    detail = ""
     for act in actions:
         o = act.order
         if act.kind == PICKUP:
@@ -155,17 +153,17 @@ def _process_actions(
             load += o.quantity
             stack.append(o.id)
             if load > capacity and kind is None:
-                kind, detail = "capacity", f"load {load} exceeds capacity {capacity} picking order {o.id}"
+                kind = "capacity"
         else:
             if stack and stack[-1] == o.id:
                 stack.pop()
             elif kind is None:
-                kind, detail = "lifo", f"order {o.id} is not on top of the stack"
+                kind = "lifo"
             t += service_time
             if t > o.latest_delivery + 1e-9 and kind is None:
-                kind, detail = "time-window", f"order {o.id} delivered at {t:.3f} after {o.latest_delivery}"
+                kind = "time-window"
             load -= o.quantity
-    return t, load, kind, detail
+    return t, load, kind
 
 
 def _record_walk(
@@ -191,7 +189,7 @@ def _record_walk(
         leg = float(dist[prev, stop.node])
         length += leg
         arrival = t + leg / speed
-        t, load, kind, _ = _process_actions(arrival, load, stack, stop.actions, service, math.inf)
+        t, load, kind = _process_actions(arrival, load, stack, stop.actions, service, math.inf)
         violation = violation or kind
         prev = stop.node
         walk.append(WalkState(prev, arrival, t, load, tuple(stack), length))
@@ -217,11 +215,11 @@ def _walk(
     network: RoadNetwork,
     capacity: int,
     best_len: float = math.inf,
-) -> tuple[WalkState | None, str | None, str]:
-    """Advance ``state`` through further stops; returns (state, violation,
-    detail), the state being ``None`` at the first violation.
+) -> tuple[WalkState | None, str | None]:
+    """Advance ``state`` through further stops; returns (state, violation),
+    the state being ``None`` at the first violation.
 
-    Abandons with ``(None, None, "")`` once the length reaches ``best_len``,
+    Abandons with ``(None, None)`` once the length reaches ``best_len``,
     since distances are non-negative and cannot recover.
     """
     dist = network.dist
@@ -234,13 +232,13 @@ def _walk(
         leg = float(dist[prev, node])
         length += leg
         if length >= best_len:
-            return None, None, ""
+            return None, None
         arrival = t + leg / speed
         prev = node
-        t, load, kind, detail = _process_actions(arrival, load, stack, stop.actions, service, capacity)
+        t, load, kind = _process_actions(arrival, load, stack, stop.actions, service, capacity)
         if kind is not None:
-            return None, kind, detail
-    return WalkState(prev, arrival, t, load, tuple(stack), length), None, ""
+            return None, kind
+    return WalkState(prev, arrival, t, load, tuple(stack), length), None
 
 
 def frozen_index(route: Route, now: float) -> int:
@@ -278,14 +276,14 @@ def check_feasibility(route: Route, network: RoadNetwork, fleet: FleetConfig) ->
     """Re-walk a simulated route and report the first constraint violation."""
     stops = route.stops
     if stops[0].node != route.depot or stops[-1].node != route.depot:
-        return Verdict(False, "back-to-depot", f"route of vehicle {route.vehicle} must start and end at depot {route.depot}")
+        return Verdict(False, "back-to-depot")
     start = route.start_time if route.start_time is not None else 0.0
     origin = WalkState(stops[0].node, float(start), float(start), 0, (), 0.0)
-    end, kind, detail = _walk(origin, stops, network, fleet.capacity)
+    end, kind = _walk(origin, stops, network, fleet.capacity)
     if kind is not None:
-        return Verdict(False, kind, detail)
+        return Verdict(False, kind)
     if end.stack:
-        return Verdict(False, "lifo", f"orders {list(end.stack)} picked up but never delivered")
+        return Verdict(False, "lifo")
     return FEASIBLE
 
 
@@ -341,16 +339,16 @@ def plan_insertion(
     best_len = math.inf
     best_pair: tuple[int, int] | None = None
     for i in range(frozen + 1, last + 1):
-        mid, _, _ = _walk(walk[i - 1], [pick], network, capacity, best_len)
+        mid, _ = _walk(walk[i - 1], [pick], network, capacity, best_len)
         if mid is None:
             continue
         for j in range(i, last + 1):
-            cand, _, _ = _walk(mid, [drop, *base[j:]], network, capacity, best_len)
+            cand, _ = _walk(mid, [drop, *base[j:]], network, capacity, best_len)
             if cand is not None and cand.length < best_len:
                 best_len = cand.length
                 best_pair = (i, j)
             if j < last:
-                mid, _, _ = _walk(mid, [base[j]], network, capacity)
+                mid, _ = _walk(mid, [base[j]], network, capacity)
                 if mid is None:
                     break
 

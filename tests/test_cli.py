@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpdplab.cli import aggregate_metrics, main
-from dpdplab.env import EpisodeReport
+from dpdplab.env import EpisodeReport, episode_demand_grid
 from dpdplab.instance import generate_instance, load_instance, save_instance
 from dpdplab.neural import load_tensors, save_tensors
 from dpdplab.policy import QNetworkConfig, Trainer, TrainerConfig
@@ -164,9 +164,10 @@ def test_heatmap_writes_grid(tmp_path):
     out = tmp_path / "hm"
     rc = main(["heatmap", "--instance", str(inst), "--source", "history", "--out", str(out)])
     assert rc == 0
-    rows = (out / "grid.csv").read_text().strip().splitlines()
-    assert len(rows) == 6  # factories
-    assert len(rows[0].split(",")) == 144
+    grid = episode_demand_grid(load_instance(inst))
+    assert grid.shape == (6, 144)  # factories x intervals
+    rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in grid)
+    assert (out / "grid.csv").read_bytes() == rows.encode()
     assert (out / "grid.svg").read_text().startswith("<svg")
 
 
@@ -293,6 +294,12 @@ _BAD_INSTANCES = [
     (("network", "dist", 0, 1), True, ["exact"], "network.dist[0][1]"),
     (("network", "dist", 0), [0.0], ["run", "--policy", "greedy1"], "network.dist must have rows of equal length"),
     (("fleet", "fixed_cost"), "300", ["run", "--policy", "greedy1"], "fleet.fixed_cost"),
+    (("fleet", "unit_cost"), float("inf"), ["run", "--policy", "greedy1"], "fleet.unit_cost"),
+    (("fleet", "fixed_cost"), float("nan"), ["run", "--policy", "greedy1"], "fleet.fixed_cost"),
+    (("network", "speed"), float("inf"), ["run", "--policy", "greedy1"], "network.speed"),
+    (("network", "service_time"), float("nan"), ["run", "--policy", "greedy1"], "network.service_time"),
+    (("network", "nodes", 0, "x"), float("nan"), ["run", "--policy", "greedy1"], "network.nodes[0].x"),
+    (("network", "nodes", 1, "y"), float("-inf"), ["exact"], "network.nodes[1].y"),
     pytest.param(("fleet", "capacity"), 10**400, ["run", "--policy", "greedy1"], "fleet.capacity", id="capacity-10**400"),
 ]
 
@@ -304,6 +311,23 @@ def test_instance_with_wrong_ids_or_integers_fails_cleanly(tmp_path, path, value
     rc, err = _main_in(str(tmp_path), [*command, "--instance", str(inst)])
     _assert_clean_failure(rc, err)
     assert field in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--unit-cost", "inf", "fleet.unit_cost"),
+        ("--fixed-cost", "nan", "fleet.fixed_cost"),
+        ("--speed", "inf", "network.speed"),
+        ("--service-time", "nan", "network.service_time"),
+    ],
+)
+def test_gen_refuses_non_finite_numbers(tmp_path, flag, value, field):
+    argv = ["gen", "--seed", "1", "--orders", "3", "--vehicles", "2", flag, value]
+    rc, err = _main_in(str(tmp_path), argv)
+    _assert_clean_failure(rc, err)
+    assert field in err and "finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 _SMALL = QNetworkConfig(embed_dim=4, mlp_hidden=(4,), attn_heads=1, attn_head_dim=2)
@@ -366,8 +390,8 @@ def test_malformed_checkpoint_fails_cleanly(checkpoint_parts, data):
     if how == "tensor":
         del tensors[data.draw(st.sampled_from(sorted(tensors)))]
     elif how == "state":
-        key = data.draw(st.sampled_from(["episodes_trained", "epsilon", "rng_state"]))
-        if key != "epsilon" and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(["episodes_trained", "rng_state"]))
+        if data.draw(st.booleans()):
             del meta[key]
         else:
             meta[key] = data.draw(st.sampled_from(["8", None, {}, [1], True]))
@@ -444,6 +468,46 @@ def test_integral_number_in_checkpoint_config_loads(tmp_path, checkpoint_parts):
     save_tensors(ckpt, dict(tensors), meta)
     config = Trainer.load_checkpoint(ckpt).online.config
     assert config == _SMALL and type(config.embed_dim) is int
+
+
+def test_negative_episodes_trained_is_refused(tmp_path, checkpoint_parts):
+    """The episode count sets the phase of the target sync, so it cannot be
+    below 0."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_DOC))
+    tensors, meta = checkpoint_parts
+    meta = json.loads(json.dumps(meta))
+    meta["episodes_trained"] = -3
+    ckpt = tmp_path / "neg.ckpt"
+    save_tensors(ckpt, dict(tensors), meta)
+    rc, err = _main_in(str(tmp_path), _checkpoint_argv("eval", ckpt, inst))
+    _assert_clean_failure(rc, err)
+    assert str(ckpt) in err and "meta.episodes_trained must be >= 0" in err
+
+
+@pytest.mark.parametrize("epsilon", [5.0, "x"])
+def test_checkpoint_epsilon_key_is_ignored(tmp_path, checkpoint_parts, epsilon):
+    """Files written while checkpoints still held the last exploration rate
+    load as they are: nothing reads an ``epsilon`` key, whatever it holds."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_DOC))
+    tensors, meta = checkpoint_parts
+    meta = json.loads(json.dumps(meta))
+    meta["epsilon"] = epsilon
+    ckpt = tmp_path / "old.ckpt"
+    save_tensors(ckpt, dict(tensors), meta)
+    assert Trainer.load_checkpoint(ckpt).online.config == _SMALL
+    rc, err = _main_in(str(tmp_path), _checkpoint_argv("eval", ckpt, inst))
+    assert rc == 0, err
+
+
+def test_compare_takes_no_seed(tmp_path, capsys):
+    """``compare`` always acts greedily, so no seed reaches a generator."""
+    inst = _gen(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--instance", str(inst), "--seed", "1", "--out", str(tmp_path / "cmp")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "-1", "5"])

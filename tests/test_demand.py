@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dpdplab.demand import (
     DemandError,
-    DemandGrid,
     build_demand_grid,
     capacity_profile,
     demand_profile,
@@ -24,8 +23,8 @@ JS_HALF_VS_POINT = 0.31127812445913283
 
 def test_empty_orders_zero_grid():
     grid = build_demand_grid([], n_factories=3, intervals=144)
-    assert grid.values.shape == (3, 144)
-    assert grid.total == 0.0
+    assert grid.shape == (3, 144)
+    assert grid.sum() == 0.0
 
 
 def test_quantities_accumulate_per_cell():
@@ -34,15 +33,15 @@ def test_quantities_accumulate_per_cell():
         make_order(1, pickup=1, delivery=2, quantity=3, created_at=35),
     ]
     grid = build_demand_grid(orders, n_factories=3, intervals=144)
-    assert grid.values[1, 3] == 5.0
-    assert grid.total == 5.0
+    assert grid[1, 3] == 5.0
+    assert grid.sum() == 5.0
 
 
 def test_boundary_counts_into_later_interval():
     order = make_order(0, pickup=0, delivery=1, quantity=1, created_at=30)
     grid = build_demand_grid([order], n_factories=2, intervals=144)
-    assert grid.values[0, 3] == 1.0
-    assert grid.values[0, 2] == 0.0
+    assert grid[0, 3] == 1.0
+    assert grid[0, 2] == 0.0
 
 
 def test_pickup_out_of_range_rejected():
@@ -61,39 +60,39 @@ def test_grid_mass_equals_order_mass(qs):
         for i, q in enumerate(qs)
     ]
     grid = build_demand_grid(orders, n_factories=3, intervals=144)
-    assert grid.total == sum(qs)
+    assert grid.sum() == sum(qs)
 
 
 def test_predict_single_day_is_identity():
-    g = DemandGrid(np.arange(12, dtype=float).reshape(3, 4))
+    g = np.arange(12, dtype=float).reshape(3, 4)
     out = predict_grid([g])
-    assert np.array_equal(out.values, g.values)
+    assert np.array_equal(out, g)
 
 
 def test_predict_is_elementwise_mean():
-    days = [DemandGrid(np.full((2, 3), v, dtype=float)) for v in (2.0, 4.0, 6.0)]
+    days = [np.full((2, 3), v, dtype=float) for v in (2.0, 4.0, 6.0)]
     out = predict_grid(days)
-    assert np.all(out.values == 4.0)
+    assert np.all(out == 4.0)
 
 
 def test_predict_zero_history():
-    days = [DemandGrid(np.zeros((2, 2))) for _ in range(3)]
-    assert predict_grid(days).total == 0.0
+    days = [np.zeros((2, 2)) for _ in range(3)]
+    assert predict_grid(days).sum() == 0.0
 
 
 def test_predict_rejects_empty_and_mismatched():
     with pytest.raises(DemandError, match="at least one"):
         predict_grid([])
     with pytest.raises(DemandError, match="does not match"):
-        predict_grid([DemandGrid(np.zeros((2, 2))), DemandGrid(np.zeros((3, 2)))])
+        predict_grid([np.zeros((2, 2)), np.zeros((3, 2))])
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.permutations(list(range(4))))
 def test_predict_permutation_invariant(perm):
-    days = [DemandGrid(np.full((2, 2), float(v))) for v in (1.0, 5.0, 6.0, 8.0)]
+    days = [np.full((2, 2), float(v)) for v in (1.0, 5.0, 6.0, 8.0)]
     shuffled = [days[i] for i in perm]
-    assert np.array_equal(predict_grid(days).values, predict_grid(shuffled).values)
+    assert np.array_equal(predict_grid(days), predict_grid(shuffled))
 
 
 def _simulated_route(net, actions_by_stop, depot=2, start=0.0):
@@ -133,10 +132,10 @@ def test_capacity_profile_returns_to_full_after_unload(line_network):
 def test_demand_profile_lookup(line_network):
     o = make_order(0, pickup=0, delivery=1, created_at=70)
     route = _simulated_route(line_network, [(0, [Action(PICKUP, o)]), (1, [Action(DELIVER, o)])], start=70.0)
-    grid = DemandGrid(np.zeros((2, 144)))
+    grid = np.zeros((2, 144))
     arrival_interval = int(route.walk[2].arrival // 10)
-    grid.values[1, arrival_interval] = 9.0
-    cells = route_cells(route, line_network, grid.intervals)
+    grid[1, arrival_interval] = 9.0
+    cells = route_cells(route, line_network, grid.shape[1])
     prof = demand_profile(cells, grid)
     assert prof[1] == 9.0
     assert cells[1][1:] == (1, arrival_interval)
@@ -146,8 +145,8 @@ def test_demand_profile_clamps_past_midnight(line_network):
     o = make_order(0, pickup=0, delivery=1, created_at=1430, latest_delivery=1440)
     route = _simulated_route(line_network, [(0, [Action(PICKUP, o)]), (1, [Action(DELIVER, o)])], start=1430.0)
     assert route.walk[2].arrival < 1440 < route.walk[3].arrival
-    grid = DemandGrid(np.zeros((2, 144)))
-    cells = route_cells(route, line_network, grid.intervals)
+    grid = np.zeros((2, 144))
+    cells = route_cells(route, line_network, grid.shape[1])
     assert cells[0][1:] == (0, 143)
     assert cells[1][1:] == (1, 143)
 
@@ -224,11 +223,3 @@ def test_score_symmetric_and_bounded(values):
 def test_score_zero_iff_same_shape(base, factor):
     cap, dem = _profiles(base, [v * factor for v in base])
     assert divergence_score(cap, dem) == pytest.approx(0.0, abs=1e-7)
-
-
-def test_csv_export_shape():
-    grid = DemandGrid(np.arange(6, dtype=float).reshape(2, 3))
-    text = grid.to_csv()
-    rows = text.strip().splitlines()
-    assert len(rows) == 2
-    assert rows[0].count(",") == 2

@@ -3,7 +3,7 @@ import pytest
 
 from dpdplab import env
 from dpdplab.baselines import make_greedy_policy, validate_routes
-from dpdplab.demand import DemandError, DemandGrid, capacity_profile, demand_profile, divergence_score, route_cells
+from dpdplab.demand import DemandError, capacity_profile, demand_profile, divergence_score, route_cells
 from dpdplab.env import (
     UnserviceableOrderError,
     build_joint_state,
@@ -217,16 +217,16 @@ def test_positions_follow_routes():
 def test_demand_grid_prefers_history():
     inst = generate_instance(seed=8, n_factories=5, n_orders=6, n_vehicles=2, history_days=2)
     grid = episode_demand_grid(inst)
-    assert grid.values.shape == (5, 144)
+    assert grid.shape == (5, 144)
     inst_no_hist = generate_instance(seed=8, n_factories=5, n_orders=6, n_vehicles=2, history_days=0)
     own = episode_demand_grid(inst_no_hist)
-    assert own.total == sum(o.quantity for o in inst_no_hist.orders)
+    assert own.sum() == sum(o.quantity for o in inst_no_hist.orders)
 
 
 @pytest.mark.parametrize("shape", [(4, 144), (5, 72), (144, 5)])
 def test_forecast_grid_of_another_shape_is_refused(shape):
     inst = generate_instance(seed=8, n_factories=5, n_orders=6, n_vehicles=2, history_days=0)
-    grid = DemandGrid(np.zeros(shape))
+    grid = np.zeros(shape)
     with pytest.raises(DemandError, match=r"\(5, 144\)"):
         run_episode(inst, make_greedy_policy("incremental"), predicted=grid)
     with pytest.raises(DemandError, match=r"\(5, 144\)"):

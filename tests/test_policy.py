@@ -328,7 +328,6 @@ def test_checkpoint_round_trip(tmp_path):
     assert again.episodes_trained == 3
     assert again.online.config == trainer.online.config
     assert again.config == trainer.config
-    assert again.last_epsilon == trainer.last_epsilon
     state = make_state([(3.0, 8.0, 0.5), (1.0, 2.0, 0.1)])
     assert again.online.q_values([state])[0] == pytest.approx(trainer.online.q_values([state])[0])
     assert again.rng.integers(1 << 30) == trainer.rng.integers(1 << 30)

@@ -360,7 +360,7 @@ def test_planner_matches_oracle_fuzz():
             assert res.new_len == pytest.approx(oracle, abs=1e-9)
             assert res.new_len >= res.cur_len - 1e-12
             verdict = check_feasibility(res.best_route, inst.network, inst.fleet)
-            assert verdict.feasible, verdict.detail
+            assert verdict.feasible, verdict.violation
             new_actions = [
                 (a.kind, a.order.id) for s in res.best_route.stops for a in s.actions
                 if a.order.id == order.id
