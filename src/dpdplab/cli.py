@@ -25,7 +25,6 @@ from .demand import build_demand_grid
 from .env import EpisodeReport, episode_demand_grid, run_episode
 from .instance import Instance, generate_instance, load_instance, save_instance
 from .policy import QNetworkConfig, Trainer, TrainerConfig, make_learned_policy
-from .routing import route_dump
 
 POLICY_CHOICES = sorted(set(GREEDY_ALIASES)) + ["learned", "exact_plan"]
 
@@ -219,9 +218,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     policy = _policy_for(args.policy, args.checkpoint, instance, args.epsilon, args.seed)
     label = getattr(policy, "policy_name", args.policy)
     report = _run_one(instance, policy, outdir, label, Path(args.instance).stem)
-    if args.dump_routes:
-        dump = "\n\n".join(route_dump(r) for r in report.routes if not r.is_empty)
-        (outdir / f"routes_{label}.txt").write_text(dump + "\n", encoding="utf-8")
     print(f"policy={label} NUV={report.nuv} TTL={report.ttl:.3f} TC={report.tc:.3f}")
     return 0
 
@@ -336,16 +332,20 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     _write_config(outdir, args)
     path = Path(args.curve)
-    header, *rows = path.read_text(encoding="utf-8").strip().splitlines()
+    # An empty file reads as one empty header, so it has no column.
+    header, *rows = path.read_text(encoding="utf-8").strip().splitlines() or [""]
     cols = header.split(",")
     data = {c: [] for c in cols}
-    for row in rows:
+    for number, row in enumerate(rows, start=2):
         for c, v in zip(cols, row.split(",")):
-            data[c].append(float(v))
+            try:
+                data[c].append(float(v))
+            except ValueError:
+                raise ValueError(f"{path} line {number}: column {c!r} holds {v!r}, not a number") from None
     for metric in args.metrics.split(","):
         metric = metric.strip()
         if metric not in data:
-            raise ValueError(f"curve file has no column {metric!r}")
+            raise ValueError(f"{path}: curve file has no column {metric!r}")
         svg = _svg_polyline({metric: data[metric]}, f"{metric} per episode")
         (outdir / f"curve_{metric}.svg").write_text(svg, encoding="utf-8")
     print(f"wrote curves for {args.metrics} into {outdir}")
@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dump-routes", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_run)
 

@@ -196,15 +196,14 @@ def _fleet_state(
     plans = [plan_insertion(route, order, now, network, fleet) for route in routes]
     interval = instance.interval_of(now)
     features = np.full((len(routes), 5), -1.0)
-    for k, (route, plan) in enumerate(zip(routes, plans)):
+    for k, plan in enumerate(plans):
         if plan.feasible:
             best = plan.best_route
             cells = demand.route_cells(best, network, instance.horizon)
             score = demand.divergence_score(
                 demand.capacity_profile(best, cells, fleet.capacity), demand.demand_profile(cells, predicted)
             )
-            used_flag = 0.0 if route.is_empty else 1.0
-            features[k] = (plan.cur_len, plan.new_len, score, used_flag, interval)
+            features[k] = (plan.cur_len, plan.new_len, score, float(accepted[k] > 0), interval)
     state = JointState(
         features=features,
         feasible=np.array([plan.feasible for plan in plans], dtype=bool),

@@ -349,10 +349,14 @@ def generate_instance(
     history_days: int = 3,
 ) -> Instance:
     """Deterministically generate a synthetic instance for a given seed."""
-    if min(n_factories, n_orders, n_vehicles, horizon) < 1:
-        raise InstanceError("n_factories, n_orders, n_vehicles and horizon must all be >= 1")
+    if min(n_factories, n_orders, n_vehicles, horizon, n_depots) < 1:
+        raise InstanceError("n_factories, n_orders, n_vehicles, horizon and n_depots must all be >= 1")
     if n_factories < 2:
         raise InstanceError("n_factories must be >= 2 so pickup and delivery can differ")
+    if history_days < 0:
+        raise InstanceError(f"history_days must be >= 0, not {history_days}")
+    if not 0.0 <= hot_spot <= 1.0:
+        raise InstanceError(f"hot_spot must be in [0, 1], not {hot_spot}")
     rng = np.random.default_rng(seed)
 
     nodes = []

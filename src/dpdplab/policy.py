@@ -43,6 +43,11 @@ TIE_TOLERANCE = 1e-12
 # States per forward/backward pass in training: large enough to fill the
 # matmuls, small enough that a pass's attention grid stays in cache.
 BLOCK_STATES = 8
+# Training's exploration rate falls linearly from EPSILON_START to
+# EPSILON_FINAL over the first EPSILON_DECAY_FRACTION of the episodes.
+EPSILON_START = 1.0
+EPSILON_FINAL = 0.05
+EPSILON_DECAY_FRACTION = 0.6
 
 
 def _check(ok: bool, message: str) -> None:
@@ -261,9 +266,6 @@ def make_learned_policy(
 @dataclass
 class TrainerConfig:
     gamma: float = 0.95
-    epsilon_start: float = 1.0
-    epsilon_final: float = 0.05
-    epsilon_decay_fraction: float = 0.6
     buffer_capacity: int = 100_000
     batch_size: int = 64
     target_period: int = 5
@@ -277,12 +279,9 @@ class TrainerConfig:
             _check(getattr(self, name) >= 1, f"{name} must be >= 1, not {getattr(self, name)}")
         _check(self.steps_per_episode >= 0, f"steps_per_episode must be >= 0, not {self.steps_per_episode}")
         # Every comparison with NaN is false, so these also refuse NaN.
-        for name in ("gamma", "epsilon_start", "epsilon_final"):
-            _check(0.0 <= getattr(self, name) <= 1.0, f"{name} must be in [0, 1], not {getattr(self, name)}")
+        _check(0.0 <= self.gamma <= 1.0, f"gamma must be in [0, 1], not {self.gamma}")
         for name in ("learning_rate", "alpha"):
             _check(0.0 < getattr(self, name) < np.inf, f"{name} must be finite and > 0, not {getattr(self, name)}")
-        decay = self.epsilon_decay_fraction
-        _check(0.0 <= decay < np.inf, f"epsilon_decay_fraction must be finite and >= 0, not {decay}")
         _check(
             self.buffer_capacity >= self.batch_size,
             f"buffer_capacity must be >= batch_size = {self.batch_size}, not {self.buffer_capacity}",
@@ -306,10 +305,9 @@ class Trainer:
         self.episodes_trained = 0
 
     def epsilon_at(self, episode: int, max_episode: int) -> float:
-        cfg = self.config
-        decay_span = max(1.0, cfg.epsilon_decay_fraction * max_episode)
+        decay_span = max(1.0, EPSILON_DECAY_FRACTION * max_episode)
         frac = min(1.0, episode / decay_span)
-        return cfg.epsilon_start + frac * (cfg.epsilon_final - cfg.epsilon_start)
+        return EPSILON_START + frac * (EPSILON_FINAL - EPSILON_START)
 
     def double_q_target(self, batch: Sequence[Transition]) -> np.ndarray:
         """One target per transition.  Terminal transitions take the raw

@@ -89,13 +89,16 @@ class Route:
     stops: list[Stop]
     start_time: float | None = None
     frozen_until: int = 0
-    length: float = 0.0
     walk: list[WalkState] = field(default_factory=list)
     violation: str | None = None
 
     @classmethod
     def empty(cls, vehicle: int, depot: int) -> "Route":
         return cls(vehicle, depot, [Stop(depot)], walk=[WalkState(depot, 0.0, 0.0, 0, (), 0.0)])
+
+    @property
+    def length(self) -> float:
+        return self.walk[-1].length
 
     @property
     def is_empty(self) -> bool:
@@ -197,15 +200,13 @@ def _record_walk(
 
 
 def simulate_timeline(route: Route, network: RoadNetwork, start_time: float) -> Route:
-    """Record the walk state after each stop, the first violation met and
-    the length.
+    """Record the walk state after each stop and the first violation met.
 
     Pure recomputation at unlimited capacity: a violation is recorded and the
     walk goes on; :func:`check_feasibility` judges the route against a fleet.
     """
     route.start_time = float(start_time)
     route.walk, route.violation = _record_walk(route.stops, network, route.start_time)
-    route.length = route.walk[-1].length
     return route
 
 
@@ -359,16 +360,4 @@ def plan_insertion(
     new_stops = _coalesce([*base[:i], pick, *base[i:j], drop, *base[j:]], frozen)
     best_route = Route(vehicle=route.vehicle, depot=route.depot, stops=new_stops, frozen_until=frozen)
     simulate_timeline(best_route, network, start)
-    return PlannerResult(True, route.length, best_route.length, best_route)
-
-
-def route_dump(route: Route) -> str:
-    """One line per stop: ``node arrival departure [+id|-id]...`` for trace diffing."""
-    lines = []
-    for stop, state in zip(route.stops, route.walk, strict=True):
-        marks = " ".join(
-            ("+" if a.kind == PICKUP else "-") + str(a.order.id) for a in stop.actions
-        )
-        line = f"{stop.node} {state.arrival:.3f} {state.departure:.3f}"
-        lines.append(line + (" " + marks if marks else ""))
-    return "\n".join(lines)
+    return PlannerResult(True, walk[-1].length, best_route.length, best_route)

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpdplab.cli import aggregate_metrics, main
+from dpdplab.cli import aggregate_metrics, build_parser, main
 from dpdplab.env import EpisodeReport, episode_demand_grid
 from dpdplab.instance import generate_instance, load_instance, save_instance
 from dpdplab.neural import load_tensors, save_tensors
@@ -330,6 +332,25 @@ def test_gen_refuses_non_finite_numbers(tmp_path, flag, value, field):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--depots", "0", "n_depots"),
+        ("--depots", "-1", "n_depots"),
+        ("--history-days", "-2", "history_days"),
+        ("--hot-spot", "nan", "hot_spot"),
+        ("--hot-spot", "5", "hot_spot"),
+        ("--hot-spot", "-1", "hot_spot"),
+    ],
+)
+def test_gen_refuses_out_of_range_arguments(tmp_path, flag, value, name):
+    argv = ["gen", "--seed", "1", "--orders", "3", "--vehicles", "2", f"{flag}={value}"]
+    rc, err = _main_in(str(tmp_path), argv)
+    _assert_clean_failure(rc, err)
+    assert name in err
+    assert not (tmp_path / "out").exists()
+
+
 _SMALL = QNetworkConfig(embed_dim=4, mlp_hidden=(4,), attn_heads=1, attn_head_dim=2)
 
 
@@ -431,11 +452,6 @@ _OUT_OF_RANGE = [
     ("trainer_config", "learning_rate", float("nan")),
     ("trainer_config", "learning_rate", 0.0),
     ("trainer_config", "learning_rate", float("inf")),
-    ("trainer_config", "epsilon_start", 1.5),
-    ("trainer_config", "epsilon_final", -0.1),
-    ("trainer_config", "epsilon_final", float("nan")),
-    ("trainer_config", "epsilon_decay_fraction", -1.0),
-    ("trainer_config", "epsilon_decay_fraction", float("inf")),
     ("trainer_config", "alpha", float("nan")),
     ("trainer_config", "alpha", 0.0),
 ]
@@ -510,6 +526,15 @@ def test_compare_takes_no_seed(tmp_path, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+def test_run_takes_no_dump_routes(tmp_path, capsys):
+    """The report JSON is the one route listing a run writes."""
+    inst = _gen(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--instance", str(inst), "--policy", "greedy1", "--dump-routes", "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dump-routes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("epsilon", ["nan", "-1", "5"])
 def test_out_of_range_run_epsilon_fails_cleanly(tmp_path, checkpoint_bytes, epsilon):
     inst = tmp_path / "inst.json"
@@ -522,22 +547,25 @@ def test_out_of_range_run_epsilon_fails_cleanly(tmp_path, checkpoint_bytes, epsi
 
 
 @pytest.mark.parametrize(
-    "removed",
+    "section, removed",
     [
-        {"state_dim": 5},
-        {"feature_scale": [0.02, 0.02, 1.0, 1.0, 1.0 / 144.0]},
-        {"state_dim": 5, "feature_scale": [0.02, 0.02, 1.0, 1.0, 1.0 / 144.0]},
+        ("qnetwork_config", {"state_dim": 5}),
+        ("qnetwork_config", {"feature_scale": [0.02, 0.02, 1.0, 1.0, 1.0 / 144.0]}),
+        ("qnetwork_config", {"state_dim": 5, "feature_scale": [0.02, 0.02, 1.0, 1.0, 1.0 / 144.0]}),
+        ("trainer_config", {"epsilon_start": 1.0, "epsilon_final": 0.05, "epsilon_decay_fraction": 0.6}),
     ],
-    ids=["state_dim", "feature_scale", "both"],
+    ids=["state_dim", "feature_scale", "both", "epsilon_schedule"],
 )
-def test_checkpoint_with_removed_network_fields_is_refused(tmp_path, checkpoint_parts, removed):
+def test_checkpoint_with_removed_network_fields_is_refused(tmp_path, checkpoint_parts, section, removed):
     """Older files whose ``qnetwork_config`` still holds ``state_dim`` or
-    ``feature_scale`` are refused as having unknown fields, not loaded."""
+    ``feature_scale``, or whose ``trainer_config`` still holds the
+    exploration schedule (now the ``policy.EPSILON_*`` constants), are
+    refused as having unknown fields, not loaded."""
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(_DOC))
     tensors, meta = checkpoint_parts
     meta = json.loads(json.dumps(meta))
-    meta["qnetwork_config"].update(removed)
+    meta[section].update(removed)
     ckpt = tmp_path / "old.ckpt"
     save_tensors(ckpt, dict(tensors), meta)
     for command in ("run", "eval"):
@@ -582,10 +610,16 @@ def test_malformed_arguments_fail_cleanly(tmp_path):
     inst = _gen(tmp_path)
     curve = tmp_path / "curve.csv"
     curve.write_text("episode,tc\n0,1.0\n")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    bad_cell = tmp_path / "bad_cell.csv"
+    bad_cell.write_text("episode,tc\n0,1.0\n1,abc\n")
     cases = [
         (["run", "--instance", str(inst), "--policy", "learned"], "--checkpoint is required"),
         (["compare", "--instance", str(inst), "--policies", "greedy1,nope"], "unknown policy 'nope'"),
         (["curves", "--curve", str(curve), "--metrics", "loss"], "no column 'loss'"),
+        (["curves", "--curve", str(empty)], f"{empty}: curve file has no column 'tc'"),
+        (["curves", "--curve", str(bad_cell)], f"{bad_cell} line 3: column 'tc' holds 'abc'"),
         (["exact", "--instance", str(inst), "--budget", "nan"], "budget must be positive"),
     ]
     for argv, message in cases:
@@ -609,3 +643,18 @@ def test_depot_ahead_of_factories_is_refused(tmp_path, command):
     rc, err = _main_in(str(tmp_path), [*command, "--instance", str(inst)])
     _assert_clean_failure(rc, err)
     assert "network.nodes[1]" in err
+
+
+def test_every_flag_is_documented():
+    """Each subcommand flag is named in the README or under docs/."""
+    root = Path(__file__).resolve().parents[1]
+    text = "\n".join(p.read_text(encoding="utf-8") for p in [root / "README.md", *sorted((root / "docs").glob("*.md"))])
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [
+        f"{command} {flag}"
+        for command, parser in subparsers.choices.items()
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help" and not re.search(rf"(?<![\w-]){flag}(?![\w-])", text)
+    ]
+    assert not missing, missing

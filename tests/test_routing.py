@@ -13,7 +13,6 @@ from dpdplab.routing import (
     check_feasibility,
     frozen_index,
     plan_insertion,
-    route_dump,
     simulate_timeline,
     vehicle_position,
 )
@@ -177,6 +176,8 @@ def test_unsimulated_route_is_walked_from_now(deadline, line_network, line_fleet
     else:
         assert res.feasible
         assert res.new_len == pytest.approx(oracle, abs=1e-9)
+        # The route is walked from now: depot 2 -> 0 -> 1 -> 0 -> 2 is 14 km.
+        assert res.cur_len == 14.0
     assert route.start_time is None
     assert route.walk == []
 
@@ -302,15 +303,6 @@ def test_vehicle_position_interpolates(line_network):
     x, y = vehicle_position(route, line_network, 1.5)
     assert (x, y) == pytest.approx((1.5, 0.0))
     assert vehicle_position(route, line_network, 1e9) == line_network.coords(2)
-
-
-def test_route_dump_format(line_network, line_fleet):
-    o = make_order(0, pickup=0, delivery=1, created_at=0)
-    route = plan_insertion(Route.empty(0, 2), o, 0.0, line_network, line_fleet).best_route
-    lines = route_dump(route).splitlines()
-    assert len(lines) == 4
-    assert lines[1].endswith("+0")
-    assert lines[2].endswith("-0")
 
 
 def _random_case(rng):
