@@ -223,6 +223,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    if args.episodes < 0:
+        raise ValueError(f"--episodes must be >= 0, not {args.episodes}")
     outdir = Path(args.out)
     _write_config(outdir, args)
     instances = [load_instance(p) for p in args.instance]
@@ -337,7 +339,10 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     cols = header.split(",")
     data = {c: [] for c in cols}
     for number, row in enumerate(rows, start=2):
-        for c, v in zip(cols, row.split(",")):
+        cells = row.split(",")
+        if len(cells) != len(cols):
+            raise ValueError(f"{path} line {number}: expected {len(cols)} cells as in the header, found {len(cells)}")
+        for c, v in zip(cols, cells):
             try:
                 data[c].append(float(v))
             except ValueError:

@@ -10,8 +10,10 @@ demand score reads a forecast grid of ``n_factories x horizon`` cells; a
 caller's grid of another shape is refused up front.  Rewards
 are cost-shaped: an instant term charging the per-km cost of the detour
 plus the fixed cost when the assignment activates a fresh vehicle, and an
-episode-mean term added to every order's reward once the day ends so the
-summed signal equals the negated scaled total cost.
+episode-mean term added to every order's reward once the day ends.  The
+instant terms alone sum to the negated scaled total cost, and the mean
+terms add the same sum again, so the summed signal is twice the negated
+scaled total cost.
 """
 
 from __future__ import annotations

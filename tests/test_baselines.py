@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from dpdplab.baselines import (
     ExactInfeasibleError,
+    _best_route_for,
     greedy_dispatch,
     make_greedy_policy,
     make_plan_policy,
@@ -14,7 +17,7 @@ from dpdplab.instance import FleetConfig, VehicleSpec, generate_instance
 from dpdplab.routing import DELIVER, PICKUP, Action, Route, Stop, simulate_timeline
 
 from conftest import make_instance, make_network, make_order
-from oracles import exhaustive_optimum
+from oracles import brute_force_route_optimum, exhaustive_optimum
 
 
 def _state(rows, accepted=None):
@@ -110,6 +113,53 @@ def test_exact_matches_exhaustive_enumerator():
     assert res.optimal
     assert res.tc == tc
     assert res.nuv == nuv
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [{}, {"speed": 0.25}, {"service_time": 2.0, "n_depots": 2}],
+    ids=["defaults", "slow", "service-two-depots"],
+)
+def test_pricing_matches_route_oracle_on_every_subset(shape):
+    for seed in range(4):
+        inst = generate_instance(seed=seed, n_factories=6, n_orders=6, n_vehicles=2, **shape)
+        orders_by_id = {o.id: o for o in inst.orders}
+        for depot in {v.depot for v in inst.fleet.vehicles}:
+            for size in range(1, len(orders_by_id) + 1):
+                for ids in itertools.combinations(sorted(orders_by_id), size):
+                    priced = _best_route_for(depot, ids, orders_by_id, inst)
+                    oracle = brute_force_route_optimum(depot, [orders_by_id[i] for i in ids], inst)
+                    assert (priced and priced[0]) == oracle, (seed, depot, ids)
+
+
+def _price(network, fleet, orders):
+    inst = make_instance(network, orders, fleet)
+    orders_by_id = {o.id: o for o in orders}
+    priced = _best_route_for(2, tuple(orders_by_id), orders_by_id, inst)
+    assert (priced and priced[0]) == brute_force_route_optimum(2, orders, inst)
+    return priced
+
+
+def test_pricing_finds_no_sequence_for_a_jointly_late_pair(line_network, line_fleet):
+    # Each order alone arrives exactly at its deadline; either one served
+    # before or around the other is late.
+    first = make_order(0, pickup=1, delivery=0, created_at=0, latest_delivery=11)
+    second = make_order(1, pickup=0, delivery=1, created_at=5, latest_delivery=9)
+    assert _price(line_network, line_fleet, [first]) == (14.0, ((PICKUP, 0), (DELIVER, 0)))
+    assert _price(line_network, line_fleet, [second]) == (14.0, ((PICKUP, 1), (DELIVER, 1)))
+    assert _price(line_network, line_fleet, [first, second]) is None
+
+
+def test_pricing_waits_for_a_late_order_only_after_the_urgent_delivery(line_network, line_fleet):
+    # Picking order 1 right after order 0 means waiting until minute 20 with
+    # order 0 (due at 8) still aboard; that branch is cut before any
+    # delivery, and the optimum delivers order 0 first.
+    urgent = make_order(0, pickup=0, delivery=1, created_at=0, latest_delivery=8)
+    late = make_order(1, pickup=0, delivery=1, created_at=20, latest_delivery=100)
+    assert _price(line_network, line_fleet, [urgent, late]) == (
+        22.0,
+        ((PICKUP, 0), (DELIVER, 0), (PICKUP, 1), (DELIVER, 1)),
+    )
 
 
 def test_exact_budget_validation():

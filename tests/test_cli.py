@@ -614,13 +614,17 @@ def test_malformed_arguments_fail_cleanly(tmp_path):
     empty.write_text("")
     bad_cell = tmp_path / "bad_cell.csv"
     bad_cell.write_text("episode,tc\n0,1.0\n1,abc\n")
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("episode,tc\n0,1.0\n1\n2,3.0,9\n")
     cases = [
         (["run", "--instance", str(inst), "--policy", "learned"], "--checkpoint is required"),
         (["compare", "--instance", str(inst), "--policies", "greedy1,nope"], "unknown policy 'nope'"),
         (["curves", "--curve", str(curve), "--metrics", "loss"], "no column 'loss'"),
         (["curves", "--curve", str(empty)], f"{empty}: curve file has no column 'tc'"),
         (["curves", "--curve", str(bad_cell)], f"{bad_cell} line 3: column 'tc' holds 'abc'"),
+        (["curves", "--curve", str(ragged)], f"{ragged} line 3: expected 2 cells as in the header, found 1"),
         (["exact", "--instance", str(inst), "--budget", "nan"], "budget must be positive"),
+        (["train", "--instance", str(inst), "--episodes", "-2"], "--episodes must be >= 0, not -2"),
     ]
     for argv, message in cases:
         rc, err = _main_in(str(tmp_path), argv)
