@@ -9,7 +9,10 @@ workload it lists, at seed 0 and its ``run_seconds``, once with ``--trace 0``
 (end-to-end metrics) and once with ``--trace 1`` (per-layer metrics).  The
 results ``.perfbench_out/<workload>-seed0-trace<t>.json`` are merged with
 the commit (``git rev-parse HEAD``) into ``BENCH_<LABEL>.json`` at the root
-of the checkout.  The runs take about ``6 * run_seconds`` plus set-up.
+of the checkout.  ``dirty`` is true when tracked files differed from that
+commit as the runs started (``git status --porcelain --untracked-files=no``),
+so the commit alone does not name the measured code.  The runs take about
+``6 * run_seconds`` plus set-up.
 """
 
 import argparse
@@ -27,7 +30,11 @@ def result_path(workload: str, trace: int) -> Path:
     return ROOT / ".perfbench_out" / f"{workload}-seed{SEED}-trace{trace}.json"
 
 
-def merge(label: str, commit: str, seconds: float, results: dict) -> dict:
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def merge(label: str, commit: str, dirty: bool, seconds: float, results: dict) -> dict:
     """One snapshot from ``results[(workload, trace)]``, the result files of
     both traces of every workload: its end-to-end metrics come from the
     untraced run and its per-layer metrics from the traced one."""
@@ -50,6 +57,7 @@ def merge(label: str, commit: str, seconds: float, results: dict) -> dict:
     return {
         "label": label,
         "commit": commit,
+        "dirty": dirty,
         "seed": SEED,
         "seconds": seconds,
         "environment": first["environment"],
@@ -62,6 +70,8 @@ def main() -> int:
     ap.add_argument("label")
     args = ap.parse_args()
 
+    commit = git("rev-parse", "HEAD")
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     results = {}
@@ -71,9 +81,8 @@ def main() -> int:
             print(" ".join(cmd), flush=True)
             subprocess.run(cmd, cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
             results[(workload, trace)] = json.loads(result_path(workload, trace).read_text())
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
     out = ROOT / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(merge(args.label, commit, seconds, results), indent=1) + "\n")
+    out.write_text(json.dumps(merge(args.label, commit, dirty, seconds, results), indent=1) + "\n")
     print(out)
     return 0
 

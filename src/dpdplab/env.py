@@ -7,7 +7,9 @@ current/new route length from the planner, demand-alignment score of the
 planned route, used flag and the current interval index), hands it to a
 dispatch policy, and commits the chosen vehicle's best insertion.  The
 demand score reads a forecast grid of ``n_factories x horizon`` cells; a
-caller's grid of another shape is refused up front.  Rewards
+caller's grid of another shape is refused up front.  Vehicles never
+dispatched from one depot get the same plan, so their demand score is
+computed once per depot and order.  Rewards
 are cost-shaped: an instant term charging the per-km cost of the detour
 plus the fixed cost when the assignment activates a fresh vehicle, and an
 episode-mean term added to every order's reward once the day ends.  The
@@ -189,23 +191,37 @@ def _fleet_state(
 ) -> tuple[JointState, list[PlannerResult]]:
     """Plan ``order`` onto every route; returns the joint state and the plans.
 
+    An idle route (``start_time is None``) is planned from ``now``, so every
+    idle route with the same depot and stops gets the same best route and
+    the same demand score.  That score is computed once per such idle class
+    and copied, bit for bit, to the class's other vehicles; a dispatched
+    route's score is computed for it alone.
+
     The planner, the demand functions and ``vehicle_position`` are looked up
     at call time (``plan_insertion`` as this module's global, the others
     through their modules), so a wrapper installed there, as the perfbench
-    tracer installs, sees every call.
+    tracer installs, sees every call: one plan per vehicle, and one demand
+    score per feasible dispatched vehicle and per feasible idle class.
     """
     network, fleet = instance.network, instance.fleet
     plans = [plan_insertion(route, order, now, network, fleet) for route in routes]
     interval = instance.interval_of(now)
     features = np.full((len(routes), 5), -1.0)
-    for k, plan in enumerate(plans):
-        if plan.feasible:
+    idle_scores: dict[tuple, float] = {}
+    for k, (route, plan) in enumerate(zip(routes, plans, strict=True)):
+        if not plan.feasible:
+            continue
+        idle_class = (route.depot, tuple(route.stops)) if route.start_time is None else None
+        score = idle_scores.get(idle_class)
+        if score is None:
             best = plan.best_route
             cells = demand.route_cells(best, network, instance.horizon)
             score = demand.divergence_score(
                 demand.capacity_profile(best, cells, fleet.capacity), demand.demand_profile(cells, predicted)
             )
-            features[k] = (plan.cur_len, plan.new_len, score, float(accepted[k] > 0), interval)
+            if idle_class is not None:
+                idle_scores[idle_class] = score
+        features[k] = (plan.cur_len, plan.new_len, score, float(accepted[k] > 0), interval)
     state = JointState(
         features=features,
         feasible=np.array([plan.feasible for plan in plans], dtype=bool),

@@ -102,8 +102,9 @@ class FleetConfig:
 class RoadNetwork:
     """Complete directed network over factory and depot nodes.
 
-    ``dist`` may be asymmetric when loaded from a file; when it is ``None``
-    it is derived from coordinates as Euclidean distance (then symmetric and
+    ``dist`` may be asymmetric when loaded from a file, but must satisfy the
+    triangle inequality (checked on load); when it is ``None`` it is derived
+    from coordinates as Euclidean distance (then symmetric and
     triangle-inequality consistent).
     """
 
@@ -298,9 +299,32 @@ def read_json(tp, value, where: str):
     return np.array(rows, dtype=float)
 
 
+def _check_triangle_inequality(dist: np.ndarray) -> None:
+    """Refuse a matrix with ``dist[i][j] > dist[i][k] + dist[k][j]``, beyond a
+    relative tolerance that absorbs the rounding of a Euclidean matrix; the
+    exact solver's lower bound is admissible only without such a shortcut.
+
+    One ``n x n`` comparison per intermediate node ``k`` keeps memory at
+    ``n^2``.
+    """
+    for k in range(len(dist)):
+        via = dist[:, k, None] + dist[None, k, :]
+        bad = np.argwhere(dist > via * (1.0 + 1e-9))
+        if len(bad):
+            i, j = bad[0]
+            raise InstanceError(
+                f"network.dist breaks the triangle inequality: dist[{i}][{j}] = {float(dist[i, j])!r}"
+                f" > dist[{i}][{k}] + dist[{k}][{j}] = {float(via[i, j])!r}"
+            )
+
+
 def instance_from_dict(doc: dict) -> Instance:
+    """Build and validate an instance; a ``dist`` given in the document must
+    also be a metric (a derived Euclidean one is by construction)."""
     inst = read_json(Instance, doc, "")
     inst.validate()
+    if doc["network"].get("dist") is not None:
+        _check_triangle_inequality(inst.network.dist)
     return inst
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpdplab import env
+from dpdplab import demand, env
 from dpdplab.baselines import make_greedy_policy, validate_routes
 from dpdplab.demand import DemandError, capacity_profile, demand_profile, divergence_score, route_cells
 from dpdplab.env import (
@@ -248,3 +248,59 @@ def test_determinism_same_policy():
         return doc
 
     assert stable(r1) == stable(r2)
+
+
+def test_demand_score_is_computed_once_per_idle_depot_class(monkeypatch):
+    """Column 2 equals a per-vehicle recomputation bit for bit, every idle
+    vehicle's row equals the first idle row at its depot, and the score is
+    computed once per feasible dispatched vehicle and per feasible idle
+    depot class."""
+    inst = generate_instance(
+        seed=4, n_factories=8, n_orders=24, n_vehicles=6, n_depots=2, service_time=2.0, speed=0.25
+    )
+    grid = episode_demand_grid(inst)
+    depots = [v.depot for v in inst.fleet.vehicles]
+    planner, plans, score_calls = env.plan_insertion, [], []
+
+    def recording_planner(*args):
+        plans.append(planner(*args))
+        return plans[-1]
+
+    def counting_score(*args):
+        score_calls.append(args)
+        return divergence_score(*args)
+
+    monkeypatch.setattr(env, "plan_insertion", recording_planner)
+    monkeypatch.setattr(demand, "divergence_score", counting_score)
+    greedy = make_greedy_policy("incremental")
+    seen = {"dispatched": 0, "depots_differ": 0}
+
+    def checking_policy(state):
+        assert len(plans) == state.n_vehicles
+        for k, plan in enumerate(plans):
+            if plan.feasible:
+                best = plan.best_route
+                cells = route_cells(best, inst.network, inst.horizon)
+                expected = divergence_score(capacity_profile(best, cells, inst.fleet.capacity), demand_profile(cells, grid))
+                assert state.features[k, 2] == expected
+        first_idle: dict[int, int] = {}
+        dispatched = 0
+        for k in range(state.n_vehicles):
+            if state.accepted[k] == 0:
+                first = first_idle.setdefault(depots[k], k)
+                assert state.features[k].tobytes() == state.features[first].tobytes()
+            elif state.feasible[k]:
+                dispatched += 1
+        idle_classes = sum(1 for k in first_idle.values() if state.feasible[k])
+        assert len(score_calls) == dispatched + idle_classes
+        seen["dispatched"] += dispatched
+        idle_scores = {state.features[k, 2] for k in first_idle.values() if state.feasible[k]}
+        seen["depots_differ"] += len(idle_scores) > 1
+        plans.clear()
+        score_calls.clear()
+        return greedy(state)
+
+    run_episode(inst, checking_policy)
+    # The episode scores dispatched vehicles, and the two depots' idle
+    # classes score differently, so a memo keyed on less than the depot fails.
+    assert seen["dispatched"] > 0 and seen["depots_differ"] > 0

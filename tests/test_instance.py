@@ -167,6 +167,30 @@ def test_asymmetric_distances_accepted():
     assert inst.network.dist[1, 0] == 4.0
 
 
+def test_distance_with_a_shortcut_rejected():
+    doc = json.loads(json.dumps(MINIMAL))
+    # 0 -> 2 -> 1 is 2.0 + 3.0 = 5.0 km, shorter than the direct 5.5.
+    doc["network"]["dist"] = [
+        [0.0, 5.5, 2.0],
+        [4.0, 0.0, 2.5],
+        [2.0, 3.0, 0.0],
+    ]
+    with pytest.raises(InstanceError, match=r"triangle inequality: dist\[0\]\[1\] = 5.5 > dist\[0\]\[2\] \+ dist\[2\]\[1\] = 5.0"):
+        instance_from_dict(doc)
+
+
+def test_euclidean_rounding_passes_the_triangle_check(tmp_path):
+    doc = json.loads(json.dumps(MINIMAL))
+    # Collinear nodes whose computed distances break the inequality by 9e-16.
+    for node, x in zip(doc["network"]["nodes"], (0.0, 2.738, 7.027)):
+        node.update(x=x, y=0.0)
+    derived = instance_from_dict(doc)
+    d = derived.network.dist
+    assert d[0, 2] > d[0, 1] + d[1, 2]
+    again = load_instance(save_instance(derived, tmp_path / "collinear.json"))
+    assert np.array_equal(again.network.dist, d)
+
+
 def test_negative_distance_rejected():
     doc = json.loads(json.dumps(MINIMAL))
     doc["network"]["dist"] = [

@@ -70,8 +70,11 @@ def test_bench_snapshot_merges_both_traces_of_every_workload():
         ("train", 0): _result("train", 0, {"op_p50_ms": 25.0}),
         ("train", 1): _result("train", 1, {"policy.y": 7.0}, correct=False, failed=2),
     }
-    merged = snapshot.merge("main", "abc123", 34, results)
-    assert (merged["label"], merged["commit"], merged["seed"], merged["seconds"]) == ("main", "abc123", 0, 34)
+    merged = snapshot.merge("main", "abc123", False, 34, results)
+    assert (merged["label"], merged["commit"], merged["dirty"], merged["seed"], merged["seconds"]) == (
+        "main", "abc123", False, 0, 34
+    )
+    assert snapshot.merge("main", "abc123", True, 34, results)["dirty"] is True
     assert merged["environment"] == {"python": "3.11"}
     assert list(merged["workloads"]) == ["greedy", "train"]
     greedy, train = merged["workloads"]["greedy"], merged["workloads"]["train"]
@@ -84,4 +87,4 @@ def test_bench_snapshot_merges_both_traces_of_every_workload():
     swapped = dict(results)
     swapped[("train", 0)] = _result("greedy", 0, {})
     with pytest.raises(ValueError, match="train trace 0"):
-        snapshot.merge("main", "abc123", 34, swapped)
+        snapshot.merge("main", "abc123", False, 34, swapped)
