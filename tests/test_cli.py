@@ -295,7 +295,6 @@ _BAD_INSTANCES = [
     (("network", "nodes", 0, "x"), "1.5", ["run", "--policy", "greedy1"], "network.nodes[0].x"),
     (("network", "dist", 0, 1), True, ["exact"], "network.dist[0][1]"),
     (("network", "dist", 0), [0.0], ["run", "--policy", "greedy1"], "network.dist must have rows of equal length"),
-    (("network", "dist", 0, 1), 1000.0, ["exact"], "network.dist breaks the triangle inequality: dist[0][1]"),
     (("fleet", "fixed_cost"), "300", ["run", "--policy", "greedy1"], "fleet.fixed_cost"),
     (("fleet", "unit_cost"), float("inf"), ["run", "--policy", "greedy1"], "fleet.unit_cost"),
     (("fleet", "fixed_cost"), float("nan"), ["run", "--policy", "greedy1"], "fleet.fixed_cost"),
@@ -304,6 +303,8 @@ _BAD_INSTANCES = [
     (("network", "nodes", 0, "x"), float("nan"), ["run", "--policy", "greedy1"], "network.nodes[0].x"),
     (("network", "nodes", 1, "y"), float("-inf"), ["exact"], "network.nodes[1].y"),
     pytest.param(("fleet", "capacity"), 10**400, ["run", "--policy", "greedy1"], "fleet.capacity", id="capacity-10**400"),
+    pytest.param(("network", "dist", 0, 1), 1000.0, ["exact"],
+                 "network.dist breaks the triangle inequality: dist[0][1]", id="dist-non-metric"),
 ]
 
 
