@@ -301,8 +301,10 @@ def read_json(tp, value, where: str):
 
 def _check_triangle_inequality(dist: np.ndarray) -> None:
     """Refuse a matrix with ``dist[i][j] > dist[i][k] + dist[k][j]``, beyond a
-    relative tolerance that absorbs the rounding of a Euclidean matrix; the
-    exact solver's lower bound is admissible only without such a shortcut.
+    relative tolerance that absorbs the rounding of a Euclidean matrix.  Two
+    bounds of the exact solver are admissible only without such a shortcut:
+    its branch-and-bound set bound and its pricing's completion bound, whose
+    ``baselines.COMPLETION_SLACK`` covers this tolerance.
 
     One ``n x n`` comparison per intermediate node ``k`` keeps memory at
     ``n^2``.

@@ -13,7 +13,7 @@ from dpdplab.baselines import (
     validate_routes,
 )
 from dpdplab.env import JointState, run_episode
-from dpdplab.instance import FleetConfig, VehicleSpec, generate_instance
+from dpdplab.instance import FleetConfig, VehicleSpec, generate_instance, instance_from_dict
 from dpdplab.routing import DELIVER, PICKUP, Action, Route, Stop, simulate_timeline
 
 from conftest import make_instance, make_network, make_order
@@ -115,14 +115,37 @@ def test_exact_matches_exhaustive_enumerator():
     assert res.nuv == nuv
 
 
+def _directed_metric(inst, seed):
+    """``inst`` with each Euclidean leg stretched by its own random factor in
+    each direction, then closed under shortest paths and loaded as a file
+    would be (so its triangle inequality is checked).  The completion bound
+    reads ``dist[node][pickup]``, ``dist[pickup][delivery]`` and
+    ``dist[delivery][depot]``; a symmetric matrix cannot tell a reversed leg
+    from the right one."""
+    rng = np.random.default_rng(seed)
+    dist = inst.network.dist * rng.uniform(1.0, 2.0, inst.network.dist.shape)
+    for k in range(len(dist)):
+        dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
+    doc = inst.to_dict()
+    doc["network"]["dist"] = dist.tolist()
+    directed = instance_from_dict(doc)
+    assert not np.allclose(directed.network.dist, directed.network.dist.T)
+    return directed
+
+
+SERVICE_TWO_DEPOTS = {"service_time": 2.0, "n_depots": 2}
+
+
 @pytest.mark.parametrize(
-    "shape",
-    [{}, {"speed": 0.25}, {"service_time": 2.0, "n_depots": 2}],
-    ids=["defaults", "slow", "service-two-depots"],
+    "shape, directed",
+    [({}, False), ({"speed": 0.25}, False), (SERVICE_TWO_DEPOTS, False), (SERVICE_TWO_DEPOTS, True)],
+    ids=["defaults", "slow", "service-two-depots", "directed-metric"],
 )
-def test_pricing_matches_route_oracle_on_every_subset(shape):
+def test_pricing_matches_route_oracle_on_every_subset(shape, directed):
     for seed in range(4):
         inst = generate_instance(seed=seed, n_factories=6, n_orders=6, n_vehicles=2, **shape)
+        if directed:
+            inst = _directed_metric(inst, seed)
         orders_by_id = {o.id: o for o in inst.orders}
         for depot in {v.depot for v in inst.fleet.vehicles}:
             for size in range(1, len(orders_by_id) + 1):
@@ -158,6 +181,32 @@ def test_pricing_waits_for_a_late_order_only_after_the_urgent_delivery(line_netw
     late = make_order(1, pickup=0, delivery=1, created_at=20, latest_delivery=100)
     assert _price(line_network, line_fleet, [urgent, late]) == (
         22.0,
+        ((PICKUP, 0), (DELIVER, 0), (PICKUP, 1), (DELIVER, 1)),
+    )
+
+
+def test_pricing_keeps_an_optimum_that_the_triangle_tolerance_hides():
+    # Nodes pA=0, dA=1, pB=2, dB=3, depot 4.  On the integer matrix,
+    # +A +B -B -A (found first) and +A -A +B -B both measure 15.  Lengthening
+    # pA->pB by 1.2e-9 makes the second strictly shorter.  Lengthening
+    # pB->depot by a relative 0.9e-9, which the load-time check allows,
+    # makes the straight way home from pB (after +A -A +B) longer than the
+    # rest of that route, pB->dB->depot; only the completion slack keeps
+    # the bound from cutting the optimum there.
+    dist = np.array(
+        [[0, 5, 3, 3, 2], [5, 0, 4, 3, 4], [3, 4, 0, 3, 4], [3, 3, 3, 0, 1], [2, 4, 4, 1, 0]],
+        dtype=float,
+    )
+    dist[0, 2] += 1.2e-9
+    dist[2, 4] *= 1 + 0.9e-9
+    net = make_network(coords=[(float(i), 0.0) for i in range(5)], roles=["factory"] * 4 + ["depot"], dist=dist)
+    orders = [make_order(0, pickup=0, delivery=1), make_order(1, pickup=2, delivery=3)]
+    fleet = FleetConfig(vehicles=[VehicleSpec(0, 4)], capacity=10)
+    inst = instance_from_dict(make_instance(net, orders, fleet).to_dict())
+    orders_by_id = {o.id: o for o in inst.orders}
+    assert brute_force_route_optimum(4, inst.orders, inst) == 15.0
+    assert _best_route_for(4, (0, 1), orders_by_id, inst) == (
+        15.0,
         ((PICKUP, 0), (DELIVER, 0), (PICKUP, 1), (DELIVER, 1)),
     )
 

@@ -3,7 +3,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpdplab
 from dpdplab.cli import aggregate_metrics, build_parser, main
 from dpdplab.env import EpisodeReport, episode_demand_grid
 from dpdplab.instance import generate_instance, load_instance, save_instance
@@ -159,6 +163,16 @@ def test_exact_subcommand_writes_plan(tmp_path):
     doc = json.loads((out / "exact.json").read_text())
     assert doc["optimal"] is True
     assert (out / "plan.txt").read_text().startswith("vehicle ")
+
+
+@pytest.mark.parametrize("module", ["dpdplab", "dpdplab.cli"])
+def test_python_m_runs_the_command_line(tmp_path, module):
+    out = tmp_path / "inst.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(dpdplab.__file__).parents[1]))
+    argv = ["gen", "--seed", "1", "--orders", "3", "--vehicles", "2", "--out", str(out)]
+    done = subprocess.run([sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert len(load_instance(out).orders) == 3
 
 
 def test_heatmap_writes_grid(tmp_path):

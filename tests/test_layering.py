@@ -2,8 +2,8 @@
 
 The layers, lowest first: ``instance`` and ``neural``; ``routing``;
 ``demand``; ``env``; ``policy`` and ``baselines`` (with the package root,
-which re-exports the lower layers); ``cli``.  Modules on one layer do not
-import each other.  Imports inside functions count too.
+which re-exports the lower layers); ``cli``; ``__main__``.  Modules on one
+layer do not import each other.  Imports inside functions count too.
 
 The benchmark's tracer wraps dpdplab functions by name; every name it
 patches must still resolve, so a refactor that renames one fails here and
@@ -32,6 +32,7 @@ LAYERS = {
     "baselines": 4,
     ROOT: 4,
     "cli": 5,
+    "__main__": 6,
 }
 
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))

@@ -1,22 +1,26 @@
-"""Greedy outputs pinned to recorded digests.
+"""Greedy and exact-solver outputs pinned to recorded digests.
 
-Each digest is the sha256 of an episode's trace lines plus its report JSON
-(without the two wall-clock fields).  The first set was recorded before the
-fleet state became arrays, the second (two depots, two minutes of service
-per action) before the route walkers were folded into one.  The fleet-state
-digests cover every transition's ``features``, ``feasible``, ``positions``
-and ``accepted`` bytes; they were recorded before the feature rows moved
-from the planner into the environment.  A refactor that is meant to keep
-behaviour must keep these bytes.
+Each greedy digest is the sha256 of an episode's trace lines plus its report
+JSON (without the two wall-clock fields).  The first set was recorded before
+the fleet state became arrays, the second (two depots, two minutes of
+service per action) before the route walkers were folded into one.  The
+fleet-state digests cover every transition's ``features``, ``feasible``,
+``positions`` and ``accepted`` bytes; they were recorded before the feature
+rows moved from the planner into the environment.  The pricing and
+exact-plan digests were recorded before exact pricing gained its completion
+bound; they also see which sequence the pricer picks among equal lengths,
+which the route oracle (lengths only) cannot.  A refactor that is meant to
+keep behaviour must keep these bytes.
 """
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from dpdplab.baselines import make_greedy_policy
+from dpdplab.baselines import _best_route_for, make_greedy_policy, solve_exact
 from dpdplab.env import run_episode
 from dpdplab.instance import generate_instance
 
@@ -100,3 +104,38 @@ def test_greedy_fleet_states_match_recorded_digest(seed, service_depots, rule):
         for array in (s.features, s.feasible, s.positions, s.accepted):
             digest.update(np.ascontiguousarray(array).tobytes())
     assert digest.hexdigest() == RECORDED_FLEET_STATES[(seed, service_depots, rule)]
+
+
+PRICING_SHAPES = [{}, {"speed": 0.25}, {"service_time": 2.0, "n_depots": 2}, {"service_time": 5.0, "n_depots": 2}]
+
+# sha256 of (depot, ids, _best_route_for(...)) over every subset and depot of
+# 6-order instances, seeds 0-7, for each of PRICING_SHAPES (3,024 sets).
+RECORDED_PRICING = "80d66597b452a11cd8ecd59b54bae0d8d038870a115780010fd7fcc695f4b520"
+
+# sha256 of solve_exact's tc, nuv, nodes, assignment and plan lines on
+# 8 factories x 5 vehicles at 7 orders, seeds 0-2.
+RECORDED_EXACT_PLANS = "b102f7c688694ca72b39e5fe5c63e3c05e731cde403be92144b4acad27a6a6d9"
+
+
+def test_exact_pricing_matches_recorded_digest():
+    digest = hashlib.sha256()
+    for shape in PRICING_SHAPES:
+        for seed in range(8):
+            inst = generate_instance(seed=seed, n_factories=6, n_orders=6, n_vehicles=2, **shape)
+            orders_by_id = {o.id: o for o in inst.orders}
+            for depot in sorted({v.depot for v in inst.fleet.vehicles}):
+                for size in range(1, len(orders_by_id) + 1):
+                    for ids in itertools.combinations(sorted(orders_by_id), size):
+                        priced = _best_route_for(depot, ids, orders_by_id, inst)
+                        digest.update(repr((depot, ids, priced)).encode() + b"\n")
+    assert digest.hexdigest() == RECORDED_PRICING
+
+
+def test_exact_plans_match_recorded_digest():
+    digest = hashlib.sha256()
+    for seed in range(3):
+        res = solve_exact(generate_instance(seed=seed, n_factories=8, n_orders=7, n_vehicles=5))
+        fields = (res.tc, res.nuv, res.nodes_explored, sorted(res.assignment.items()), res.optimal)
+        digest.update(repr(fields).encode())
+        digest.update("\n".join(res.plan_lines()).encode())
+    assert digest.hexdigest() == RECORDED_EXACT_PLANS
