@@ -31,14 +31,6 @@ from .routing import DELIVER, PICKUP, Action, Route, Stop, simulate_timeline
 
 GREEDY_RULES = ("incremental", "total", "max_orders")
 
-# Exact pricing's completion bound stands in a way home of at most three
-# legs for the rest of a route.  Under the load-time triangle check (a
-# relative 1e-9 per shortcut) it can exceed the m legs it replaces by a
-# factor of at most (1 + 1e-9)^m, and the float sums over those legs round
-# by at most m * 2^-53 relative, so a route of m legs needs a slack of
-# about m * (1e-9 + 1.1e-16): 1e-6 covers routes of up to 1000 legs.
-COMPLETION_SLACK = 1e-6
-
 GREEDY_ALIASES = {
     "greedy1": "incremental",
     "greedy2": "total",
@@ -141,6 +133,15 @@ class _Budget:
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.exhausted = True
         return self.exhausted
+
+
+# Exact pricing's completion bound stands in a way home of at most three
+# legs for the rest of a route.  Under the load-time triangle check (a
+# relative 1e-9 per shortcut) it can exceed the m legs it replaces by a
+# factor of at most (1 + 1e-9)^m, and the float sums over those legs round
+# by at most m * 2^-53 relative, so a route of m legs needs a slack of
+# about m * (1e-9 + 1.1e-16): 1e-6 covers routes of up to 1000 legs.
+COMPLETION_SLACK = 1e-6
 
 
 def _best_route_for(
