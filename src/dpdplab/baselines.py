@@ -27,7 +27,7 @@ import numpy as np
 
 from .env import EpisodeReport, JointState
 from .instance import DeliveryOrder, Instance
-from .routing import DELIVER, PICKUP, Action, Route, Stop, simulate_timeline
+from .routing import DEADLINE_TOLERANCE, DELIVER, PICKUP, Action, Route, Stop, simulate_timeline
 
 GREEDY_RULES = ("incremental", "total", "max_orders")
 
@@ -175,7 +175,7 @@ def _best_route_for(
     delivery = [o.delivery for o in orders]
     quantity = [o.quantity for o in orders]
     created = [float(o.created_at) for o in orders]
-    deadline = [o.latest_delivery + 1e-9 for o in orders]
+    deadline = [o.latest_delivery + DEADLINE_TOLERANCE for o in orders]
     n = len(orders)
     # earliest[mask]: the earliest deadline among the orders in ``mask``.
     earliest = [math.inf] * (1 << n)

@@ -195,6 +195,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_repeats(names: Sequence[str], what: str) -> None:
+    """Refuse a name given twice: both of its runs would write one report file."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"{what} {name!r} is given twice; its second run would overwrite the first's report")
+
+
 def _run_one(instance: Instance, policy, outdir: Path, label: str, instance_label: str) -> EpisodeReport:
     report, _ = run_episode(instance, policy)
     validation = validate_routes(report, instance)
@@ -253,6 +260,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    _refuse_repeats([Path(path).stem for path in args.instance], "instance name")
     outdir = Path(args.out)
     _write_config(outdir, args)
     net = Trainer.load_checkpoint(args.checkpoint).online
@@ -292,11 +300,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     _write_config(outdir, args)
     instance = load_instance(args.instance)
+    policies = [_policy_for(name.strip(), args.checkpoint, instance) for name in args.policies.split(",")]
+    labels = [policy.policy_name for policy in policies]
+    _refuse_repeats(labels, "policy")
     rows = []
-    for name in args.policies.split(","):
-        name = name.strip()
-        policy = _policy_for(name, args.checkpoint, instance)
-        label = getattr(policy, "policy_name", name)
+    for policy, label in zip(policies, labels):
         report = _run_one(instance, policy, outdir, label, Path(args.instance).stem)
         rows.append({"policy": label, "nuv": report.nuv, "ttl": report.ttl, "tc": report.tc})
     if args.exact:

@@ -191,11 +191,11 @@ def _fleet_state(
 ) -> tuple[JointState, list[PlannerResult]]:
     """Plan ``order`` onto every route; returns the joint state and the plans.
 
-    An idle route (``start_time is None``) is planned from ``now``, so every
-    idle route with the same depot and stops gets the same best route and
-    the same demand score.  That score is computed once per such idle class
-    and copied, bit for bit, to the class's other vehicles; a dispatched
-    route's score is computed for it alone.
+    An idle route (``start_time is None``) is its depot stop planned from
+    ``now``, so every idle route with the same depot gets the same best
+    route and the same demand score.  That score is computed once per such
+    idle class and copied, bit for bit, to the class's other vehicles; a
+    dispatched route's score is computed for it alone.
 
     The planner, the demand functions and ``vehicle_position`` are looked up
     at call time (``plan_insertion`` as this module's global, the others
@@ -207,11 +207,11 @@ def _fleet_state(
     plans = [plan_insertion(route, order, now, network, fleet) for route in routes]
     interval = instance.interval_of(now)
     features = np.full((len(routes), 5), -1.0)
-    idle_scores: dict[tuple, float] = {}
+    idle_scores: dict[int, float] = {}
     for k, (route, plan) in enumerate(zip(routes, plans, strict=True)):
         if not plan.feasible:
             continue
-        idle_class = (route.depot, tuple(route.stops)) if route.start_time is None else None
+        idle_class = route.depot if route.start_time is None else None
         score = idle_scores.get(idle_class)
         if score is None:
             best = plan.best_route

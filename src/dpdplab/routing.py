@@ -8,11 +8,12 @@ covers four constraints: delivery time windows, vehicle capacity, LIFO
 loading (only the most recently loaded undelivered order may be unloaded),
 and back-to-depot.
 
-All walking rests on two pieces: :func:`_process_actions` runs one stop's
+All walking is one forward pass: :func:`_process_actions` runs one stop's
 actions, and :func:`_walk` advances a :class:`WalkState` through further
-stops, stopping at the first violation.  :func:`simulate_timeline` records
-the walk state after every stop of a route, so the planner starts each
-insertion candidate from a recorded state instead of re-walking the prefix.
+stops, stopping at the first violation and recording each state on request.
+:func:`simulate_timeline` records a route's walk through it, so the planner
+starts each insertion candidate from a recorded state instead of re-walking
+the prefix, and :func:`check_feasibility` re-walks a route through it.
 
 Dispatching must not interfere with a moving vehicle: stops up to
 ``frozen_until`` (the stop the vehicle currently occupies or is driving
@@ -27,12 +28,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .instance import DeliveryOrder, FleetConfig, RoadNetwork
 
 PICKUP = "pickup"
 DELIVER = "deliver"
+
+# Minutes a delivery may finish past its deadline and still count as on
+# time.  Exact pricing cuts with the same tolerance, so a priced route walks
+# through to its end.
+DEADLINE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,10 @@ class Route:
     until the first order is committed).  ``walk`` is the route's only
     timeline: ``walk[i]`` is the state after ``stops[i]``, its arrival and
     departure included.  :func:`simulate_timeline` fills it and ``violation``,
-    the first time-window or LIFO violation met (``None`` if there was none).
-    An empty route's walk is its depot stop at minute 0.
+    the first time-window or LIFO violation met (``None`` if there was none);
+    the walk of an infeasible route ends at the stop of that violation.
+    A never-dispatched route is :meth:`empty`: its depot stop alone, walked
+    at minute 0.
     """
 
     vehicle: int
@@ -163,65 +171,27 @@ def _process_actions(
             elif kind is None:
                 kind = "lifo"
             t += service_time
-            if t > o.latest_delivery + 1e-9 and kind is None:
+            if t > o.latest_delivery + DEADLINE_TOLERANCE and kind is None:
                 kind = "time-window"
             load -= o.quantity
     return t, load, kind
-
-
-def _record_walk(
-    stops: Sequence[Stop], network: RoadNetwork, start_time: float
-) -> tuple[list[WalkState], str | None]:
-    """Walk every stop at unlimited capacity; returns the walk state after
-    each stop and the first violation.
-
-    The first stop is reached by a zero-length leg (``dist`` has a zero
-    diagonal), so the walk starts there at ``start_time``.
-    """
-    dist = network.dist
-    speed = network.speed
-    service = network.service_time
-    t = start_time
-    load = 0
-    stack: list[int] = []
-    length = 0.0
-    prev = stops[0].node
-    walk: list[WalkState] = []
-    violation = None
-    for stop in stops:
-        leg = float(dist[prev, stop.node])
-        length += leg
-        arrival = t + leg / speed
-        t, load, kind = _process_actions(arrival, load, stack, stop.actions, service, math.inf)
-        violation = violation or kind
-        prev = stop.node
-        walk.append(WalkState(prev, arrival, t, load, tuple(stack), length))
-    return walk, violation
-
-
-def simulate_timeline(route: Route, network: RoadNetwork, start_time: float) -> Route:
-    """Record the walk state after each stop and the first violation met.
-
-    Pure recomputation at unlimited capacity: a violation is recorded and the
-    walk goes on; :func:`check_feasibility` judges the route against a fleet.
-    """
-    route.start_time = float(start_time)
-    route.walk, route.violation = _record_walk(route.stops, network, route.start_time)
-    return route
 
 
 def _walk(
     state: WalkState,
     stops: Iterable[Stop],
     network: RoadNetwork,
-    capacity: int,
+    capacity: float,
     best_len: float = math.inf,
+    record: list[WalkState] | None = None,
 ) -> tuple[WalkState | None, str | None]:
     """Advance ``state`` through further stops; returns (state, violation),
     the state being ``None`` at the first violation.
 
     Abandons with ``(None, None)`` once the length reaches ``best_len``,
-    since distances are non-negative and cannot recover.
+    since distances are non-negative and cannot recover.  When ``record`` is
+    given, the state after each stop walked is appended to it, the stop of a
+    violation included.
     """
     dist = network.dist
     speed = network.speed
@@ -237,9 +207,29 @@ def _walk(
         arrival = t + leg / speed
         prev = node
         t, load, kind = _process_actions(arrival, load, stack, stop.actions, service, capacity)
+        if record is not None:
+            record.append(WalkState(prev, arrival, t, load, tuple(stack), length))
         if kind is not None:
             return None, kind
+    if record:
+        return record[-1], None
     return WalkState(prev, arrival, t, load, tuple(stack), length), None
+
+
+def simulate_timeline(route: Route, network: RoadNetwork, start_time: float) -> Route:
+    """Record the walk state after each stop and the first violation met.
+
+    Walks from the first stop at ``start_time`` (``dist`` has a zero
+    diagonal, so reaching it takes no time) at unlimited capacity, so the
+    recorded walk runs through every stop or ends at the first time-window
+    or LIFO violation; :func:`check_feasibility` judges the route against a
+    fleet.
+    """
+    route.start_time = t = float(start_time)
+    route.walk = []
+    origin = WalkState(route.stops[0].node, t, t, 0, (), 0.0)
+    _, route.violation = _walk(origin, route.stops, network, math.inf, record=route.walk)
+    return route
 
 
 def frozen_index(route: Route, now: float) -> int:
@@ -248,9 +238,7 @@ def frozen_index(route: Route, now: float) -> int:
     The stop the vehicle occupies (waiting or serving) or is driving toward.
     A never-dispatched or completed route freezes up to its last stop.
     """
-    if route.start_time is None:
-        return 0
-    for idx, (_, state) in enumerate(zip(route.stops, route.walk, strict=True)):
+    for idx, state in enumerate(route.walk):
         if state.departure > now:
             return idx
     return len(route.stops) - 1
@@ -259,7 +247,7 @@ def frozen_index(route: Route, now: float) -> int:
 def vehicle_position(route: Route, network: RoadNetwork, now: float) -> tuple[float, float]:
     """Planar position at ``now``: linear interpolation along the current leg."""
     walk = route.walk
-    if route.start_time is None or now <= walk[0].departure:
+    if now <= walk[0].departure:
         return network.coords(route.stops[0].node)
     for prev, cur in zip(walk, walk[1:]):
         if now < cur.arrival:
@@ -319,11 +307,12 @@ def plan_insertion(
     pair.  Infeasibility is a value (`PlannerResult.no_fit`), not an error.
     """
     capacity = fleet.capacity
-    start = route.start_time if route.start_time is not None else float(now)
-    walk, violation = route.walk, route.violation
-    if route.start_time is None:
-        walk, violation = _record_walk(route.stops, network, start)
-    if violation is not None or max(s.load for s in walk) > capacity:
+    start, walk = route.start_time, route.walk
+    if start is None:
+        # A never-dispatched route is its depot stop; it leaves now.
+        start = float(now)
+        walk = [WalkState(route.depot, start, start, 0, (), 0.0)]
+    if route.violation is not None or max(s.load for s in walk) > capacity:
         raise RuntimeError(f"committed route of vehicle {route.vehicle} became infeasible")
 
     frozen = frozen_index(route, now)

@@ -624,6 +624,7 @@ def test_heatmap_of_missing_history_fails_cleanly(tmp_path):
 
 def test_malformed_arguments_fail_cleanly(tmp_path):
     inst = _gen(tmp_path)
+    twin_a, twin_b = _gen(tmp_path, "d1/a.json"), _gen(tmp_path, "d2/a.json")
     curve = tmp_path / "curve.csv"
     curve.write_text("episode,tc\n0,1.0\n")
     empty = tmp_path / "empty.csv"
@@ -641,6 +642,10 @@ def test_malformed_arguments_fail_cleanly(tmp_path):
         (["curves", "--curve", str(ragged)], f"{ragged} line 3: expected 2 cells as in the header, found 1"),
         (["exact", "--instance", str(inst), "--budget", "nan"], "budget must be positive"),
         (["train", "--instance", str(inst), "--episodes", "-2"], "--episodes must be >= 0, not -2"),
+        (["compare", "--instance", str(inst), "--policies", "greedy1,incremental"], "policy 'incremental' is given twice"),
+        # Names are refused before the checkpoint is read, so none is needed.
+        (["eval", "--checkpoint", str(tmp_path / "none.npz"), "--instance", str(twin_a), "--instance", str(twin_b)],
+         "instance name 'a' is given twice"),
     ]
     for argv, message in cases:
         rc, err = _main_in(str(tmp_path), argv)

@@ -143,6 +143,18 @@ def test_late_delivery_violates_window(line_network, line_fleet):
     assert verdict.violation == "time-window"
 
 
+@pytest.mark.parametrize(
+    "build, violation, walked",
+    [(_crossed_route, "lifo", 3), (_late_route, "time-window", 3), (_overloaded_route, None, 4)],
+)
+def test_recorded_walk_ends_at_first_violation(build, violation, walked, line_network):
+    # Capacity is not checked at unlimited capacity, so the overloaded route
+    # records its whole walk; the planner refuses it through the loads.
+    route = build(line_network)
+    assert route.violation == violation
+    assert [w.node for w in route.walk] == [s.node for s in route.stops[:walked]]
+
+
 @pytest.mark.parametrize("build", [_crossed_route, _late_route, _overloaded_route])
 def test_plan_refuses_infeasible_committed_route(build, line_network, line_fleet):
     route = build(line_network)
@@ -151,35 +163,23 @@ def test_plan_refuses_infeasible_committed_route(build, line_network, line_fleet
         plan_insertion(route, o, 0.0, line_network, line_fleet)
 
 
-def _unsimulated_route():
-    o1 = make_order(0, pickup=0, delivery=1, created_at=0)
-    o3 = make_order(3, pickup=1, delivery=0, created_at=0)
-    return _route(2, [
-        Stop(2),
-        Stop(0, (Action(PICKUP, o1),)),
-        Stop(1, (Action(DELIVER, o1), Action(PICKUP, o3))),
-        Stop(0, (Action(DELIVER, o3),)),
-        Stop(2),
-    ])
-
-
 @pytest.mark.parametrize("deadline", [16, 30])
-def test_unsimulated_route_is_walked_from_now(deadline, line_network, line_fleet):
+def test_idle_route_is_planned_from_now(deadline, line_network, line_fleet):
     # From minute 10 the new order reaches node 1 at 17 at the earliest, so
     # the deadline of 16 only fits a walk that wrongly starts at minute 0.
-    route = _unsimulated_route()
+    route = Route.empty(0, depot=2)
     o = make_order(8, pickup=0, delivery=1, created_at=0, latest_delivery=deadline)
     res = plan_insertion(route, o, 10.0, line_network, line_fleet)
     oracle = brute_force_best_insertion(route, o, 10.0, line_network, line_fleet)
     if oracle is None:
+        assert deadline == 16
         assert not res.feasible
     else:
         assert res.feasible
         assert res.new_len == pytest.approx(oracle, abs=1e-9)
-        # The route is walked from now: depot 2 -> 0 -> 1 -> 0 -> 2 is 14 km.
-        assert res.cur_len == 14.0
+        assert res.best_route.walk[0].departure == 10.0
     assert route.start_time is None
-    assert route.walk == []
+    assert route.walk == Route.empty(0, depot=2).walk
 
 
 def test_route_must_return_to_depot(line_network, line_fleet):
