@@ -15,6 +15,17 @@ stops, stopping at the first violation and recording each state on request.
 starts each insertion candidate from a recorded state instead of re-walking
 the prefix, and :func:`check_feasibility` re-walks a route through it.
 
+The planner screens gap pairs by length before it walks them whole
+(Savelsbergh, *ORSA J. Computing* 4(2), 1992; Campbell & Savelsbergh,
+*Transportation Science* 38(3), 2004, without their time-window slack).  The
+walks through the pickup and on to each delivery gap decide which pairs
+capacity and LIFO allow, and each allowed pair's length follows in O(1) from
+the committed walk.  Pairs are walked best prediction first, each walk cut
+at the best length so far, until a prediction passes that length by more
+than ``SCREEN_SLACK``; the walk, not the prediction, decides, so the answer
+and its tie-break are those of a full scan.  The winner's timeline resumes
+from the committed walk's states of the stops the insertion leaves in place.
+
 Dispatching must not interfere with a moving vehicle: stops up to
 ``frozen_until`` (the stop the vehicle currently occupies or is driving
 toward) stay in place, and new stops may only be inserted after them.
@@ -39,6 +50,14 @@ DELIVER = "deliver"
 # time.  Exact pricing cuts with the same tolerance, so a priced route walks
 # through to its end.
 DEADLINE_TOLERANCE = 1e-9
+
+# The planner stops confirming gap pairs once a predicted length exceeds the
+# best walked length by this relative slack.  A prediction adds the same legs
+# as the walk it stands for, in a different order, so over m legs the two
+# differ by at most about 2m * 2^-53 of the longer of the committed and the
+# new length (the new one, on a metric).  Like baselines.COMPLETION_SLACK,
+# 1e-6 leaves a wide margin over that for any route the lab plans.
+SCREEN_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -200,7 +219,7 @@ def _walk(
     stack = list(stack)
     for stop in stops:
         node = stop.node
-        leg = float(dist[prev, node])
+        leg = dist.item(prev, node)
         length += leg
         if length >= best_len:
             return None, None
@@ -216,19 +235,25 @@ def _walk(
     return WalkState(prev, arrival, t, load, tuple(stack), length), None
 
 
-def simulate_timeline(route: Route, network: RoadNetwork, start_time: float) -> Route:
+def simulate_timeline(
+    route: Route, network: RoadNetwork, start_time: float, prefix: list[WalkState] | None = None
+) -> Route:
     """Record the walk state after each stop and the first violation met.
 
     Walks from the first stop at ``start_time`` (``dist`` has a zero
     diagonal, so reaching it takes no time) at unlimited capacity, so the
     recorded walk runs through every stop or ends at the first time-window
     or LIFO violation; :func:`check_feasibility` judges the route against a
-    fleet.
+    fleet.  ``prefix``, when given, holds the states of the route's first
+    stops as this walk would record them; it becomes the start of
+    ``route.walk``, and the walk resumes after it.
     """
     route.start_time = t = float(start_time)
-    route.walk = []
-    origin = WalkState(route.stops[0].node, t, t, 0, (), 0.0)
-    _, route.violation = _walk(origin, route.stops, network, math.inf, record=route.walk)
+    if prefix:
+        route.walk, state = prefix, prefix[-1]
+    else:
+        route.walk, state = [], WalkState(route.stops[0].node, t, t, 0, (), 0.0)
+    _, route.violation = _walk(state, route.stops[len(route.walk):], network, math.inf, record=route.walk)
     return route
 
 
@@ -300,11 +325,16 @@ def plan_insertion(
 ) -> PlannerResult:
     """Find the shortest feasible way to serve ``order`` with this vehicle.
 
-    Enumerates every pickup/delivery gap pair strictly after the frozen
+    Considers every pickup/delivery gap pair strictly after the frozen
     prefix, keeping existing stops in their relative order; the new stops go
     before the final depot return (a completed route gets a fresh return
-    appended).  Ties on length resolve to the lexicographically smallest gap
-    pair.  Infeasibility is a value (`PlannerResult.no_fit`), not an error.
+    appended).  Pairs are screened by their predicted length and confirmed
+    best first by one bounded walk each (see the module docstring); the
+    answer is the feasible pair of least (walked length, pickup gap,
+    delivery gap), so ties on length go to the lexicographically smallest
+    gap pair.  The best route's walk resumes from the committed walk's
+    states of the stops it keeps.  Infeasibility is a value
+    (`PlannerResult.no_fit`), not an error.
     """
     capacity = fleet.capacity
     start, walk = route.start_time, route.walk
@@ -322,31 +352,49 @@ def plan_insertion(
     last = len(base) - 1
 
     # A candidate with the pickup in gap i starts from the walk state after
-    # stop i - 1 of the committed route.
+    # stop i - 1 of the committed route; with the delivery in gap j it then
+    # drives from ``mid`` to the delivery and on to stop j, and from there
+    # the committed route's rest.  An appended depot return adds nothing.
     pick = Stop(order.pickup, (Action(PICKUP, order),))
     drop = Stop(order.delivery, (Action(DELIVER, order),))
-
-    best_len = math.inf
-    best_pair: tuple[int, int] | None = None
+    dist = network.dist
+    cur_len = walk[-1].length
+    candidates = []
     for i in range(frozen + 1, last + 1):
-        mid, _ = _walk(walk[i - 1], [pick], network, capacity, best_len)
+        mid, _ = _walk(walk[i - 1], [pick], network, capacity)
         if mid is None:
             continue
         for j in range(i, last + 1):
-            cand, _ = _walk(mid, [drop, *base[j:]], network, capacity, best_len)
-            if cand is not None and cand.length < best_len:
-                best_len = cand.length
-                best_pair = (i, j)
+            rest = cur_len - walk[j].length if j < len(walk) else 0.0
+            via_drop = dist.item(mid.node, drop.node) + dist.item(drop.node, base[j].node)
+            candidates.append((mid.length + via_drop + rest, i, j, mid))
             if j < last:
                 mid, _ = _walk(mid, [base[j]], network, capacity)
                 if mid is None:
                     break
+
+    candidates.sort()
+    best_len = math.inf
+    best_pair: tuple[int, int] | None = None
+    for predicted, i, j, mid in candidates:
+        if predicted > best_len * (1.0 + SCREEN_SLACK):
+            break
+        # An earlier gap pair also wins on an equal length.
+        cut = math.nextafter(best_len, math.inf) if best_pair is not None and (i, j) < best_pair else best_len
+        cand, _ = _walk(mid, [drop, *base[j:]], network, capacity, cut)
+        if cand is not None:
+            best_len, best_pair = cand.length, (i, j)
 
     if best_pair is None:
         return PlannerResult.no_fit()
 
     i, j = best_pair
     new_stops = _coalesce([*base[:i], pick, *base[i:j], drop, *base[j:]], frozen)
+    # No stop after the frozen one shares a node with its successor in a
+    # planned route, so _coalesce keeps every stop before i - 1, and stop
+    # i - 1 too unless the pickup merges into it; their committed states are
+    # what a walk from ``start`` records.
+    kept = i - 1 if new_stops[i - 1] is not base[i - 1] else i
     best_route = Route(vehicle=route.vehicle, depot=route.depot, stops=new_stops, frozen_until=frozen)
-    simulate_timeline(best_route, network, start)
-    return PlannerResult(True, walk[-1].length, best_route.length, best_route)
+    simulate_timeline(best_route, network, start, walk[:kept])
+    return PlannerResult(True, cur_len, best_route.length, best_route)

@@ -9,8 +9,10 @@ fleet-state digests cover every transition's ``features``, ``feasible``,
 rows moved from the planner into the environment.  The pricing and
 exact-plan digests were recorded before exact pricing gained its completion
 bound; they also see which sequence the pricer picks among equal lengths,
-which the route oracle (lengths only) cannot.  A refactor that is meant to
-keep behaviour must keep these bytes.
+which the route oracle (lengths only) cannot.  The insertion-plan digest was
+recorded before the planner screened its gap pairs by length; it sees which
+gap pair wins among equal lengths, which the brute-force oracle cannot.  A
+refactor that is meant to keep behaviour must keep these bytes.
 """
 
 import hashlib
@@ -22,7 +24,10 @@ import pytest
 
 from dpdplab.baselines import _best_route_for, make_greedy_policy, solve_exact
 from dpdplab.env import run_episode
-from dpdplab.instance import generate_instance
+from dpdplab.instance import DEPOT, FACTORY, FleetConfig, VehicleSpec, generate_instance
+from dpdplab.routing import Route, plan_insertion, simulate_timeline
+
+from conftest import make_network, make_order
 
 RECORDED = {
     (0, "incremental"): "e26641731082e453c2cf9d13e4305500bee456d3ff54a76ba3c7279555ea38e8",
@@ -139,3 +144,61 @@ def test_exact_plans_match_recorded_digest():
         digest.update(repr(fields).encode())
         digest.update("\n".join(res.plan_lines()).encode())
     assert digest.hexdigest() == RECORDED_EXACT_PLANS
+
+
+# sha256 of (feasible, cur_len, new_len, stops, walk) of every plan in
+# _planner_corpus().
+RECORDED_PLANS = "8a496bc7d0e79d867ea0cebadd3bb392a7a87584f2ab4fabcbe3cf3ae9b1ee69"
+
+
+def _planner_corpus():
+    """Plan seeded orders onto one vehicle each of 300 small networks.
+
+    Nodes sit on a 4 x 4 integer grid, so many gap pairs give equal lengths,
+    and tight deadlines and capacities of 2-6 reject many of them.  ``now``
+    advances between orders, so plans meet frozen prefixes and completed
+    trips.  Each feasible plan is committed.
+    """
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        n_factories = int(rng.integers(3, 7))
+        cells = rng.choice(16, size=n_factories + 1, replace=False)
+        network = make_network(
+            coords=[(float(c % 4), float(c // 4)) for c in cells],
+            roles=[FACTORY] * n_factories + [DEPOT],
+            service_time=float(rng.integers(0, 2)),
+        )
+        depot = n_factories
+        fleet = FleetConfig(vehicles=[VehicleSpec(0, depot)], capacity=int(rng.integers(2, 7)))
+        route = Route.empty(0, depot)
+        now = 0
+        for oid in range(12):
+            now += int(rng.integers(0, 8))
+            pickup, delivery = (int(n) for n in rng.choice(n_factories, size=2, replace=False))
+            order = make_order(
+                oid, pickup, delivery, quantity=int(rng.integers(1, 3)),
+                created_at=now, latest_delivery=now + int(rng.integers(4, 25)),
+            )
+            res = plan_insertion(route, order, float(now), network, fleet)
+            yield network, res
+            if res.feasible:
+                route = res.best_route
+
+
+def test_insertion_plans_match_recorded_digest():
+    digest = hashlib.sha256()
+    plans = 0
+    for network, res in _planner_corpus():
+        stops = walk = None
+        if res.feasible:
+            best = res.best_route
+            stops = [(s.node, [(a.kind, a.order.id) for a in s.actions]) for s in best.stops]
+            walk = best.walk
+            fresh = simulate_timeline(
+                Route(best.vehicle, best.depot, list(best.stops)), network, best.start_time
+            )
+            assert (fresh.walk, fresh.violation) == (best.walk, best.violation)
+        digest.update(repr((res.feasible, res.cur_len, res.new_len, stops, walk)).encode() + b"\n")
+        plans += 1
+    assert plans == 3600
+    assert digest.hexdigest() == RECORDED_PLANS

@@ -226,26 +226,24 @@ def test_plan_matches_brute_force_small(line_network, line_fleet):
         route = res.best_route
 
 
-def test_plan_tie_breaks_to_earliest_gap():
-    # Insertion before or after the existing stop costs the same by symmetry;
-    # the earlier gap pair must win.
-    net = make_network(
-        coords=[(0.0, 1.0), (0.0, -1.0), (-1.0, 0.0), (0.0, 0.0)],
-        roles=[FACTORY, FACTORY, FACTORY, DEPOT],
-    )
-    fleet = FleetConfig(vehicles=[VehicleSpec(0, 3)], capacity=10)
-    base_order = make_order(7, pickup=2, delivery=2 + 0, created_at=0)  # placeholder
-    base_order = make_order(7, pickup=2, delivery=0, created_at=0)
-    route = Route.empty(0, depot=3)
-    route = plan_insertion(route, base_order, 0.0, net, fleet).best_route
-    o = make_order(8, pickup=0, delivery=1, created_at=0)
-    res = plan_insertion(route, o, 0.0, net, fleet)
-    oracle = brute_force_best_insertion(route, o, 0.0, net, fleet)
-    assert res.new_len == pytest.approx(oracle, abs=1e-9)
-    stops = res.best_route.stops
-    first_new = min(i for i, s in enumerate(stops) if Action(PICKUP, o) in s.actions)
-    alt = [i for i, s in enumerate(stops) if Action(DELIVER, o) in s.actions]
-    assert first_new < alt[0]
+def test_plan_tie_breaks_to_earliest_gap(line_network, line_fleet):
+    # Route depot -> 7 km (pick o1) -> 3 km (drop o1) -> depot.  A new order
+    # from 3 km to 7 km fits inside o1's trip (gap pair (2, 2), 7+4+4+4+3) or
+    # after it (gap pair (3, 3), 7+4+0+4+7): both are 22.0 exactly, and the
+    # earlier gap pair wins.
+    o1 = make_order(0, pickup=1, delivery=0, created_at=0)
+    route = plan_insertion(Route.empty(0, 2), o1, 0.0, line_network, line_fleet).best_route
+    o2 = make_order(1, pickup=0, delivery=1, created_at=0)
+    res = plan_insertion(route, o2, 0.0, line_network, line_fleet)
+    assert res.new_len == 22.0 == brute_force_best_insertion(route, o2, 0.0, line_network, line_fleet)
+    assert res.best_route.stops == [
+        Stop(2),
+        Stop(1, (Action(PICKUP, o1),)),
+        Stop(0, (Action(PICKUP, o2),)),
+        Stop(1, (Action(DELIVER, o2),)),
+        Stop(0, (Action(DELIVER, o1),)),
+        Stop(2),
+    ]
 
 
 def test_frozen_prefix_preserved(line_network, line_fleet):
@@ -351,10 +349,15 @@ def test_planner_matches_oracle_fuzz():
             assert res.feasible
             assert res.new_len == pytest.approx(oracle, abs=1e-9)
             assert res.new_len >= res.cur_len - 1e-12
-            verdict = check_feasibility(res.best_route, inst.network, inst.fleet)
+            best = res.best_route
+            verdict = check_feasibility(best, inst.network, inst.fleet)
             assert verdict.feasible, verdict.violation
+            # The planner reuses the committed walk's prefix; a fresh walk
+            # of the same stops must record the same states.
+            fresh = simulate_timeline(Route(0, best.depot, list(best.stops)), inst.network, best.start_time)
+            assert (fresh.walk, fresh.violation) == (best.walk, best.violation)
             new_actions = [
-                (a.kind, a.order.id) for s in res.best_route.stops for a in s.actions
+                (a.kind, a.order.id) for s in best.stops for a in s.actions
                 if a.order.id == order.id
             ]
             assert new_actions == [("pickup", order.id), ("deliver", order.id)]
