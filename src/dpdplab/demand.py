@@ -4,29 +4,33 @@ A demand grid is a plain ``(n_factories, intervals)`` float array whose cell
 (i, j) holds the total cargo quantity created at factory i during interval j.
 Forecasting is element-wise averaging over past days' grids.
 
-For a planned route we find the (factory, arrival-interval) cell of each
-factory stop once, with :func:`route_cells`, and read two aligned vectors
-over those cells: the vehicle's residual capacity on arrival and the
-forecast demand.  Their Jensen-Shannon divergence (base-2 logarithm, so the
-value lies in [0, 1]) measures how poorly the route's spare capacity tracks
-where demand is expected; low values indicate cheap opportunities to absorb
-nearby future orders.
+For a planned route, :func:`route_cells` reads the (factory, arrival-interval)
+cell of each factory stop from its walk into aligned integer arrays, which
+index two aligned vectors: the vehicle's residual capacity on arrival and
+the forecast demand.  Their Jensen-Shannon divergence (base-2 logarithm, so
+the value lies in [0, 1]) measures how poorly the route's spare capacity
+tracks where demand is expected; low values indicate cheap opportunities to
+absorb nearby future orders.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from .instance import DeliveryOrder, MINUTES_PER_DAY, RoadNetwork
+from .instance import DeliveryOrder, MINUTES_PER_DAY
 from .routing import Route
 
 JS_SMOOTHING = 1e-9
 
+_NODE, _ARRIVAL, _LOAD = itemgetter(0), itemgetter(1), itemgetter(3)
+
 
 class DemandError(ValueError):
-    """Raised on malformed grids or profile vectors."""
+    """Raised on malformed grids, profile vectors or route walks."""
 
 
 def build_demand_grid(
@@ -60,28 +64,32 @@ def predict_grid(history: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack(history).mean(axis=0)
 
 
-def route_cells(route: Route, network: RoadNetwork, intervals: int) -> list[tuple[int, int, int]]:
-    """(stop index, factory, arrival interval) for each non-depot stop of a
-    simulated route; arrival intervals past the end of the day clamp to the
-    final interval."""
-    width = MINUTES_PER_DAY / intervals
-    return [
-        (idx, stop.node, min(max(int(state.arrival // width), 0), intervals - 1))
-        for idx, (stop, state) in enumerate(zip(route.stops, route.walk, strict=True))
-        if not network.is_depot(stop.node)
-    ]
+def route_cells(route: Route, n_factories: int, intervals: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(n_factories, intervals)`` grid cells of a simulated route's
+    factory stops: their stop indices, factories and arrival intervals, as
+    aligned integer arrays.  Arrival intervals past the end of the day clamp
+    to the final interval.  Factories are the nodes below ``n_factories``
+    (an instance lists them before its depots)."""
+    walk = route.walk
+    if len(walk) != len(route.stops):
+        raise DemandError(f"route of vehicle {route.vehicle} has {len(route.stops)} stops but a walk of {len(walk)}")
+    nodes = np.fromiter(map(_NODE, walk), np.intp, len(walk))
+    stops = (nodes < n_factories).nonzero()[0]
+    cell = np.fromiter(map(_ARRIVAL, walk), float, len(walk))[stops]
+    np.floor_divide(cell, MINUTES_PER_DAY / intervals, out=cell)
+    return stops, nodes[stops], cell.clip(0, intervals - 1, out=cell).astype(np.intp)
 
 
-def capacity_profile(route: Route, cells: Sequence[tuple[int, int, int]], capacity: int) -> np.ndarray:
-    """Residual capacity on arrival at each of the route's cells."""
-    return np.array(
-        [float(capacity - (route.walk[idx - 1].load if idx > 0 else 0)) for idx, _, _ in cells], dtype=float
-    )
+def capacity_profile(route: Route, cells: Sequence[np.ndarray], capacity: int) -> np.ndarray:
+    """Residual capacity on arrival at each of the route's cells; the load on
+    arrival at a stop is the load after the stop before it, 0 at the first."""
+    loads = np.fromiter(chain((0,), map(_LOAD, route.walk)), float, len(route.walk))
+    return capacity - loads[cells[0]]
 
 
-def demand_profile(cells: Sequence[tuple[int, int, int]], grid: np.ndarray) -> np.ndarray:
+def demand_profile(cells: Sequence[np.ndarray], grid: np.ndarray) -> np.ndarray:
     """Forecast demand at each cell's (factory, interval) coordinate."""
-    return np.array([grid[f, j] for _, f, j in cells], dtype=float)
+    return grid[cells[1], cells[2]].astype(float, copy=False)
 
 
 def divergence_score(capacity: np.ndarray, demand: np.ndarray) -> float:

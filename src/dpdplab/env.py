@@ -8,12 +8,12 @@ planned route, used flag and the current interval index), hands it to a
 dispatch policy, and commits the chosen vehicle's best insertion.  The
 demand score reads a forecast grid of ``n_factories x horizon`` cells; a
 caller's grid of another shape is refused up front.  Vehicles never
-dispatched from one depot get the same plan, so their demand score is
-computed once per depot and order.  Rewards
-are cost-shaped: an instant term charging the per-km cost of the detour
-plus the fixed cost when the assignment activates a fresh vehicle, and an
-episode-mean term added to every order's reward once the day ends.  The
-instant terms alone sum to the negated scaled total cost, and the mean
+dispatched from one depot get the same plan and stand at that depot, so
+their demand score and position are computed once per depot and order.
+Rewards are cost-shaped: an instant term charging the per-km cost of the
+detour plus the fixed cost when the assignment activates a fresh vehicle,
+and an episode-mean term added to every order's reward once the day ends.
+The instant terms alone sum to the negated scaled total cost, and the mean
 terms add the same sum again, so the summed signal is twice the negated
 scaled total cost.
 """
@@ -193,39 +193,42 @@ def _fleet_state(
 
     An idle route (``start_time is None``) is its depot stop planned from
     ``now``, so every idle route with the same depot gets the same best
-    route and the same demand score.  That score is computed once per such
-    idle class and copied, bit for bit, to the class's other vehicles; a
-    dispatched route's score is computed for it alone.
+    route, feature row and position (its depot).  These are computed once
+    per such idle class and copied, bit for bit, to the class's other
+    vehicles; a dispatched route's are computed for it alone.  The demand
+    cells index ``predicted``, the instance's checked (factories, intervals) grid.
 
     The planner, the demand functions and ``vehicle_position`` are looked up
     at call time (``plan_insertion`` as this module's global, the others
     through their modules), so a wrapper installed there, as the perfbench
-    tracer installs, sees every call: one plan per vehicle, and one demand
-    score per feasible dispatched vehicle and per feasible idle class.
+    tracer installs, sees every call: one plan per vehicle, one demand
+    score per feasible dispatched vehicle and per feasible idle class, and
+    one position per dispatched vehicle and per idle class.
     """
     network, fleet = instance.network, instance.fleet
     plans = [plan_insertion(route, order, now, network, fleet) for route in routes]
     interval = instance.interval_of(now)
-    features = np.full((len(routes), 5), -1.0)
-    idle_scores: dict[int, float] = {}
+    rows, positions = [], []
+    memo: dict[int | None, tuple[tuple[float, ...], tuple[float, float]]] = {}
     for k, (route, plan) in enumerate(zip(routes, plans, strict=True)):
-        if not plan.feasible:
-            continue
         idle_class = route.depot if route.start_time is None else None
-        score = idle_scores.get(idle_class)
-        if score is None:
-            best = plan.best_route
-            cells = demand.route_cells(best, network, instance.horizon)
-            score = demand.divergence_score(
-                demand.capacity_profile(best, cells, fleet.capacity), demand.demand_profile(cells, predicted)
-            )
-            if idle_class is not None:
-                idle_scores[idle_class] = score
-        features[k] = (plan.cur_len, plan.new_len, score, float(accepted[k] > 0), interval)
+        if idle_class is None or idle_class not in memo:
+            row = (-1.0,) * 5
+            if plan.feasible:
+                best = plan.best_route
+                cells = demand.route_cells(best, *predicted.shape)
+                score = demand.divergence_score(
+                    demand.capacity_profile(best, cells, fleet.capacity), demand.demand_profile(cells, predicted)
+                )
+                row = (plan.cur_len, plan.new_len, score, float(accepted[k] > 0), interval)
+            memo[idle_class] = row, routing.vehicle_position(route, network, now)
+        row, position = memo[idle_class]
+        rows.append(row)
+        positions.append(position)
     state = JointState(
-        features=features,
+        features=np.array(rows, dtype=float),
         feasible=np.array([plan.feasible for plan in plans], dtype=bool),
-        positions=np.array([routing.vehicle_position(r, network, now) for r in routes], dtype=float),
+        positions=np.array(positions, dtype=float),
         accepted=np.array(accepted, dtype=int),
         order_id=order.id,
     )

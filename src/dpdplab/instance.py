@@ -133,9 +133,6 @@ class RoadNetwork:
     def n_factories(self) -> int:
         return len(self.factory_ids)
 
-    def is_depot(self, node: int) -> bool:
-        return self.nodes[node].role == DEPOT
-
     def coords(self, node: int) -> tuple[float, float]:
         n = self.nodes[node]
         return (n.x, n.y)

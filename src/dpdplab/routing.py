@@ -8,12 +8,14 @@ covers four constraints: delivery time windows, vehicle capacity, LIFO
 loading (only the most recently loaded undelivered order may be unloaded),
 and back-to-depot.
 
-All walking is one forward pass: :func:`_process_actions` runs one stop's
-actions, and :func:`_walk` advances a :class:`WalkState` through further
-stops, stopping at the first violation and recording each state on request.
+All walking is one forward pass, one loop over stops and their actions:
+:func:`_walk` advances a :class:`WalkState` through further stops, stopping
+at the first violation and recording each state on request.
 :func:`simulate_timeline` records a route's walk through it, so the planner
 starts each insertion candidate from a recorded state instead of re-walking
-the prefix, and :func:`check_feasibility` re-walks a route through it.
+the prefix, and :func:`check_feasibility` re-walks a route through it.  A
+walk's departures never decrease, so :func:`frozen_index` and
+:func:`vehicle_position` find the state of a given minute by bisection.
 
 The planner screens gap pairs by length before it walks them whole
 (Savelsbergh, *ORSA J. Computing* 4(2), 1992; Campbell & Savelsbergh,
@@ -38,7 +40,9 @@ the fleet state's feature rows.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .instance import DeliveryOrder, FleetConfig, RoadNetwork
@@ -95,6 +99,12 @@ class WalkState(NamedTuple):
     load: int
     stack: tuple[int, ...]
     length: float
+
+
+# A walk's departures never decrease (legs, waits and service only add time),
+# so the first state left after a given minute is found by bisecting them.
+_DEPARTURE = itemgetter(2)
+_LOAD = itemgetter(3)
 
 
 @dataclass
@@ -158,44 +168,6 @@ class PlannerResult:
 # Walking a route
 
 
-def _process_actions(
-    t: float,
-    load: int,
-    stack: list[int],
-    actions: Iterable[Action],
-    service_time: float,
-    capacity: float,
-) -> tuple[float, int, str | None]:
-    """Run all of a stop's actions; returns (time, load, violation) with the
-    first violation met, or ``None``.
-
-    Pickups wait for the order's creation minute before loading; a delivery
-    must finish (including its service time) by the order's deadline.  A
-    delivery whose order is not on top of the stack skips its pop.
-    """
-    kind = None
-    for act in actions:
-        o = act.order
-        if act.kind == PICKUP:
-            if t < o.created_at:
-                t = float(o.created_at)
-            t += service_time
-            load += o.quantity
-            stack.append(o.id)
-            if load > capacity and kind is None:
-                kind = "capacity"
-        else:
-            if stack and stack[-1] == o.id:
-                stack.pop()
-            elif kind is None:
-                kind = "lifo"
-            t += service_time
-            if t > o.latest_delivery + DEADLINE_TOLERANCE and kind is None:
-                kind = "time-window"
-            load -= o.quantity
-    return t, load, kind
-
-
 def _walk(
     state: WalkState,
     stops: Iterable[Stop],
@@ -207,8 +179,10 @@ def _walk(
     """Advance ``state`` through further stops; returns (state, violation),
     the state being ``None`` at the first violation.
 
-    Abandons with ``(None, None)`` once the length reaches ``best_len``,
-    since distances are non-negative and cannot recover.  When ``record`` is
+    Each stop runs all of its actions and keeps the first violation met; a
+    delivery whose order is not on top of the stack skips its pop.  Abandons
+    with ``(None, None)`` once the length reaches ``best_len``, since
+    distances are non-negative and cannot recover.  When ``record`` is
     given, the state after each stop walked is appended to it, the stop of a
     violation included.
     """
@@ -223,9 +197,28 @@ def _walk(
         length += leg
         if length >= best_len:
             return None, None
-        arrival = t + leg / speed
+        arrival = t = t + leg / speed
         prev = node
-        t, load, kind = _process_actions(arrival, load, stack, stop.actions, service, capacity)
+        kind = None
+        for act in stop.actions:
+            o = act.order
+            if act.kind == PICKUP:
+                if t < o.created_at:
+                    t = float(o.created_at)
+                t += service
+                load += o.quantity
+                stack.append(o.id)
+                if load > capacity and kind is None:
+                    kind = "capacity"
+            else:
+                if stack and stack[-1] == o.id:
+                    stack.pop()
+                elif kind is None:
+                    kind = "lifo"
+                t += service
+                if t > o.latest_delivery + DEADLINE_TOLERANCE and kind is None:
+                    kind = "time-window"
+                load -= o.quantity
         if record is not None:
             record.append(WalkState(prev, arrival, t, load, tuple(stack), length))
         if kind is not None:
@@ -263,10 +256,8 @@ def frozen_index(route: Route, now: float) -> int:
     The stop the vehicle occupies (waiting or serving) or is driving toward.
     A never-dispatched or completed route freezes up to its last stop.
     """
-    for idx, state in enumerate(route.walk):
-        if state.departure > now:
-            return idx
-    return len(route.stops) - 1
+    idx = bisect_right(route.walk, now, key=_DEPARTURE)
+    return idx if idx < len(route.walk) else len(route.stops) - 1
 
 
 def vehicle_position(route: Route, network: RoadNetwork, now: float) -> tuple[float, float]:
@@ -274,16 +265,17 @@ def vehicle_position(route: Route, network: RoadNetwork, now: float) -> tuple[fl
     walk = route.walk
     if now <= walk[0].departure:
         return network.coords(route.stops[0].node)
-    for prev, cur in zip(walk, walk[1:]):
-        if now < cur.arrival:
-            travel = cur.arrival - prev.departure
-            frac = (now - prev.departure) / travel if travel > 0 else 1.0
-            x0, y0 = network.coords(prev.node)
-            x1, y1 = network.coords(cur.node)
-            return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
-        if now < cur.departure:
-            return network.coords(cur.node)
-    return network.coords(walk[-1].node)
+    idx = bisect_right(walk, now, key=_DEPARTURE)
+    if idx == len(walk):
+        return network.coords(walk[-1].node)
+    prev, cur = walk[idx - 1], walk[idx]
+    if now >= cur.arrival:
+        return network.coords(cur.node)
+    travel = cur.arrival - prev.departure
+    frac = (now - prev.departure) / travel if travel > 0 else 1.0
+    x0, y0 = network.coords(prev.node)
+    x1, y1 = network.coords(cur.node)
+    return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
 
 
 def check_feasibility(route: Route, network: RoadNetwork, fleet: FleetConfig) -> Verdict:
@@ -342,7 +334,7 @@ def plan_insertion(
         # A never-dispatched route is its depot stop; it leaves now.
         start = float(now)
         walk = [WalkState(route.depot, start, start, 0, (), 0.0)]
-    if route.violation is not None or max(s.load for s in walk) > capacity:
+    if route.violation is not None or max(map(_LOAD, walk)) > capacity:
         raise RuntimeError(f"committed route of vehicle {route.vehicle} became infeasible")
 
     frozen = frozen_index(route, now)

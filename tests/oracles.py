@@ -11,7 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from dpdplab.instance import Instance
+import numpy as np
+
+from dpdplab.instance import DEPOT, MINUTES_PER_DAY, Instance
 from dpdplab.policy import FEATURE_SCALE, SENTINEL_Q
 from dpdplab.routing import PICKUP, Route
 
@@ -85,6 +87,57 @@ def brute_force_best_insertion(route: Route, order, now, network, fleet):
         if length is not None and (best is None or length < best):
             best = length
     return best
+
+
+def frozen_index_reference(route: Route, now):
+    """Index of the first walk state left after ``now`` by a linear scan,
+    or the last stop when there is none."""
+    for idx, state in enumerate(route.walk):
+        if state.departure > now:
+            return idx
+    return len(route.stops) - 1
+
+
+def vehicle_position_reference(route: Route, network, now):
+    """Position at ``now`` by a linear scan over the walk's legs: at a stop
+    while the vehicle waits or serves there, interpolated along a leg while
+    it drives (at the leg's end for a leg of no duration)."""
+    walk = route.walk
+    if now <= walk[0].departure:
+        return network.coords(route.stops[0].node)
+    for prev, cur in zip(walk, walk[1:]):
+        if now < cur.arrival:
+            travel = cur.arrival - prev.departure
+            frac = (now - prev.departure) / travel if travel > 0 else 1.0
+            x0, y0 = network.coords(prev.node)
+            x1, y1 = network.coords(cur.node)
+            return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
+        if now < cur.departure:
+            return network.coords(cur.node)
+    return network.coords(walk[-1].node)
+
+
+def route_cells_reference(route: Route, network, intervals):
+    """(stop index, factory, arrival interval) of each non-depot stop, one
+    stop at a time; intervals clamp to the day."""
+    width = MINUTES_PER_DAY / intervals
+    return [
+        (idx, stop.node, min(max(int(state.arrival // width), 0), intervals - 1))
+        for idx, (stop, state) in enumerate(zip(route.stops, route.walk, strict=True))
+        if network.nodes[stop.node].role != DEPOT
+    ]
+
+
+def capacity_profile_reference(route: Route, cells, capacity):
+    """Residual capacity on arrival at each reference cell."""
+    return np.array(
+        [float(capacity - (route.walk[idx - 1].load if idx > 0 else 0)) for idx, _, _ in cells], dtype=float
+    )
+
+
+def demand_profile_reference(cells, grid):
+    """Forecast demand at each reference cell."""
+    return np.array([grid[f, j] for _, f, j in cells], dtype=float)
 
 
 def brute_force_route_optimum(depot, orders, instance: Instance):

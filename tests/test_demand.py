@@ -12,10 +12,11 @@ from dpdplab.demand import (
     predict_grid,
     route_cells,
 )
+from dpdplab.instance import MINUTES_PER_DAY, generate_instance
 from dpdplab.routing import DELIVER, PICKUP, Action, Route, Stop, simulate_timeline
 
 from conftest import make_order
-from oracles import js_reference
+from oracles import capacity_profile_reference, demand_profile_reference, js_reference, route_cells_reference
 
 # Frozen with oracles.js_reference([0.5, 0.5], [1.0, 0.0]).
 JS_HALF_VS_POINT = 0.31127812445913283
@@ -109,7 +110,7 @@ def test_capacity_profile_tracks_residual(line_network):
         line_network,
         [(0, [Action(PICKUP, o1)]), (1, [Action(DELIVER, o1)])],
     )
-    prof = capacity_profile(route, route_cells(route, line_network, 144), capacity=10)
+    prof = capacity_profile(route, route_cells(route, line_network.n_factories, 144), capacity=10)
     assert list(prof) == [10.0, 6.0]
 
 
@@ -125,7 +126,7 @@ def test_capacity_profile_returns_to_full_after_unload(line_network):
             (1, [Action(DELIVER, o2)]),
         ],
     )
-    prof = capacity_profile(route, route_cells(route, line_network, 144), capacity=10)
+    prof = capacity_profile(route, route_cells(route, line_network.n_factories, 144), capacity=10)
     assert list(prof) == [10.0, 6.0, 10.0, 8.0]
 
 
@@ -135,10 +136,11 @@ def test_demand_profile_lookup(line_network):
     grid = np.zeros((2, 144))
     arrival_interval = int(route.walk[2].arrival // 10)
     grid[1, arrival_interval] = 9.0
-    cells = route_cells(route, line_network, grid.shape[1])
+    cells = route_cells(route, line_network.n_factories, grid.shape[1])
     prof = demand_profile(cells, grid)
     assert prof[1] == 9.0
-    assert cells[1][1:] == (1, arrival_interval)
+    factories, intervals = cells[1:]
+    assert (factories[1], intervals[1]) == (1, arrival_interval)
 
 
 def test_demand_profile_clamps_past_midnight(line_network):
@@ -146,16 +148,82 @@ def test_demand_profile_clamps_past_midnight(line_network):
     route = _simulated_route(line_network, [(0, [Action(PICKUP, o)]), (1, [Action(DELIVER, o)])], start=1430.0)
     assert route.walk[2].arrival < 1440 < route.walk[3].arrival
     grid = np.zeros((2, 144))
-    cells = route_cells(route, line_network, grid.shape[1])
-    assert cells[0][1:] == (0, 143)
-    assert cells[1][1:] == (1, 143)
+    _, factories, intervals = route_cells(route, line_network.n_factories, grid.shape[1])
+    assert (factories[0], intervals[0]) == (0, 143)
+    assert (factories[1], intervals[1]) == (1, 143)
 
 
 def test_depot_only_route_gives_empty_profiles(line_network):
     route = Route.empty(0, depot=2)
     simulate_timeline(route, line_network, 0.0)
-    prof = capacity_profile(route, route_cells(route, line_network, 144), 10)
+    prof = capacity_profile(route, route_cells(route, line_network.n_factories, 144), 10)
     assert len(prof) == 0
+
+
+def test_route_cells_refuse_a_walk_cut_short(line_network):
+    o1 = make_order(0, pickup=0, delivery=1, created_at=0)
+    o2 = make_order(1, pickup=0, delivery=1, created_at=0)
+    # o1 is delivered from under o2: the walk ends at that LIFO violation.
+    route = _simulated_route(
+        line_network,
+        [(0, [Action(PICKUP, o1), Action(PICKUP, o2)]), (1, [Action(DELIVER, o1)]), (1, [Action(DELIVER, o2)])],
+    )
+    assert route.violation == "lifo" and len(route.walk) < len(route.stops)
+    with pytest.raises(DemandError, match="walk of"):
+        route_cells(route, line_network.n_factories, 144)
+
+
+def _nested_route(network, depot, n_stops, start, rng):
+    """A simulated depot-to-depot route of ``n_stops`` stops whose orders
+    nest (LIFO), with depot visits between trips and pickups that wait for
+    orders created later than the vehicle arrives."""
+    if n_stops == 1:
+        route = Route.empty(0, depot)
+        return simulate_timeline(route, network, start)
+    stops, stack, oid = [Stop(depot)], [], 0
+    while len(stops) < n_stops - 1:
+        room = n_stops - 1 - len(stops)
+        roll = rng.random()
+        if stack and (roll < 0.5 or len(stack) + 2 > room):
+            o = stack.pop()
+            stops.append(Stop(o.delivery, (Action(DELIVER, o),)))
+        elif len(stack) + 2 <= room and (roll >= 0.1 or len(stops) == 1):
+            pickup, delivery = (int(n) for n in rng.choice(network.n_factories, 2))
+            o = make_order(oid, pickup, delivery, int(rng.integers(1, 6)), int(start + rng.uniform(0, 300)), 10**7)
+            stops.append(Stop(pickup, (Action(PICKUP, o),)))
+            stack.append(o)
+            oid += 1
+        else:
+            stops.append(Stop(depot))
+    route = Route(0, depot, [*stops, Stop(depot)])
+    return simulate_timeline(route, network, start)
+
+
+@pytest.mark.parametrize("intervals", [144, 7])
+@pytest.mark.parametrize(
+    "n_stops, start",
+    [(1, 0.0), (4, 0.0), (4, 1435.0), (5, 20.0), (25, 1300.0), (60, 0.0), (150, 100.0), (300, 0.0)],
+)
+def test_array_profiles_equal_the_per_stop_reference(n_stops, start, intervals):
+    # The arrays must give the reference's floats bit for bit, or the pinned
+    # greedy digests move: a depot-only route, routes past midnight and
+    # routes of 4 to 300 stops with depot visits mid-route.
+    rng = np.random.default_rng(n_stops * 7919 + int(start) + intervals)
+    network = generate_instance(seed=n_stops, n_factories=8, n_orders=1, n_vehicles=1, n_depots=2).network
+    route = _nested_route(network, network.depot_ids[-1], n_stops, start, rng)
+    assert route.violation is None and len(route.walk) == len(route.stops) == n_stops
+    if start > 1000:
+        assert route.walk[-1].arrival > MINUTES_PER_DAY
+    grid = rng.uniform(0.0, 5.0, (network.n_factories, intervals))
+    cells = route_cells(route, network.n_factories, intervals)
+    reference = route_cells_reference(route, network, intervals)
+    assert [tuple(int(v) for v in cell) for cell in zip(*cells)] == reference
+    for array, expected in [
+        (capacity_profile(route, cells, 7), capacity_profile_reference(route, reference, 7)),
+        (demand_profile(cells, grid), demand_profile_reference(reference, grid)),
+    ]:
+        assert array.dtype == expected.dtype == np.float64
+        assert array.tobytes() == expected.tobytes()
 
 
 def _profiles(cap_values, dem_values):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpdplab import demand, env
+from dpdplab import demand, env, routing
 from dpdplab.baselines import make_greedy_policy, validate_routes
 from dpdplab.demand import DemandError, capacity_profile, demand_profile, divergence_score, route_cells
 from dpdplab.env import (
@@ -105,7 +105,7 @@ def test_feasible_vehicle_row(line_network, created_at, interval):
     # The pickup and delivery stops form the profiles; the score is their JS value.
     best = plan_insertion(Route.empty(0, 2), order, now, line_network, fleet).best_route
     grid = episode_demand_grid(inst)
-    cells = route_cells(best, line_network, inst.horizon)
+    cells = route_cells(best, line_network.n_factories, inst.horizon)
     expected = divergence_score(capacity_profile(best, cells, fleet.capacity), demand_profile(cells, grid))
     assert score == expected
     assert 0.0 <= score <= 1.0
@@ -252,15 +252,17 @@ def test_determinism_same_policy():
 
 def test_demand_score_is_computed_once_per_idle_depot_class(monkeypatch):
     """Column 2 equals a per-vehicle recomputation bit for bit, every idle
-    vehicle's row equals the first idle row at its depot, and the score is
-    computed once per feasible dispatched vehicle and per feasible idle
-    depot class."""
+    vehicle's feature row and position equal the first idle vehicle's at its
+    depot, the score is computed once per feasible dispatched vehicle and
+    per feasible idle depot class, and the position once per dispatched
+    vehicle and per idle depot class."""
     inst = generate_instance(
         seed=4, n_factories=8, n_orders=24, n_vehicles=6, n_depots=2, service_time=2.0, speed=0.25
     )
     grid = episode_demand_grid(inst)
     depots = [v.depot for v in inst.fleet.vehicles]
-    planner, plans, score_calls = env.plan_insertion, [], []
+    planner, plans, score_calls, position_calls = env.plan_insertion, [], [], []
+    position = routing.vehicle_position
 
     def recording_planner(*args):
         plans.append(planner(*args))
@@ -270,8 +272,13 @@ def test_demand_score_is_computed_once_per_idle_depot_class(monkeypatch):
         score_calls.append(args)
         return divergence_score(*args)
 
+    def counting_position(*args):
+        position_calls.append(args)
+        return position(*args)
+
     monkeypatch.setattr(env, "plan_insertion", recording_planner)
     monkeypatch.setattr(demand, "divergence_score", counting_score)
+    monkeypatch.setattr(routing, "vehicle_position", counting_position)
     greedy = make_greedy_policy("incremental")
     seen = {"dispatched": 0, "depots_differ": 0}
 
@@ -280,7 +287,7 @@ def test_demand_score_is_computed_once_per_idle_depot_class(monkeypatch):
         for k, plan in enumerate(plans):
             if plan.feasible:
                 best = plan.best_route
-                cells = route_cells(best, inst.network, inst.horizon)
+                cells = route_cells(best, inst.network.n_factories, inst.horizon)
                 expected = divergence_score(capacity_profile(best, cells, inst.fleet.capacity), demand_profile(cells, grid))
                 assert state.features[k, 2] == expected
         first_idle: dict[int, int] = {}
@@ -289,15 +296,18 @@ def test_demand_score_is_computed_once_per_idle_depot_class(monkeypatch):
             if state.accepted[k] == 0:
                 first = first_idle.setdefault(depots[k], k)
                 assert state.features[k].tobytes() == state.features[first].tobytes()
+                assert state.positions[k].tobytes() == state.positions[first].tobytes()
             elif state.feasible[k]:
                 dispatched += 1
         idle_classes = sum(1 for k in first_idle.values() if state.feasible[k])
         assert len(score_calls) == dispatched + idle_classes
+        assert len(position_calls) == int((state.accepted > 0).sum()) + len(first_idle)
         seen["dispatched"] += dispatched
         idle_scores = {state.features[k, 2] for k in first_idle.values() if state.feasible[k]}
         seen["depots_differ"] += len(idle_scores) > 1
         plans.clear()
         score_calls.clear()
+        position_calls.clear()
         return greedy(state)
 
     run_episode(inst, checking_policy)

@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdplab.instance import DEPOT, FACTORY, FleetConfig, VehicleSpec, generate_instance
 from dpdplab.routing import (
@@ -18,7 +20,7 @@ from dpdplab.routing import (
 )
 
 from conftest import make_network, make_order
-from oracles import brute_force_best_insertion
+from oracles import brute_force_best_insertion, frozen_index_reference, vehicle_position_reference
 
 
 def _route(depot, stops, vehicle=0):
@@ -301,6 +303,54 @@ def test_vehicle_position_interpolates(line_network):
     x, y = vehicle_position(route, line_network, 1.5)
     assert (x, y) == pytest.approx((1.5, 0.0))
     assert vehicle_position(route, line_network, 1e9) == line_network.coords(2)
+
+
+@st.composite
+def _walk_and_minutes(draw):
+    """A simulated route of nested orders on three factories and a depot
+    (node 3), and minutes to ask about: each arrival and departure exactly,
+    and arbitrary ones.  Legs may take no time (a repeated node, or a zero
+    entry between factories 0 and 1, which lie apart), and pickups may wait
+    for orders created after the vehicle arrives.  Coordinates are not
+    integers, so interpolating to a leg's end rounds differently from
+    standing at its node."""
+    network = make_network(
+        coords=[(0.1, 0.3), (3.7, 0.2), (2.9, 4.1), (0.3, 3.9)],
+        roles=[FACTORY, FACTORY, FACTORY, DEPOT],
+        speed=draw(st.sampled_from([1.0, 0.5])),
+        service_time=draw(st.sampled_from([0.0, 1.5])),
+    )
+    if draw(st.booleans()):
+        network.dist[0, 1] = network.dist[1, 0] = 0.0
+    stops, stack = [Stop(3)], []
+    events = st.tuples(st.booleans(), st.integers(0, 2), st.integers(0, 40))
+    for push, node, created_at in draw(st.lists(events, max_size=10)):
+        if push:
+            o = make_order(len(stops), pickup=node, delivery=draw(st.integers(0, 2)), created_at=created_at)
+            stops.append(Stop(node, (Action(PICKUP, o),)))
+            stack.append(o)
+        elif stack:
+            o = stack.pop()
+            stops.append(Stop(o.delivery, (Action(DELIVER, o),)))
+        else:
+            stops.append(Stop(3))
+    while stack:
+        o = stack.pop()
+        stops.append(Stop(o.delivery, (Action(DELIVER, o),)))
+    route = simulate_timeline(_route(3, [*stops, Stop(3)]), network, float(draw(st.integers(0, 20))))
+    assert route.violation is None
+    exact = sorted({t for w in route.walk for t in (w.arrival, w.departure)})
+    arbitrary = draw(st.lists(st.floats(-5.0, 400.0, allow_nan=False), max_size=6))
+    return route, network, exact + arbitrary
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walk_and_minutes())
+def test_bisected_index_and_position_match_linear_scans(case):
+    route, network, minutes = case
+    for now in minutes:
+        assert frozen_index(route, now) == frozen_index_reference(route, now)
+        assert vehicle_position(route, network, now) == vehicle_position_reference(route, network, now)
 
 
 def _random_case(rng):
