@@ -178,8 +178,7 @@ def _nested_route(network, depot, n_stops, start, rng):
     nest (LIFO), with depot visits between trips and pickups that wait for
     orders created later than the vehicle arrives."""
     if n_stops == 1:
-        route = Route.empty(0, depot)
-        return simulate_timeline(route, network, start)
+        return simulate_timeline(Route.empty(0, depot), network, start)
     stops, stack, oid = [Stop(depot)], [], 0
     while len(stops) < n_stops - 1:
         room = n_stops - 1 - len(stops)
