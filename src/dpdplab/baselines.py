@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -137,10 +138,11 @@ class _Budget:
 
 # Exact pricing's completion bound stands in a way home of at most three
 # legs for the rest of a route.  Under the load-time triangle check (a
-# relative 1e-9 per shortcut) it can exceed the m legs it replaces by a
-# factor of at most (1 + 1e-9)^m, and the float sums over those legs round
-# by at most m * 2^-53 relative, so a route of m legs needs a slack of
-# about m * (1e-9 + 1.1e-16): 1e-6 covers routes of up to 1000 legs.
+# relative instance.TRIANGLE_TOLERANCE of 1e-9 per shortcut) it can exceed
+# the m legs it replaces by a factor of at most (1 + 1e-9)^m, and the float
+# sums over those legs round by at most m * 2^-53 relative, so a route of m
+# legs needs a slack of (1 + 1e-9)^m * (1 + m * 2^-53) - 1: 1e-6 covers
+# routes of up to 999 legs, that is of up to 499 orders (2 * orders + 1 legs).
 COMPLETION_SLACK = 1e-6
 
 
@@ -277,13 +279,9 @@ def solve_exact(instance: Instance, budget: float | None = None) -> ExactResult:
     fleet = instance.fleet
     budget_state = _Budget(budget)
 
-    route_memo: dict[tuple[int, tuple[int, ...]], tuple[float, tuple] | None] = {}
-
+    @cache
     def priced(depot: int, ids: tuple[int, ...]) -> tuple[float, tuple] | None:
-        key = (depot, ids)
-        if key not in route_memo:
-            route_memo[key] = _best_route_for(depot, ids, orders_by_id, instance)
-        return route_memo[key]
+        return _best_route_for(depot, ids, orders_by_id, instance)
 
     best_tc = math.inf
     best_sets: list[tuple[int, ...]] | None = None

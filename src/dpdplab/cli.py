@@ -11,6 +11,7 @@ plotting dependency) as a convenience.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .baselines import GREEDY_ALIASES, make_greedy_policy, make_plan_policy, solve_exact, validate_routes
+from .baselines import GREEDY_ALIASES, ExactResult, make_greedy_policy, make_plan_policy, solve_exact, validate_routes
 from .demand import build_demand_grid
 from .env import EpisodeReport, episode_demand_grid, run_episode
 from .instance import Instance, generate_instance, load_instance, save_instance
@@ -85,7 +86,10 @@ def _summary_csv(summary: dict) -> str:
     return ",".join(keys) + "\n" + ",".join(repr(summary[k]) for k in keys) + "\n"
 
 
-def _policy_for(name: str, checkpoint: str | None, instance: Instance, epsilon: float = 0.0, seed: int = 0):
+def _policy_for(
+    name: str, checkpoint: str | None, instance: Instance, epsilon: float = 0.0, seed: int = 0, exact: ExactResult | None = None
+):
+    """The named policy; ``exact_plan`` replays ``exact``, else an unbudgeted exact solve."""
     if name in GREEDY_ALIASES:
         return make_greedy_policy(name)
     if name == "learned":
@@ -94,7 +98,7 @@ def _policy_for(name: str, checkpoint: str | None, instance: Instance, epsilon: 
         rng = np.random.default_rng(seed) if epsilon > 0 else None
         return make_learned_policy(Trainer.load_checkpoint(checkpoint).online, epsilon=epsilon, rng=rng)
     if name == "exact_plan":
-        plan = solve_exact(instance)
+        plan = exact if exact is not None else solve_exact(instance)
         return make_plan_policy(plan.assignment)
     raise ValueError(f"unknown policy {name!r}")
 
@@ -300,7 +304,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     _write_config(outdir, args)
     instance = load_instance(args.instance)
-    policies = [_policy_for(name.strip(), args.checkpoint, instance) for name in args.policies.split(",")]
+    names = [name.strip() for name in args.policies.split(",")]
+    # One budgeted solve serves both the exact_plan policy and the exact row.
+    exact = solve_exact(instance, budget=args.budget) if args.exact or "exact_plan" in names else None
+    policies = [_policy_for(name, args.checkpoint, instance, exact=exact) for name in names]
     labels = [policy.policy_name for policy in policies]
     _refuse_repeats(labels, "policy")
     rows = []
@@ -308,8 +315,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         report = _run_one(instance, policy, outdir, label, Path(args.instance).stem)
         rows.append({"policy": label, "nuv": report.nuv, "ttl": report.ttl, "tc": report.tc})
     if args.exact:
-        result = solve_exact(instance, budget=args.budget)
-        rows.append({"policy": "exact", "nuv": result.nuv, "ttl": result.ttl, "tc": result.tc})
+        rows.append({"policy": "exact", "nuv": exact.nuv, "ttl": exact.ttl, "tc": exact.tc})
     rows.sort(key=lambda r: r["policy"])
     lines = ["policy,nuv,ttl,tc"] + [
         f"{r['policy']},{r['nuv']},{r['ttl']!r},{r['tc']!r}" for r in rows
@@ -370,20 +376,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dpdplab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    gen = {name: param.default for name, param in inspect.signature(generate_instance).parameters.items()}
     p = sub.add_parser("gen", help="generate a synthetic instance file")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--factories", type=int, default=10)
     p.add_argument("--orders", type=int, required=True)
     p.add_argument("--vehicles", type=int, required=True)
-    p.add_argument("--horizon", type=int, default=144)
-    p.add_argument("--depots", type=int, default=1)
-    p.add_argument("--capacity", type=int, default=12)
-    p.add_argument("--fixed-cost", type=float, default=300.0)
-    p.add_argument("--unit-cost", type=float, default=2.0)
-    p.add_argument("--speed", type=float, default=1.0)
-    p.add_argument("--service-time", type=float, default=0.0)
-    p.add_argument("--hot-spot", type=float, default=0.4)
-    p.add_argument("--history-days", type=int, default=3)
+    p.add_argument("--horizon", type=int, default=gen["horizon"])
+    p.add_argument("--depots", type=int, default=gen["n_depots"])
+    p.add_argument("--capacity", type=int, default=gen["capacity"])
+    p.add_argument("--fixed-cost", type=float, default=gen["fixed_cost"])
+    p.add_argument("--unit-cost", type=float, default=gen["unit_cost"])
+    p.add_argument("--speed", type=float, default=gen["speed"])
+    p.add_argument("--service-time", type=float, default=gen["service_time"])
+    p.add_argument("--hot-spot", type=float, default=gen["hot_spot"])
+    p.add_argument("--history-days", type=int, default=gen["history_days"])
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 
@@ -399,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the dispatch network")
     p.add_argument("--instance", action="append", required=True, help="repeatable")
     p.add_argument("--episodes", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainerConfig.seed)
     p.add_argument("--gamma", type=float, default=TrainerConfig.gamma)
     p.add_argument("--batch-size", type=int, default=TrainerConfig.batch_size)
     p.add_argument("--buffer-capacity", type=int, default=TrainerConfig.buffer_capacity)

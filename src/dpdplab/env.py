@@ -235,18 +235,6 @@ def _fleet_state(
     return state, plans
 
 
-def build_joint_state(
-    order: DeliveryOrder,
-    routes: Sequence[Route],
-    instance: Instance,
-    predicted: np.ndarray | None = None,
-) -> JointState:
-    """Assemble the fleet state for one order from committed routes, at the order's creation time."""
-    predicted = _forecast(instance, predicted)
-    accepted = [len(r.order_ids()) for r in routes]
-    return _fleet_state(order, routes, accepted, instance, predicted, float(order.created_at))[0]
-
-
 PolicyFn = Callable[[JointState], int]
 
 
@@ -267,18 +255,13 @@ def run_episode(
     fleet = instance.fleet
     routes = [Route.empty(v.id, v.depot) for v in fleet.vehicles]
     accepted = [0] * len(routes)
-    orders = instance.orders
-    intervals = [instance.interval_of(o.created_at) for o in orders]
-    last_in_interval = [
-        i == len(orders) - 1 or intervals[i] != intervals[i + 1] for i in range(len(orders))
-    ]
 
-    transitions: list[Transition] = []
-    rewards: list[float] = []
     records: list[AssignmentRecord] = []
+    states: list[JointState] = []
+    intervals: list[int] = []
     decision_times: list[float] = []
 
-    for idx, order in enumerate(orders):
+    for order in instance.orders:
         now = float(order.created_at)
         t0 = time.perf_counter()
         state, plans = _fleet_state(order, routes, accepted, instance, predicted, now)
@@ -300,7 +283,6 @@ def run_episode(
         r = instant_reward(accepted[k] > 0, delta, fleet.fixed_cost, fleet.unit_cost, alpha)
         routes[k] = new_route
         accepted[k] += 1
-        rewards.append(r)
         records.append(
             AssignmentRecord(
                 order_id=order.id,
@@ -311,16 +293,19 @@ def run_episode(
                 stops=tuple(new_route.stops),
             )
         )
-        tr = Transition(state, k, last_in_interval[idx], r, None)
-        if transitions:
-            transitions[-1].next_state = state
-        transitions.append(tr)
+        states.append(state)
+        intervals.append(instance.interval_of(now))
 
-    if rewards:
-        mean_reward = long_term_reward(rewards)
-        for tr, rec in zip(transitions, records):
-            tr.reward = tr.reward + mean_reward
-            rec.reward = tr.reward
+    if records:
+        mean_reward = long_term_reward([rec.reward for rec in records])
+        for rec in records:
+            rec.reward += mean_reward
+    # The day's last order ends an interval too.
+    interval_ends = [a != b for a, b in zip(intervals, intervals[1:] + [None])]
+    transitions = [
+        Transition(state, rec.vehicle, end, rec.reward, next_state)
+        for state, rec, end, next_state in zip(states, records, interval_ends, states[1:] + [None])
+    ]
 
     nuv = sum(1 for n in accepted if n > 0)
     ttl = sum(r.length for r in routes)

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 MINUTES_PER_DAY = 1440
+TRIANGLE_TOLERANCE = 1e-9
 
 FACTORY = "factory"
 DEPOT = "depot"
@@ -179,13 +180,9 @@ class Instance:
     horizon: int = 144
     history: list[list[DeliveryOrder]] | None = None
 
-    @property
-    def interval_minutes(self) -> float:
-        return MINUTES_PER_DAY / self.horizon
-
     def interval_of(self, minute: float) -> int:
         """Interval index of a time, clamped into [0, horizon)."""
-        idx = int(minute // self.interval_minutes)
+        idx = int(minute // (MINUTES_PER_DAY / self.horizon))
         return min(max(idx, 0), self.horizon - 1)
 
     @property
@@ -297,18 +294,18 @@ def read_json(tp, value, where: str):
 
 
 def _check_triangle_inequality(dist: np.ndarray) -> None:
-    """Refuse a matrix with ``dist[i][j] > dist[i][k] + dist[k][j]``, beyond a
-    relative tolerance that absorbs the rounding of a Euclidean matrix.  Two
-    bounds of the exact solver are admissible only without such a shortcut:
-    its branch-and-bound set bound and its pricing's completion bound, whose
-    ``baselines.COMPLETION_SLACK`` covers this tolerance.
+    """Refuse a matrix with ``dist[i][j] > dist[i][k] + dist[k][j]`` beyond the
+    relative ``TRIANGLE_TOLERANCE``, which absorbs a Euclidean matrix's rounding.
+    Two bounds of the exact solver are admissible only without such a
+    shortcut: its branch-and-bound set bound and its pricing's completion
+    bound, whose ``baselines.COMPLETION_SLACK`` covers this tolerance.
 
     One ``n x n`` comparison per intermediate node ``k`` keeps memory at
     ``n^2``.
     """
     for k in range(len(dist)):
         via = dist[:, k, None] + dist[None, k, :]
-        bad = np.argwhere(dist > via * (1.0 + 1e-9))
+        bad = np.argwhere(dist > via * (1.0 + TRIANGLE_TOLERANCE))
         if len(bad):
             i, j = bad[0]
             raise InstanceError(

@@ -85,9 +85,6 @@ class Verdict:
         return self.feasible
 
 
-FEASIBLE = Verdict(True)
-
-
 class WalkState(NamedTuple):
     """Where a walk stands after a stop: the stop's node, the minutes it is
     reached and left, the cargo load, the LIFO stack (bottom first) and the
@@ -140,9 +137,6 @@ class Route:
     @property
     def is_empty(self) -> bool:
         return not any(s.actions for s in self.stops)
-
-    def order_ids(self) -> list[int]:
-        return [a.order.id for s in self.stops for a in s.actions if a.kind == PICKUP]
 
 
 @dataclass
@@ -290,7 +284,7 @@ def check_feasibility(route: Route, network: RoadNetwork, fleet: FleetConfig) ->
         return Verdict(False, kind)
     if end.stack:
         return Verdict(False, "lifo")
-    return FEASIBLE
+    return Verdict(True)
 
 
 # ---------------------------------------------------------------------------

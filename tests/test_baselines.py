@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dpdplab.baselines import (
+    COMPLETION_SLACK,
     ExactInfeasibleError,
     _best_route_for,
     greedy_dispatch,
@@ -13,7 +14,7 @@ from dpdplab.baselines import (
     validate_routes,
 )
 from dpdplab.env import JointState, run_episode
-from dpdplab.instance import FleetConfig, VehicleSpec, generate_instance, instance_from_dict
+from dpdplab.instance import TRIANGLE_TOLERANCE, FleetConfig, VehicleSpec, generate_instance, instance_from_dict
 from dpdplab.routing import DELIVER, PICKUP, Action, Route, Stop, simulate_timeline
 
 from conftest import make_instance, make_network, make_order
@@ -209,6 +210,16 @@ def test_pricing_keeps_an_optimum_that_the_triangle_tolerance_hides():
         15.0,
         ((PICKUP, 0), (DELIVER, 0), (PICKUP, 1), (DELIVER, 1)),
     )
+
+
+def test_completion_slack_covers_the_triangle_tolerance_up_to_999_legs():
+    """A route of m legs needs a slack of (1 + tolerance)^m * (1 + m * 2^-53) - 1;
+    an exact route of 499 orders has 2 * 499 + 1 = 999 legs."""
+
+    def needed(m):
+        return (1 + TRIANGLE_TOLERANCE) ** m * (1 + m * 2.0**-53) - 1
+
+    assert needed(2 * 499 + 1) <= COMPLETION_SLACK < needed(1000)
 
 
 def test_exact_budget_validation():

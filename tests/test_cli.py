@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpdplab
+from dpdplab.baselines import solve_exact
 from dpdplab.cli import aggregate_metrics, build_parser, main
 from dpdplab.env import EpisodeReport, episode_demand_grid
 from dpdplab.instance import generate_instance, load_instance, save_instance
@@ -48,6 +49,12 @@ def _gen(tmp_path, name="inst.json", orders=5, vehicles=3, seed=1, extra=()):
 
 def _report(nuv, ttl, tc):
     return EpisodeReport(nuv=nuv, ttl=ttl, tc=tc, assignments=[], routes=[])
+
+
+def test_gen_defaults_are_those_of_generate_instance(tmp_path):
+    assert main(["gen", "--seed", "4", "--orders", "5", "--vehicles", "3", "--out", str(tmp_path / "cli.json")]) == 0
+    direct = save_instance(generate_instance(4, 10, 5, 3), tmp_path / "direct.json")
+    assert (tmp_path / "cli.json").read_bytes() == direct.read_bytes()
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -153,6 +160,23 @@ def test_train_eval_curves_pipeline(tmp_path):
     assert rc == 0
     assert (cvout / "curve_tc.svg").exists()
     assert (cvout / "curve_nuv.svg").exists()
+
+
+def test_compare_solves_the_exact_problem_once_under_the_budget(tmp_path, monkeypatch):
+    """``exact_plan`` and the ``--exact`` row share one solve, and ``--budget`` caps it."""
+    inst = _gen(tmp_path, orders=4, vehicles=2)
+    budgets = []
+
+    def spy(instance, budget=None):
+        budgets.append(budget)
+        return solve_exact(instance, budget=budget)
+
+    monkeypatch.setattr("dpdplab.cli.solve_exact", spy)
+    argv = ["compare", "--instance", str(inst), "--policies", "greedy1,exact_plan", "--exact", "--budget", "30"]
+    assert main([*argv, "--out", str(tmp_path / "cmp")]) == 0
+    assert budgets == [30.0]
+    rows = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["exact", "exact_plan", "incremental"]
 
 
 def test_exact_subcommand_writes_plan(tmp_path):

@@ -6,7 +6,6 @@ from dpdplab.baselines import make_greedy_policy, validate_routes
 from dpdplab.demand import DemandError, capacity_profile, demand_profile, divergence_score, route_cells
 from dpdplab.env import (
     UnserviceableOrderError,
-    build_joint_state,
     episode_demand_grid,
     instant_reward,
     long_term_reward,
@@ -96,7 +95,7 @@ def test_feasible_vehicle_row(line_network, created_at, interval):
     order = make_order(0, pickup=0, delivery=1, created_at=created_at)
     inst = make_instance(line_network, [order], fleet)
     now = float(created_at)
-    state = build_joint_state(order, [Route.empty(0, 2)], inst)
+    state = env._fleet_state(order, [Route.empty(0, 2)], [0], inst, episode_demand_grid(inst), now)[0]
     cur_len, new_len, score, used_flag, row_interval = state.features[0].tolist()
     d = line_network.dist
     assert state.feasible[0]
@@ -120,7 +119,7 @@ def test_infeasible_vehicle_has_sentinel_row(line_network):
         fleet,
     )
     routes = [Route.empty(0, 2)]
-    state = build_joint_state(inst.orders[0], routes, inst)
+    state = env._fleet_state(inst.orders[0], routes, [0], inst, episode_demand_grid(inst), 0.0)[0]
     assert state.features[0].tolist() == [-1.0, -1.0, -1.0, -1.0, -1.0]
     assert not state.feasible[0]
 
@@ -180,6 +179,11 @@ def test_episode_invariants_on_generated_instance():
             activations += 1
     assert activations == report.nuv
 
+    assert len(transitions) == len(report.assignments)
+    for tr, rec in zip(transitions, report.assignments):
+        assert tr.action == rec.vehicle
+        assert tr.reward == rec.reward
+
     for i in range(len(transitions) - 1):
         assert transitions[i].next_state is transitions[i + 1].state
     assert transitions[-1].next_state is None
@@ -229,8 +233,6 @@ def test_forecast_grid_of_another_shape_is_refused(shape):
     grid = np.zeros(shape)
     with pytest.raises(DemandError, match=r"\(5, 144\)"):
         run_episode(inst, make_greedy_policy("incremental"), predicted=grid)
-    with pytest.raises(DemandError, match=r"\(5, 144\)"):
-        build_joint_state(inst.orders[0], [Route.empty(v.id, v.depot) for v in inst.fleet.vehicles], inst, grid)
 
 
 def test_determinism_same_policy():

@@ -1,9 +1,10 @@
 """Each dpdplab module imports only modules of lower layers.
 
-The layers, lowest first: ``instance`` and ``neural``; ``routing``;
-``demand``; ``env``; ``policy`` and ``baselines`` (with the package root,
-which re-exports the lower layers); ``cli``; ``__main__``.  Modules on one
-layer do not import each other.  Imports inside functions count too.
+The layers, lowest first: ``instance``, ``neural`` and the package root,
+which holds only ``__version__`` and imports nothing; ``routing``;
+``demand``; ``env``; ``policy`` and ``baselines``; ``cli``; ``__main__``.
+Modules on one layer do not import each other.  Imports inside functions
+count too.
 
 The benchmark's tracer wraps dpdplab functions by name; every name it
 patches must still resolve, so a refactor that renames one fails here and
@@ -25,12 +26,12 @@ PERFBENCH_LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.p
 LAYERS = {
     "instance": 0,
     "neural": 0,
+    ROOT: 0,
     "routing": 1,
     "demand": 2,
     "env": 3,
     "policy": 4,
     "baselines": 4,
-    ROOT: 4,
     "cli": 5,
     "__main__": 6,
 }
