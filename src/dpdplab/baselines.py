@@ -372,16 +372,15 @@ class ValidationReport:
     ok: bool
     violations: list[str] = field(default_factory=list)
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def validate_routes(report: EpisodeReport, instance: Instance) -> ValidationReport:
     """Independently re-check an executed episode against every constraint.
 
     Re-simulates each route with its own walker (not the planner's), checks
     time windows, capacity, LIFO, back-to-depot and the frozen-prefix rule
-    across successive commits, and verifies the cost identities.
+    across successive commits, compares every stop's recomputed arrival and
+    departure with the route's walk (the timeline a report publishes), and
+    verifies the cost identities.
     """
     violations: list[str] = []
     network = instance.network
@@ -395,12 +394,15 @@ def validate_routes(report: EpisodeReport, instance: Instance) -> ValidationRepo
     used = 0
     for route in report.routes:
         vid = route.vehicle
-        if route.is_empty:
+        stops = route.stops
+        if not any(s.actions for s in stops):
             if route.length != 0.0:
                 violations.append(f"vehicle {vid}: empty route with nonzero length")
             continue
         used += 1
-        stops = route.stops
+        walk = route.walk
+        if len(walk) != len(stops):
+            violations.append(f"timeline: vehicle {vid} walk has {len(walk)} states for {len(stops)} stops")
         if stops[0].node != route.depot:
             violations.append(f"back-to-depot: vehicle {vid} does not start at its depot")
         if stops[-1].node != route.depot:
@@ -416,6 +418,7 @@ def validate_routes(report: EpisodeReport, instance: Instance) -> ValidationRepo
                 length += leg
                 t += leg / speed
             prev = stop.node
+            arrival = t
             for act in stop.actions:
                 o = act.order
                 if act.kind == PICKUP:
@@ -454,6 +457,11 @@ def validate_routes(report: EpisodeReport, instance: Instance) -> ValidationRepo
                         )
                 if load < 0:
                     violations.append(f"capacity: vehicle {vid} stop {si} negative load")
+            if si < len(walk) and (abs(arrival - walk[si].arrival) > 1e-6 or abs(t - walk[si].departure) > 1e-6):
+                violations.append(
+                    f"timeline: vehicle {vid} stop {si} reported arrival/departure"
+                    f" {walk[si].arrival!r}/{walk[si].departure!r}, recomputed {arrival!r}/{t!r}"
+                )
         if stack:
             violations.append(f"lifo: vehicle {vid} finished with undelivered orders {stack}")
         if abs(length - route.length) > 1e-6:

@@ -85,6 +85,8 @@ class FleetConfig:
     unit_cost: float = 2.0
 
     def validate(self, depot_ids: set[int]) -> None:
+        if not self.vehicles:
+            raise InstanceError("fleet.vehicles must not be empty")
         for i, v in enumerate(self.vehicles):
             if v.id != i:
                 raise InstanceError(f"fleet.vehicles[{i}].id must equal its position {i}")

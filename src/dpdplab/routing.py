@@ -13,8 +13,7 @@ All walking is one forward pass, one loop over stops and their actions:
 at the first violation and recording each state on request.
 :func:`simulate_timeline` records a route's walk through it, so the planner
 starts each insertion candidate from a recorded state instead of re-walking
-the prefix, and :func:`check_feasibility` re-walks a route through it.  A
-walk's departures never decrease, so :func:`frozen_index` and
+the prefix.  A walk's departures never decrease, so :func:`frozen_index` and
 :func:`vehicle_position` find the state of a given minute by bisection.
 
 The planner screens gap pairs by length before it walks them whole
@@ -76,15 +75,6 @@ class Stop:
     actions: tuple[Action, ...] = ()
 
 
-@dataclass
-class Verdict:
-    feasible: bool
-    violation: str | None = None  # "time-window" | "capacity" | "lifo" | "back-to-depot"
-
-    def __bool__(self) -> bool:
-        return self.feasible
-
-
 class WalkState(NamedTuple):
     """Where a walk stands after a stop: the stop's node, the minutes it is
     reached and left, the cargo load, the LIFO stack (bottom first) and the
@@ -134,10 +124,6 @@ class Route:
     def length(self) -> float:
         return self.walk[-1].length
 
-    @property
-    def is_empty(self) -> bool:
-        return not any(s.actions for s in self.stops)
-
 
 @dataclass
 class PlannerResult:
@@ -173,8 +159,11 @@ def _walk(
     """Advance ``state`` through further stops; returns (state, violation),
     the state being ``None`` at the first violation.
 
-    Each stop runs all of its actions and keeps the first violation met; a
-    delivery whose order is not on top of the stack skips its pop.  Abandons
+    A violation is ``"capacity"`` (a pickup lifts the load above
+    ``capacity``), ``"lifo"`` (a delivery whose order is not on top of the
+    stack, which then skips its pop) or ``"time-window"`` (a delivery
+    finishing after its deadline plus ``DEADLINE_TOLERANCE``).  Each stop
+    runs all of its actions and keeps the first violation met.  Abandons
     with ``(None, None)`` once the length reaches ``best_len``, since
     distances are non-negative and cannot recover.  When ``record`` is
     given, the state after each stop walked is appended to it, the stop of a
@@ -230,10 +219,9 @@ def simulate_timeline(
     Walks from the first stop at ``start_time`` (``dist`` has a zero
     diagonal, so reaching it takes no time) at unlimited capacity, so the
     recorded walk runs through every stop or ends at the first time-window
-    or LIFO violation; :func:`check_feasibility` judges the route against a
-    fleet.  ``prefix``, when given, holds the states of the route's first
-    stops as this walk would record them; it becomes the start of
-    ``route.walk``, and the walk resumes after it.
+    or LIFO violation.  ``prefix``, when given, holds the states of the
+    route's first stops as this walk would record them; it becomes the start
+    of ``route.walk``, and the walk resumes after it.
     """
     route.start_time = t = float(start_time)
     if prefix:
@@ -270,21 +258,6 @@ def vehicle_position(route: Route, network: RoadNetwork, now: float) -> tuple[fl
     x0, y0 = network.coords(prev.node)
     x1, y1 = network.coords(cur.node)
     return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
-
-
-def check_feasibility(route: Route, network: RoadNetwork, fleet: FleetConfig) -> Verdict:
-    """Re-walk a simulated route and report the first constraint violation."""
-    stops = route.stops
-    if stops[0].node != route.depot or stops[-1].node != route.depot:
-        return Verdict(False, "back-to-depot")
-    start = route.start_time if route.start_time is not None else 0.0
-    origin = WalkState(stops[0].node, float(start), float(start), 0, (), 0.0)
-    end, kind = _walk(origin, stops, network, fleet.capacity)
-    if kind is not None:
-        return Verdict(False, kind)
-    if end.stack:
-        return Verdict(False, "lifo")
-    return Verdict(True)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,16 @@ def walk_length(seq, start, network, capacity):
     return length
 
 
+def _sequence(stops):
+    """A route's stops as the (node, [(kind, order)...]) sequence ``walk_length`` reads."""
+    return [(s.node, [(a.kind, a.order) for a in s.actions]) for s in stops]
+
+
+def route_walk_length(route: Route, network, capacity):
+    """``walk_length`` of a planned route's stops from its ``start_time``."""
+    return walk_length(_sequence(route.stops), route.start_time, network, capacity)
+
+
 def brute_force_best_insertion(route: Route, order, now, network, fleet):
     """Minimum feasible length over every interleaving of the new pickup and
     delivery with the unfrozen existing stops (relative order preserved,
@@ -62,7 +72,7 @@ def brute_force_best_insertion(route: Route, order, now, network, fleet):
         frozen = next(
             (i for i, w in enumerate(route.walk) if w.departure > now), len(route.stops) - 1
         )
-    base = [(s.node, [(a.kind, a.order) for a in s.actions]) for s in route.stops]
+    base = _sequence(route.stops)
     if frozen == len(base) - 1:
         base.append((route.depot, []))
     prefix = base[: frozen + 1]

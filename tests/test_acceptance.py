@@ -24,9 +24,9 @@ from dpdplab.policy import (
     TrainerConfig,
     make_learned_policy,
 )
-from dpdplab.routing import check_feasibility, plan_insertion
+from dpdplab.routing import plan_insertion
 
-from oracles import brute_force_best_insertion, exhaustive_optimum, js_reference, relative_error
+from oracles import brute_force_best_insertion, exhaustive_optimum, js_reference, relative_error, route_walk_length
 
 GREEDY_RULES = ("incremental", "total", "max_orders")
 
@@ -237,7 +237,10 @@ def test_criterion_7_planner_equals_brute_force():
             else:
                 assert res.feasible, checked
                 assert res.new_len == pytest.approx(oracle, abs=1e-9), checked
-                assert check_feasibility(res.best_route, inst.network, inst.fleet).feasible
+                best = res.best_route
+                length = route_walk_length(best, inst.network, inst.fleet.capacity)
+                assert length == pytest.approx(oracle, abs=1e-9), checked
+                assert best.stops[0].node == best.stops[-1].node == best.depot, checked
             checked += 1
 
 

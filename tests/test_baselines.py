@@ -320,14 +320,48 @@ def test_validator_catches_rewritten_frozen_prefix():
     assert all(v.startswith("frozen-prefix") for v in verdict.violations)
 
 
+def _used_route(report):
+    return next(r for r in report.routes if any(s.actions for s in r.stops))
+
+
 def test_validator_catches_unserved_order():
     inst = generate_instance(seed=26, n_factories=6, n_orders=4, n_vehicles=2)
     report, _ = run_episode(inst, make_greedy_policy("incremental"))
-    victim = report.routes[[i for i, r in enumerate(report.routes) if not r.is_empty][0]]
+    victim = _used_route(report)
     victim.stops = [s for s in victim.stops if not s.actions]
     verdict = validate_routes(report, inst)
     assert not verdict.ok
     assert any("served 0 times" in v for v in verdict.violations)
+
+
+def _greedy_episode():
+    inst = generate_instance(seed=27, n_factories=6, n_orders=5, n_vehicles=2)
+    report, _ = run_episode(inst, make_greedy_policy("incremental"))
+    assert validate_routes(report, inst).ok
+    return inst, report, _used_route(report)
+
+
+def test_validator_catches_a_published_departure_off_by_a_minute():
+    inst, report, route = _greedy_episode()
+    route.walk[1] = route.walk[1]._replace(departure=route.walk[1].departure + 1.0)
+    violations = validate_routes(report, inst).violations
+    assert len(violations) == 1
+    assert violations[0].startswith(f"timeline: vehicle {route.vehicle} stop 1 ")
+
+
+def test_validator_catches_a_walk_one_state_short():
+    inst, report, route = _greedy_episode()
+    route.walk = route.walk[:-1]
+    verdict = validate_routes(report, inst)
+    n = len(route.stops)
+    assert f"timeline: vehicle {route.vehicle} walk has {n - 1} states for {n} stops" in verdict.violations
+
+
+def test_validator_catches_a_route_that_does_not_return_to_its_depot():
+    inst, report, route = _greedy_episode()
+    route.stops, route.walk = route.stops[:-1], route.walk[:-1]
+    verdict = validate_routes(report, inst)
+    assert f"back-to-depot: vehicle {route.vehicle} does not end at its depot" in verdict.violations
 
 
 def test_oracle_dominates_policies_small():

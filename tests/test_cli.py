@@ -343,6 +343,8 @@ _BAD_INSTANCES = [
     pytest.param(("fleet", "capacity"), 10**400, ["run", "--policy", "greedy1"], "fleet.capacity", id="capacity-10**400"),
     pytest.param(("network", "dist", 0, 1), 1000.0, ["exact"],
                  "network.dist breaks the triangle inequality: dist[0][1]", id="dist-non-metric"),
+    pytest.param(("fleet", "vehicles"), [], ["run", "--policy", "greedy1"], "fleet.vehicles must not be empty",
+                 id="no-vehicles"),
 ]
 
 

@@ -169,7 +169,7 @@ def test_episode_invariants_on_generated_instance():
     report, transitions = run_episode(inst, make_greedy_policy("incremental"))
 
     assert report.tc == inst.fleet.fixed_cost * report.nuv + inst.fleet.unit_cost * report.ttl
-    assert report.nuv == sum(1 for r in report.routes if not r.is_empty)
+    assert report.nuv == sum(1 for r in report.routes if any(s.actions for s in r.stops))
     assert report.nuv <= inst.n_vehicles
     assert sum(rec.delta_d for rec in report.assignments) == pytest.approx(report.ttl)
 

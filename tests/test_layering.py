@@ -6,6 +6,10 @@ which holds only ``__version__`` and imports nothing; ``routing``;
 Modules on one layer do not import each other.  Imports inside functions
 count too.
 
+The episode validator and the test oracles are judges independent of the
+planner, so they share no code with ``routing`` beyond its action-kind
+constants (and, for the oracles, the ``Route`` value they read).
+
 The benchmark's tracer wraps dpdplab functions by name; every name it
 patches must still resolve, so a refactor that renames one fails here and
 not only in the benchmark's own tests.
@@ -22,6 +26,8 @@ import dpdplab
 PACKAGE = Path(dpdplab.__file__).parent
 ROOT = "__init__"
 PERFBENCH_LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+ORACLES = Path(__file__).resolve().with_name("oracles.py")
+ROUTING_CONSTANTS = {"PICKUP", "DELIVER"}
 
 LAYERS = {
     "instance": 0,
@@ -80,6 +86,40 @@ def test_module_imports_only_lower_layers(module):
 def test_function_level_imports_are_seen():
     tree = ast.parse("def f():\n    from . import demand as d\n    from .env import run_episode\n")
     assert imported_modules(tree) == {"demand", "env"}
+
+
+def names_from_routing(tree: ast.AST) -> set[str]:
+    """The names a module's AST binds to ``routing`` or to names imported from it."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.asname or a.name.split(".")[0] for a in node.names if a.name == "dpdplab.routing")
+        elif isinstance(node, ast.ImportFrom):
+            if (node.level, node.module) in ((1, "routing"), (0, "dpdplab.routing")):
+                found.update(a.asname or a.name for a in node.names)
+            elif (node.level, node.module) in ((1, None), (0, "dpdplab")):
+                found.update(a.asname or a.name for a in node.names if a.name == "routing")
+    return found
+
+
+def test_routing_names_are_seen():
+    tree = ast.parse(
+        "from .routing import PICKUP, _walk as w\nfrom . import routing\nimport dpdplab.routing as r\n"
+        "def f():\n    from dpdplab.routing import Route\n"
+    )
+    assert names_from_routing(tree) == {"PICKUP", "w", "routing", "r", "Route"}
+
+
+def test_validator_shares_only_constants_with_routing():
+    tree = ast.parse((PACKAGE / "baselines.py").read_text(encoding="utf-8"))
+    validator = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "validate_routes")
+    used = {n.id for n in ast.walk(validator) if isinstance(n, ast.Name)}
+    assert used & names_from_routing(tree) <= ROUTING_CONSTANTS
+
+
+def test_oracles_share_only_constants_and_route_with_routing():
+    tree = ast.parse(ORACLES.read_text(encoding="utf-8"))
+    assert names_from_routing(tree) <= ROUTING_CONSTANTS | {"Route"}
 
 
 def traced_names() -> list[tuple[str, str]]:

@@ -12,7 +12,6 @@ from dpdplab.routing import (
     Action,
     Route,
     Stop,
-    check_feasibility,
     frozen_index,
     plan_insertion,
     simulate_timeline,
@@ -20,7 +19,12 @@ from dpdplab.routing import (
 )
 
 from conftest import make_network, make_order
-from oracles import brute_force_best_insertion, frozen_index_reference, vehicle_position_reference
+from oracles import (
+    brute_force_best_insertion,
+    frozen_index_reference,
+    route_walk_length,
+    vehicle_position_reference,
+)
 
 
 def _route(depot, stops, vehicle=0):
@@ -94,7 +98,9 @@ def test_nested_pairs_feasible(line_network, line_fleet):
         Stop(2),
     ])
     simulate_timeline(route, line_network, 0.0)
-    assert check_feasibility(route, line_network, line_fleet).feasible
+    length = route_walk_length(route, line_network, line_fleet.capacity)
+    assert length == pytest.approx(route.length, abs=1e-9)
+    assert route.stops[0].node == route.stops[-1].node == route.depot
 
 
 def _crossed_route(network):
@@ -126,23 +132,6 @@ def _late_route(network):
     o = make_order(0, created_at=0, latest_delivery=5)
     route = _route(2, [Stop(2), Stop(0, (Action(PICKUP, o),)), Stop(1, (Action(DELIVER, o),)), Stop(2)])
     return simulate_timeline(route, network, 0.0)
-
-
-def test_crossed_pairs_violate_lifo(line_network, line_fleet):
-    verdict = check_feasibility(_crossed_route(line_network), line_network, line_fleet)
-    assert not verdict.feasible
-    assert verdict.violation == "lifo"
-
-
-def test_capacity_violation(line_network):
-    fleet = FleetConfig(vehicles=[VehicleSpec(0, 2)], capacity=10)
-    verdict = check_feasibility(_overloaded_route(line_network), line_network, fleet)
-    assert verdict.violation == "capacity"
-
-
-def test_late_delivery_violates_window(line_network, line_fleet):
-    verdict = check_feasibility(_late_route(line_network), line_network, line_fleet)
-    assert verdict.violation == "time-window"
 
 
 @pytest.mark.parametrize(
@@ -182,13 +171,6 @@ def test_idle_route_is_planned_from_now(deadline, line_network, line_fleet):
         assert res.best_route.walk[0].departure == 10.0
     assert route.start_time is None
     assert route.walk == Route.empty(0, depot=2).walk
-
-
-def test_route_must_return_to_depot(line_network, line_fleet):
-    o = make_order(0)
-    route = _route(2, [Stop(2), Stop(0, (Action(PICKUP, o),)), Stop(1, (Action(DELIVER, o),))])
-    simulate_timeline(route, line_network, 0.0)
-    assert check_feasibility(route, line_network, line_fleet).violation == "back-to-depot"
 
 
 def test_plan_on_empty_route(line_network, line_fleet):
@@ -400,8 +382,9 @@ def test_planner_matches_oracle_fuzz():
             assert res.new_len == pytest.approx(oracle, abs=1e-9)
             assert res.new_len >= res.cur_len - 1e-12
             best = res.best_route
-            verdict = check_feasibility(best, inst.network, inst.fleet)
-            assert verdict.feasible, verdict.violation
+            length = route_walk_length(best, inst.network, inst.fleet.capacity)
+            assert length == pytest.approx(oracle, abs=1e-9)
+            assert best.stops[0].node == best.stops[-1].node == best.depot
             # The planner reuses the committed walk's prefix; a fresh walk
             # of the same stops must record the same states.
             fresh = simulate_timeline(Route(0, best.depot, list(best.stops)), inst.network, best.start_time)
