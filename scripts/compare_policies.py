@@ -19,6 +19,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dpdplab.baselines import GREEDY_RULES, make_greedy_policy, solve_exact
+from dpdplab.cli import csv_text
 from dpdplab.env import run_episode
 from dpdplab.instance import generate_instance
 from dpdplab.policy import Trainer, TrainerConfig, make_learned_policy
@@ -78,8 +79,7 @@ def main() -> int:
         )
 
     csv = outdir / "comparison.csv"
-    lines = ["instance,policy,nuv,tc"] + [f"{i},{p},{n!r},{t!r}" for i, p, n, t in rows]
-    csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    csv.write_text(csv_text([("instance", "policy", "nuv", "tc"), *rows]), encoding="utf-8")
     print(f"wrote {csv}")
     return 0
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
@@ -376,9 +377,11 @@ class ValidationReport:
 def validate_routes(report: EpisodeReport, instance: Instance) -> ValidationReport:
     """Independently re-check an executed episode against every constraint.
 
-    Re-simulates each route with its own walker (not the planner's), checks
-    time windows, capacity, LIFO, back-to-depot and the frozen-prefix rule
-    across successive commits, compares every stop's recomputed arrival and
+    Checks that every route names a fleet vehicle and every fleet vehicle
+    has exactly one route.  Re-simulates each route with its own walker (not
+    the planner's), checks time windows, capacity, LIFO, back-to-depot (the
+    vehicle's depot in the instance) and the frozen-prefix rule across
+    successive commits, compares every stop's recomputed arrival and
     departure with the route's walk (the timeline a report publishes), and
     verifies the cost identities.
     """
@@ -389,11 +392,21 @@ def validate_routes(report: EpisodeReport, instance: Instance) -> ValidationRepo
     speed = network.speed
     service = network.service_time
 
+    routes_of = Counter(route.vehicle for route in report.routes)
+    for v in fleet.vehicles:
+        if routes_of[v.id] != 1:
+            violations.append(f"fleet: vehicle {v.id} has {routes_of[v.id]} routes")
+
     served: dict[int, int] = {}
     recomputed_ttl = 0.0
     used = 0
     for route in report.routes:
         vid = route.vehicle
+        # FleetConfig.validate makes each vehicle's id its position.
+        if vid not in range(len(fleet.vehicles)):
+            violations.append(f"fleet: vehicle {vid} is not a fleet vehicle")
+            continue
+        depot = fleet.vehicles[vid].depot
         stops = route.stops
         if not any(s.actions for s in stops):
             if route.length != 0.0:
@@ -403,9 +416,9 @@ def validate_routes(report: EpisodeReport, instance: Instance) -> ValidationRepo
         walk = route.walk
         if len(walk) != len(stops):
             violations.append(f"timeline: vehicle {vid} walk has {len(walk)} states for {len(stops)} stops")
-        if stops[0].node != route.depot:
+        if stops[0].node != depot:
             violations.append(f"back-to-depot: vehicle {vid} does not start at its depot")
-        if stops[-1].node != route.depot:
+        if stops[-1].node != depot:
             violations.append(f"back-to-depot: vehicle {vid} does not end at its depot")
         t = route.start_time if route.start_time is not None else 0.0
         load = 0

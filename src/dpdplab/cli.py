@@ -11,12 +11,13 @@ plotting dependency) as a convenience.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +31,10 @@ from .policy import QNetworkConfig, Trainer, TrainerConfig, make_learned_policy
 POLICY_CHOICES = sorted(set(GREEDY_ALIASES)) + ["learned", "exact_plan"]
 
 OUT_ROOT_ENV = "DPDPLAB_OUT"
+
+# The `train` flag of each TrainerConfig field: the field's name, but `--lr`
+# for ``learning_rate``.  Each maps the field to its argparse dest.
+_TRAINER_DESTS = {f.name: {"learning_rate": "lr"}.get(f.name, f.name) for f in dataclasses.fields(TrainerConfig)}
 
 
 def _resolve_out(args: argparse.Namespace) -> str | None:
@@ -52,12 +57,18 @@ def _write_config(outdir: Path, args: argparse.Namespace) -> None:
     )
 
 
-def _append_metrics(path: Path, row: dict) -> None:
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """CSV text with one line per row: a string cell as is, any other by ``repr``."""
+    return "".join(",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n" for row in rows)
+
+
+def _append_metrics(path: Path, policy: str, instance: str, report: EpisodeReport) -> None:
     """Append one episode row; its ``episode`` column is the row's index."""
-    text = path.read_text(encoding="utf-8") if path.exists() else "episode,policy,instance,nuv,ttl,tc\n"
+    header = ("episode", "policy", "instance", "nuv", "ttl", "tc")
+    text = path.read_text(encoding="utf-8") if path.exists() else csv_text([header])
     episode = text.count("\n") - 1
-    line = "{episode},{policy},{instance},{nuv},{ttl!r},{tc!r}\n".format(episode=episode, **row)
-    path.write_text(text + line, encoding="utf-8")
+    row = (episode, policy, instance, report.nuv, report.ttl, report.tc)
+    path.write_text(text + csv_text([row]), encoding="utf-8")
 
 
 def aggregate_metrics(reports: Sequence[EpisodeReport]) -> dict:
@@ -81,11 +92,6 @@ def aggregate_metrics(reports: Sequence[EpisodeReport]) -> dict:
     }
 
 
-def _summary_csv(summary: dict) -> str:
-    keys = sorted(summary)
-    return ",".join(keys) + "\n" + ",".join(repr(summary[k]) for k in keys) + "\n"
-
-
 def _policy_for(
     name: str, checkpoint: str | None, instance: Instance, epsilon: float = 0.0, seed: int = 0, exact: ExactResult | None = None
 ):
@@ -105,12 +111,8 @@ def _policy_for(
 
 def write_curve(path: Path, log: Sequence[dict]) -> None:
     """Write ``Trainer.train``'s log rows as ``curve.csv``."""
-    lines = ["episode,loss,nuv,ttl,tc,epsilon"]
-    lines += [
-        f"{r['episode']},{r['loss']!r},{r['nuv']},{r['ttl']!r},{r['tc']!r},{r['epsilon']!r}"
-        for r in log
-    ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = ("episode", "loss", "nuv", "ttl", "tc", "epsilon")
+    path.write_text(csv_text([columns, *([r[c] for c in columns] for r in log)]), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +217,7 @@ def _run_one(instance: Instance, policy, outdir: Path, label: str, instance_labe
     (outdir / f"trace_{label}.txt").write_text(
         "\n".join(report.trace_lines()) + ("\n" if report.assignments else ""), encoding="utf-8"
     )
-    _append_metrics(
-        outdir / "metrics.csv",
-        {"policy": label, "instance": instance_label, "nuv": report.nuv, "ttl": report.ttl, "tc": report.tc},
-    )
+    _append_metrics(outdir / "metrics.csv", label, instance_label, report)
     return report
 
 
@@ -227,7 +226,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _write_config(outdir, args)
     instance = load_instance(args.instance)
     policy = _policy_for(args.policy, args.checkpoint, instance, args.epsilon, args.seed)
-    label = getattr(policy, "policy_name", args.policy)
+    label = policy.policy_name
     report = _run_one(instance, policy, outdir, label, Path(args.instance).stem)
     print(f"policy={label} NUV={report.nuv} TTL={report.ttl:.3f} TC={report.tc:.3f}")
     return 0
@@ -244,16 +243,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         use_attention=not args.no_attention,
         use_score_feature=not args.no_score,
     )
-    tconfig = TrainerConfig(
-        gamma=args.gamma,
-        buffer_capacity=args.buffer_capacity,
-        batch_size=args.batch_size,
-        target_period=args.target_period,
-        steps_per_episode=args.steps_per_episode,
-        learning_rate=args.lr,
-        alpha=args.alpha,
-        seed=args.seed,
-    )
+    tconfig = TrainerConfig(**{name: getattr(args, dest) for name, dest in _TRAINER_DESTS.items()})
     trainer = Trainer(qconfig, tconfig)
     log = trainer.train(instances, args.episodes)
     ckpt = trainer.save_checkpoint(outdir / "checkpoint.ckpt")
@@ -274,7 +264,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         policy = make_learned_policy(net)
         reports.append(_run_one(instance, policy, outdir, f"learned_{Path(path).stem}", Path(path).stem))
     summary = aggregate_metrics(reports)
-    (outdir / "summary.csv").write_text(_summary_csv(summary), encoding="utf-8")
+    keys = sorted(summary)
+    (outdir / "summary.csv").write_text(csv_text([keys, [summary[k] for k in keys]]), encoding="utf-8")
     print(f"evaluated {len(reports)} instances: mean TC {summary['tc_mean']:.3f}")
     return 0
 
@@ -313,16 +304,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     for policy, label in zip(policies, labels):
         report = _run_one(instance, policy, outdir, label, Path(args.instance).stem)
-        rows.append({"policy": label, "nuv": report.nuv, "ttl": report.ttl, "tc": report.tc})
+        rows.append((label, report.nuv, report.ttl, report.tc))
     if args.exact:
-        rows.append({"policy": "exact", "nuv": exact.nuv, "ttl": exact.ttl, "tc": exact.tc})
-    rows.sort(key=lambda r: r["policy"])
-    lines = ["policy,nuv,ttl,tc"] + [
-        f"{r['policy']},{r['nuv']},{r['ttl']!r},{r['tc']!r}" for r in rows
-    ]
-    (outdir / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for r in rows:
-        print(f"{r['policy']:>14}  NUV={r['nuv']:<3} TTL={r['ttl']:<10.3f} TC={r['tc']:.3f}")
+        rows.append(("exact", exact.nuv, exact.ttl, exact.tc))
+    rows.sort(key=lambda r: r[0])
+    (outdir / "compare.csv").write_text(csv_text([("policy", "nuv", "ttl", "tc"), *rows]), encoding="utf-8")
+    for label, nuv, ttl, tc in rows:
+        print(f"{label:>14}  NUV={nuv:<3} TTL={ttl:<10.3f} TC={tc:.3f}")
     return 0
 
 
@@ -337,8 +325,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.instance} has no history days; use --source orders")
     else:
         grid = episode_demand_grid(instance)
-    rows = [",".join(repr(float(v)) for v in row) for row in grid]
-    (outdir / "grid.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (outdir / "grid.csv").write_text(csv_text(grid.tolist()), encoding="utf-8")
     (outdir / "grid.svg").write_text(_svg_heatmap(grid, f"demand grid ({args.source})"), encoding="utf-8")
     print(f"wrote {outdir / 'grid.csv'} ({n}x{instance.horizon})")
     return 0
@@ -406,14 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the dispatch network")
     p.add_argument("--instance", action="append", required=True, help="repeatable")
     p.add_argument("--episodes", type=int, required=True)
-    p.add_argument("--seed", type=int, default=TrainerConfig.seed)
-    p.add_argument("--gamma", type=float, default=TrainerConfig.gamma)
-    p.add_argument("--batch-size", type=int, default=TrainerConfig.batch_size)
-    p.add_argument("--buffer-capacity", type=int, default=TrainerConfig.buffer_capacity)
-    p.add_argument("--target-period", type=int, default=TrainerConfig.target_period)
-    p.add_argument("--steps-per-episode", type=int, default=TrainerConfig.steps_per_episode)
-    p.add_argument("--lr", type=float, default=TrainerConfig.learning_rate)
-    p.add_argument("--alpha", type=float, default=TrainerConfig.alpha)
+    for f in dataclasses.fields(TrainerConfig):
+        p.add_argument("--" + _TRAINER_DESTS[f.name].replace("_", "-"), type=type(f.default), default=f.default)
     p.add_argument("--neighbors", type=int, default=QNetworkConfig.neighbors)
     p.add_argument("--no-attention", action="store_true")
     p.add_argument("--no-score", action="store_true")

@@ -3,13 +3,14 @@
 Orders are processed strictly in creation order, each immediately on
 arrival.  For every order the simulator plans the order onto each vehicle's
 route, builds the joint state from the plans (five features per vehicle:
-current/new route length from the planner, demand-alignment score of the
-planned route, used flag and the current interval index), hands it to a
-dispatch policy, and commits the chosen vehicle's best insertion.  The
-demand score reads a forecast grid of ``n_factories x horizon`` cells; a
-caller's grid of another shape is refused up front.  Vehicles never
-dispatched from one depot get the same plan and stand at that depot, so
-their demand score and position are computed once per depot and order.
+the length of its committed and of its planned route, demand-alignment
+score of the planned route, used flag and the current interval index),
+hands it to a dispatch policy, and commits the chosen vehicle's best
+insertion.  The demand score reads a forecast grid of ``n_factories x
+horizon`` cells; a caller's grid of another shape is refused up front.
+Vehicles never dispatched from one depot get the same plan and stand at
+that depot, so their demand score and position are computed once per depot
+and order.
 Rewards are cost-shaped: an instant term charging the per-km cost of the
 detour plus the fixed cost when the assignment activates a fresh vehicle,
 and an episode-mean term added to every order's reward once the day ends.
@@ -40,15 +41,14 @@ class UnserviceableOrderError(RuntimeError):
 
     def __init__(self, order_id: int):
         super().__init__(f"no vehicle has a feasible insertion for order {order_id}")
-        self.order_id = order_id
 
 
 @dataclass
 class JointState:
     """Fleet state with respect to one order, one row per vehicle.
 
-    ``features`` holds each vehicle's five features: the current and new
-    route length from the insertion planner, the Jensen-Shannon score
+    ``features`` holds each vehicle's five features: the length of its
+    committed route and of the planner's best route, the Jensen-Shannon score
     between the planned route's residual capacity and the demand forecast,
     the used flag (1 once the vehicle has a committed order) and the
     interval of the decision time; the row is all -1 when the vehicle is
@@ -214,13 +214,13 @@ def _fleet_state(
         idle_class = route.depot if route.start_time is None else None
         if idle_class is None or idle_class not in memo:
             row = (-1.0,) * 5
-            if plan.feasible:
-                best = plan.best_route
+            best = plan.best_route
+            if best is not None:
                 cells = demand.route_cells(best, *predicted.shape)
                 score = demand.divergence_score(
                     demand.capacity_profile(best, cells, fleet.capacity), demand.demand_profile(cells, predicted)
                 )
-                row = (plan.cur_len, plan.new_len, score, float(accepted[k] > 0), interval)
+                row = (route.length, best.length, score, float(accepted[k] > 0), interval)
             memo[idle_class] = row, routing.vehicle_position(route, network, now)
         row, position = memo[idle_class]
         rows.append(row)
@@ -269,17 +269,15 @@ def run_episode(
             raise UnserviceableOrderError(order.id)
         k = int(policy(state))
         decision_times.append(time.perf_counter() - t0)
-        plan = plans[k]
-        if not plan.feasible:
+        new_route = plans[k].best_route
+        if new_route is None:
             raise ValueError(f"policy chose infeasible vehicle {k} for order {order.id}")
-
-        new_route = plan.best_route
         frozen = new_route.frozen_until
         if new_route.stops[: frozen + 1] != routes[k].stops[: frozen + 1]:
             raise RuntimeError(
                 f"insertion for order {order.id} altered the frozen prefix of vehicle {k}"
             )
-        delta = plan.new_len - plan.cur_len
+        delta = new_route.length - routes[k].length
         r = instant_reward(accepted[k] > 0, delta, fleet.fixed_cost, fleet.unit_cost, alpha)
         routes[k] = new_route
         accepted[k] += 1

@@ -31,9 +31,10 @@ Dispatching must not interfere with a moving vehicle: stops up to
 ``frozen_until`` (the stop the vehicle currently occupies or is driving
 toward) stay in place, and new stops may only be inserted after them.
 
-The planner answers only whether an order fits a vehicle, the route length
-before and after, and the best route; :mod:`dpdplab.env` turns plans into
-the fleet state's feature rows.
+The planner answers only with the best route, or ``None`` when the order
+fits nowhere on the vehicle; the route lengths before and after are the
+committed and the planned route's :attr:`Route.length`.  :mod:`dpdplab.env`
+turns plans into the fleet state's feature rows.
 """
 
 from __future__ import annotations
@@ -127,21 +128,19 @@ class Route:
 
 @dataclass
 class PlannerResult:
-    """Outcome of planning one order onto one vehicle: the route length
-    before and after the insertion and the simulated best route.
+    """Outcome of planning one order onto one vehicle: the simulated best
+    route, ``None`` when no feasible insertion exists.
 
-    When no feasible insertion exists both lengths are the sentinel ``-1``
-    and ``best_route`` is ``None``.
+    A plan is its route; the class stays only so that the benchmark's
+    planner tracer (``_note_plan`` in ``perfbench/layers.py``) can keep
+    reading ``feasible``.
     """
 
-    feasible: bool
-    cur_len: float
-    new_len: float
     best_route: Route | None
 
-    @classmethod
-    def no_fit(cls) -> "PlannerResult":
-        return cls(False, -1.0, -1.0, None)
+    @property
+    def feasible(self) -> bool:
+        return self.best_route is not None
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +291,8 @@ def plan_insertion(
     answer is the feasible pair of least (walked length, pickup gap,
     delivery gap), so ties on length go to the lexicographically smallest
     gap pair.  The best route's walk resumes from the committed walk's
-    states of the stops it keeps.  Infeasibility is a value
-    (`PlannerResult.no_fit`), not an error.
+    states of the stops it keeps.  Infeasibility is a value (a
+    ``best_route`` of ``None``), not an error.
     """
     capacity = fleet.capacity
     start, walk = route.start_time, route.walk
@@ -345,7 +344,7 @@ def plan_insertion(
             best_len, best_pair = cand.length, (i, j)
 
     if best_pair is None:
-        return PlannerResult.no_fit()
+        return PlannerResult(None)
 
     i, j = best_pair
     new_stops = _coalesce([*base[:i], pick, *base[i:j], drop, *base[j:]], frozen)
@@ -356,4 +355,4 @@ def plan_insertion(
     kept = i - 1 if new_stops[i - 1] is not base[i - 1] else i
     best_route = Route(vehicle=route.vehicle, depot=route.depot, stops=new_stops, frozen_until=frozen)
     simulate_timeline(best_route, network, start, walk[:kept])
-    return PlannerResult(True, cur_len, best_route.length, best_route)
+    return PlannerResult(best_route)

@@ -236,7 +236,7 @@ def test_criterion_7_planner_equals_brute_force():
                 assert not res.feasible, checked
             else:
                 assert res.feasible, checked
-                assert res.new_len == pytest.approx(oracle, abs=1e-9), checked
+                assert res.best_route.length == pytest.approx(oracle, abs=1e-9), checked
                 best = res.best_route
                 length = route_walk_length(best, inst.network, inst.fleet.capacity)
                 assert length == pytest.approx(oracle, abs=1e-9), checked

@@ -364,6 +364,38 @@ def test_validator_catches_a_route_that_does_not_return_to_its_depot():
     assert f"back-to-depot: vehicle {route.vehicle} does not end at its depot" in verdict.violations
 
 
+def _two_depot_episode():
+    """Vehicles 0 and 2 start at depot 10, 1 and 3 at depot 11; 1 and 3 are used."""
+    inst = generate_instance(3, 10, 12, 4, n_depots=2)
+    report, _ = run_episode(inst, make_greedy_policy("incremental"))
+    assert validate_routes(report, inst).ok
+    assert [r.vehicle for r in report.routes if any(s.actions for s in r.stops)] == [1, 3]
+    return inst, report
+
+
+def test_validator_catches_a_route_of_no_fleet_vehicle():
+    inst, report = _two_depot_episode()
+    report.routes[3].vehicle = 99
+    assert "fleet: vehicle 99 is not a fleet vehicle" in validate_routes(report, inst).violations
+
+
+def test_validator_catches_two_routes_of_one_vehicle():
+    inst, report = _two_depot_episode()
+    report.routes[3].vehicle = 1
+    violations = validate_routes(report, inst).violations
+    assert "fleet: vehicle 1 has 2 routes" in violations
+    assert "fleet: vehicle 3 has 0 routes" in violations
+
+
+def test_validator_judges_the_depot_of_the_fleet_vehicle():
+    # Vehicle 1's route, depot 11 and all, relabelled vehicle 0 of depot 10.
+    inst, report = _two_depot_episode()
+    report.routes[0].vehicle, report.routes[1].vehicle = 1, 0
+    violations = validate_routes(report, inst).violations
+    assert "back-to-depot: vehicle 0 does not start at its depot" in violations
+    assert "back-to-depot: vehicle 0 does not end at its depot" in violations
+
+
 def test_oracle_dominates_policies_small():
     inst = generate_instance(seed=30, n_factories=6, n_orders=6, n_vehicles=3)
     res = solve_exact(inst)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -55,6 +56,14 @@ def test_gen_defaults_are_those_of_generate_instance(tmp_path):
     assert main(["gen", "--seed", "4", "--orders", "5", "--vehicles", "3", "--out", str(tmp_path / "cli.json")]) == 0
     direct = save_instance(generate_instance(4, 10, 5, 3), tmp_path / "direct.json")
     assert (tmp_path / "cli.json").read_bytes() == direct.read_bytes()
+
+
+def test_train_flags_are_the_trainer_config_fields():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {flag: a for a in subparsers.choices["train"]._actions for flag in a.option_strings}
+    for f in dataclasses.fields(TrainerConfig):
+        flag = "--lr" if f.name == "learning_rate" else "--" + f.name.replace("_", "-")
+        assert (actions[flag].default, actions[flag].type) == (f.default, type(f.default)), flag
 
 
 def test_gen_is_deterministic(tmp_path):

@@ -1,4 +1,4 @@
-"""Greedy and exact-solver outputs pinned to recorded digests.
+"""Greedy, exact-solver and command-line CSV outputs pinned to recorded digests.
 
 Each greedy digest is the sha256 of an episode's trace lines plus its report
 JSON (without the two wall-clock fields).  The first set was recorded before
@@ -11,8 +11,10 @@ exact-plan digests were recorded before exact pricing gained its completion
 bound; they also see which sequence the pricer picks among equal lengths,
 which the route oracle (lengths only) cannot.  The insertion-plan digest was
 recorded before the planner screened its gap pairs by length; it sees which
-gap pair wins among equal lengths, which the brute-force oracle cannot.  A
-refactor that is meant to keep behaviour must keep these bytes.
+gap pair wins among equal lengths, which the brute-force oracle cannot.  The
+CSV digests cover every CSV file of a short command-line session; they were
+recorded before the CSV rows went through one formatter.  A refactor that
+is meant to keep behaviour must keep these bytes.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 
 from dpdplab.baselines import _best_route_for, make_greedy_policy, solve_exact
+from dpdplab.cli import main
 from dpdplab.env import run_episode
 from dpdplab.instance import DEPOT, FACTORY, FleetConfig, VehicleSpec, generate_instance
 from dpdplab.routing import Route, plan_insertion, simulate_timeline
@@ -146,8 +149,8 @@ def test_exact_plans_match_recorded_digest():
     assert digest.hexdigest() == RECORDED_EXACT_PLANS
 
 
-# sha256 of (feasible, cur_len, new_len, stops, walk) of every plan in
-# _planner_corpus().
+# sha256 of (feasible, length before, length after, stops, walk) of every
+# plan in _planner_corpus(), both lengths -1.0 when the order fits nowhere.
 RECORDED_PLANS = "8a496bc7d0e79d867ea0cebadd3bb392a7a87584f2ab4fabcbe3cf3ae9b1ee69"
 
 
@@ -157,7 +160,8 @@ def _planner_corpus():
     Nodes sit on a 4 x 4 integer grid, so many gap pairs give equal lengths,
     and tight deadlines and capacities of 2-6 reject many of them.  ``now``
     advances between orders, so plans meet frozen prefixes and completed
-    trips.  Each feasible plan is committed.
+    trips.  Yields each plan with the route it plans onto; each feasible
+    plan is committed.
     """
     rng = np.random.default_rng(20)
     for _ in range(300):
@@ -180,7 +184,7 @@ def _planner_corpus():
                 created_at=now, latest_delivery=now + int(rng.integers(4, 25)),
             )
             res = plan_insertion(route, order, float(now), network, fleet)
-            yield network, res
+            yield network, route, res
             if res.feasible:
                 route = res.best_route
 
@@ -188,17 +192,59 @@ def _planner_corpus():
 def test_insertion_plans_match_recorded_digest():
     digest = hashlib.sha256()
     plans = 0
-    for network, res in _planner_corpus():
+    for network, route, res in _planner_corpus():
         stops = walk = None
+        lengths = (-1.0, -1.0)
         if res.feasible:
             best = res.best_route
             stops = [(s.node, [(a.kind, a.order.id) for a in s.actions]) for s in best.stops]
             walk = best.walk
+            lengths = (route.length, best.length)
             fresh = simulate_timeline(
                 Route(best.vehicle, best.depot, list(best.stops)), network, best.start_time
             )
             assert (fresh.walk, fresh.violation) == (best.walk, best.violation)
-        digest.update(repr((res.feasible, res.cur_len, res.new_len, stops, walk)).encode() + b"\n")
+        digest.update(repr((res.feasible, *lengths, stops, walk)).encode() + b"\n")
         plans += 1
     assert plans == 3600
     assert digest.hexdigest() == RECORDED_PLANS
+
+
+# sha256 of every CSV file that _cli_session() writes.
+RECORDED_CSV = {
+    "compare/compare.csv": "e07b3ad27452329a42ae45a258b68e137161af4db7e191c5b9c614e1a732edcc",
+    "compare/metrics.csv": "a2ecb2297491bcbccd34a4366890cf3c3e03ff7781d9a801ae0ed067a3fd4593",
+    "eval/metrics.csv": "6e132e794d1c14f4b8858d0daee27f4ccf9e9d40f21866bfa4bf7e0a0bc1db27",
+    "eval/summary.csv": "5cf850e47324405aaa3dac8a73af385e08c7212f164c70291089aef6691b9c05",
+    "history/grid.csv": "e441242c1f5dec1f68e48ef25a9440b4e95c929b2f7e68e71bf298049322d0d5",
+    "orders/grid.csv": "3a560ee88e81bcde31aab767698b9d3f3d0de79b5af8ae7591c4b6d38061dbac",
+    "run/metrics.csv": "9000c1509ea28fa7f4ad72afb52976fb3225cb722d2dc2f29d6f534b06bca807",
+    "train/curve.csv": "8da677135dc4008c5337eb4939a1251b26dd47e214c82071d038077d50ce492e",
+}
+
+
+def _cli_session(out):
+    """Run a short fixed CLI session into ``out``; returns its CSV files by name."""
+    a, b, ckpt = str(out / "a.json"), str(out / "b.json"), str(out / "train" / "checkpoint.ckpt")
+    commands = [
+        ["gen", "--seed", "9", "--orders", "8", "--vehicles", "3", "--factories", "6", "--out", a],
+        ["gen", "--seed", "10", "--orders", "6", "--vehicles", "3", "--factories", "6", "--out", b],
+        ["run", "--instance", a, "--policy", "greedy1"],
+        ["train", "--instance", a, "--instance", b, "--episodes", "4", "--seed", "3",
+         "--batch-size", "12", "--steps-per-episode", "2"],
+        ["eval", "--checkpoint", ckpt, "--instance", a, "--instance", b],
+        ["compare", "--instance", a, "--policies", "greedy1,greedy3,learned", "--checkpoint", ckpt, "--exact"],
+        ["heatmap", "--instance", a, "--source", "orders", "--out", str(out / "orders")],
+        ["heatmap", "--instance", b, "--source", "history", "--out", str(out / "history")],
+    ]
+    for argv in commands:
+        if "--out" not in argv:
+            argv += ["--out", str(out / argv[0])]
+        assert main(argv) == 0, argv
+    return {str(p.relative_to(out)): p for p in sorted(out.glob("*/*.csv"))}
+
+
+def test_cli_csv_files_match_recorded_digests(tmp_path):
+    files = _cli_session(tmp_path)
+    got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
+    assert got == RECORDED_CSV

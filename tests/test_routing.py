@@ -167,7 +167,7 @@ def test_idle_route_is_planned_from_now(deadline, line_network, line_fleet):
         assert not res.feasible
     else:
         assert res.feasible
-        assert res.new_len == pytest.approx(oracle, abs=1e-9)
+        assert res.best_route.length == pytest.approx(oracle, abs=1e-9)
         assert res.best_route.walk[0].departure == 10.0
     assert route.start_time is None
     assert route.walk == Route.empty(0, depot=2).walk
@@ -181,16 +181,15 @@ def test_plan_on_empty_route(line_network, line_fleet):
     nodes = [s.node for s in res.best_route.stops]
     assert nodes == [2, 0, 1, 2]
     d = line_network.dist
-    assert res.new_len == pytest.approx(d[2, 0] + d[0, 1] + d[1, 2])
-    assert res.cur_len == 0.0
+    assert res.best_route.length == pytest.approx(d[2, 0] + d[0, 1] + d[1, 2])
+    assert route.length == 0.0
 
 
-def test_plan_infeasible_returns_sentinels(line_network, line_fleet):
+def test_plan_infeasible_has_no_route(line_network, line_fleet):
     route = Route.empty(0, depot=2)
     o = make_order(0, pickup=0, delivery=1, created_at=100, latest_delivery=102)
     res = plan_insertion(route, o, 100.0, line_network, line_fleet)
     assert not res.feasible
-    assert (res.cur_len, res.new_len) == (-1, -1)
     assert res.best_route is None
 
 
@@ -206,7 +205,7 @@ def test_plan_matches_brute_force_small(line_network, line_fleet):
         res = plan_insertion(route, o, now, line_network, line_fleet)
         oracle = brute_force_best_insertion(route, o, now, line_network, line_fleet)
         assert res.feasible and oracle is not None
-        assert res.new_len == pytest.approx(oracle, abs=1e-9)
+        assert res.best_route.length == pytest.approx(oracle, abs=1e-9)
         route = res.best_route
 
 
@@ -219,7 +218,7 @@ def test_plan_tie_breaks_to_earliest_gap(line_network, line_fleet):
     route = plan_insertion(Route.empty(0, 2), o1, 0.0, line_network, line_fleet).best_route
     o2 = make_order(1, pickup=0, delivery=1, created_at=0)
     res = plan_insertion(route, o2, 0.0, line_network, line_fleet)
-    assert res.new_len == 22.0 == brute_force_best_insertion(route, o2, 0.0, line_network, line_fleet)
+    assert res.best_route.length == 22.0 == brute_force_best_insertion(route, o2, 0.0, line_network, line_fleet)
     assert res.best_route.stops == [
         Stop(2),
         Stop(1, (Action(PICKUP, o1),)),
@@ -253,7 +252,7 @@ def test_completed_route_extends_with_new_trip(line_network, line_fleet):
     assert res.feasible
     nodes = [s.node for s in res.best_route.stops]
     assert nodes == [2, 0, 1, 2, 1, 0, 2]
-    assert res.new_len > res.cur_len
+    assert res.best_route.length > route.length
 
 
 def test_same_node_pickup_merges_into_stop(line_network, line_fleet):
@@ -379,8 +378,8 @@ def test_planner_matches_oracle_fuzz():
             assert not res.feasible
         else:
             assert res.feasible
-            assert res.new_len == pytest.approx(oracle, abs=1e-9)
-            assert res.new_len >= res.cur_len - 1e-12
+            assert res.best_route.length == pytest.approx(oracle, abs=1e-9)
+            assert res.best_route.length >= route.length - 1e-12
             best = res.best_route
             length = route_walk_length(best, inst.network, inst.fleet.capacity)
             assert length == pytest.approx(oracle, abs=1e-9)

@@ -43,6 +43,10 @@ def test_compare_policies_writes_table(tmp_path):
     policies = [row.split(",")[1] for row in lines[1:]]
     assert policies == ["exact", "incremental", "total", "max_orders", "learned"] * 2
     assert all(float(row.split(",")[3]) > 0 for row in lines[1:])
+    # A number cell is its repr: the learned row's mean NUV is a float.
+    assert all(repr(float(row.split(",")[3])) == row.split(",")[3] for row in lines[1:])
+    assert [row.split(",")[2].endswith(".0") for row in lines[1:5]] == [False] * 4
+    assert lines[5].split(",")[2].endswith(".0")
 
 
 def _load(script: str):
