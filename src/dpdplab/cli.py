@@ -11,8 +11,10 @@ plotting dependency) as a convenience.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import inspect
+import io
 import json
 import os
 import sys
@@ -58,15 +60,18 @@ def _write_config(outdir: Path, args: argparse.Namespace) -> None:
 
 
 def csv_text(rows: Iterable[Sequence]) -> str:
-    """CSV text with one line per row: a string cell as is, any other by ``repr``."""
-    return "".join(",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n" for row in rows)
+    """CSV text with one line per row: a string cell as is, quoted if it holds
+    a comma, a quote or a line break, and any other cell by ``repr``."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([c if isinstance(c, str) else repr(c) for c in row] for row in rows)
+    return out.getvalue()
 
 
 def _append_metrics(path: Path, policy: str, instance: str, report: EpisodeReport) -> None:
     """Append one episode row; its ``episode`` column is the row's index."""
     header = ("episode", "policy", "instance", "nuv", "ttl", "tc")
     text = path.read_text(encoding="utf-8") if path.exists() else csv_text([header])
-    episode = text.count("\n") - 1
+    episode = sum(1 for _ in csv.reader(io.StringIO(text))) - 1
     row = (episode, policy, instance, report.nuv, report.ttl, report.tc)
     path.write_text(text + csv_text([row]), encoding="utf-8")
 

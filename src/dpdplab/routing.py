@@ -26,6 +26,9 @@ at the best length so far, until a prediction passes that length by more
 than ``SCREEN_SLACK``; the walk, not the prediction, decides, so the answer
 and its tie-break are those of a full scan.  The winner's timeline resumes
 from the committed walk's states of the stops the insertion leaves in place.
+A route with nothing left to serve (never dispatched, completed, or driving
+to its final depot stop) has one gap pair, after that stop and back to it,
+so it is planned by one walk with no search.
 
 Dispatching must not interfere with a moving vehicle: stops up to
 ``frozen_until`` (the stop the vehicle currently occupies or is driving
@@ -285,36 +288,50 @@ def plan_insertion(
 
     Considers every pickup/delivery gap pair strictly after the frozen
     prefix, keeping existing stops in their relative order; the new stops go
-    before the final depot return (a completed route gets a fresh return
-    appended).  Pairs are screened by their predicted length and confirmed
-    best first by one bounded walk each (see the module docstring); the
-    answer is the feasible pair of least (walked length, pickup gap,
-    delivery gap), so ties on length go to the lexicographically smallest
-    gap pair.  The best route's walk resumes from the committed walk's
-    states of the stops it keeps.  Infeasibility is a value (a
-    ``best_route`` of ``None``), not an error.
+    before the final depot return.  When the frozen stop is that return (a
+    never-dispatched or completed route, or one driving home), the one gap
+    pair puts the new stops after it, followed by a fresh return, and one
+    walk from its state decides.  Otherwise pairs are screened by their
+    predicted length and confirmed best first by one bounded walk each (see
+    the module docstring); the answer is the feasible pair of least (walked
+    length, pickup gap, delivery gap), so ties on length go to the
+    lexicographically smallest gap pair.  The best route's walk resumes from
+    the committed walk's states of the stops it keeps.  Infeasibility is a
+    value (a ``best_route`` of ``None``), not an error.
     """
     capacity = fleet.capacity
-    start, walk = route.start_time, route.walk
+    start, walk, base = route.start_time, route.walk, route.stops
     if start is None:
-        # A never-dispatched route is its depot stop; it leaves now.
+        # A never-dispatched route is Route.empty's depot stop, which cannot
+        # be infeasible; it leaves now.
         start = float(now)
         walk = [WalkState(route.depot, start, start, 0, (), 0.0)]
-    if route.violation is not None or max(map(_LOAD, walk)) > capacity:
-        raise RuntimeError(f"committed route of vehicle {route.vehicle} became infeasible")
-
-    frozen = frozen_index(route, now)
-    base = route.stops
-    if frozen == len(base) - 1:
-        base = [*base, Stop(route.depot)]
+        frozen = 0
+    else:
+        if route.violation is not None or max(map(_LOAD, walk)) > capacity:
+            raise RuntimeError(f"committed route of vehicle {route.vehicle} became infeasible")
+        frozen = frozen_index(route, now)
     last = len(base) - 1
+
+    pick = Stop(order.pickup, (Action(PICKUP, order),))
+    drop = Stop(order.delivery, (Action(DELIVER, order),))
+    if frozen == last:
+        # Nothing left to serve: the one gap pair puts the order after the
+        # final depot stop and returns to that depot.  The walk goes on from
+        # that stop's state.  On a completed route its departure is when the
+        # last trip ended, which may be before ``now``: a known fault, whose
+        # fix (starting the new trip at the later of the two) belongs here.
+        timeline = list(walk)
+        if _walk(walk[-1], [pick, drop], network, capacity, record=timeline)[1] is not None:
+            return PlannerResult(None)
+        best_route = Route(route.vehicle, route.depot, [*base, pick, drop, base[-1]], frozen_until=frozen)
+        simulate_timeline(best_route, network, start, timeline)
+        return PlannerResult(best_route)
 
     # A candidate with the pickup in gap i starts from the walk state after
     # stop i - 1 of the committed route; with the delivery in gap j it then
     # drives from ``mid`` to the delivery and on to stop j, and from there
-    # the committed route's rest.  An appended depot return adds nothing.
-    pick = Stop(order.pickup, (Action(PICKUP, order),))
-    drop = Stop(order.delivery, (Action(DELIVER, order),))
+    # the committed route's rest.
     dist = network.dist
     cur_len = walk[-1].length
     candidates = []
@@ -323,7 +340,7 @@ def plan_insertion(
         if mid is None:
             continue
         for j in range(i, last + 1):
-            rest = cur_len - walk[j].length if j < len(walk) else 0.0
+            rest = cur_len - walk[j].length
             via_drop = dist.item(mid.node, drop.node) + dist.item(drop.node, base[j].node)
             candidates.append((mid.length + via_drop + rest, i, j, mid))
             if j < last:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -264,6 +265,16 @@ def test_metrics_episode_column_counts_rows(tmp_path):
     assert main(["compare", "--instance", str(inst), "--out", str(out)]) == 0
     rows = (out / "metrics.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]
+
+
+def test_metrics_row_quotes_an_instance_name_with_a_comma(tmp_path):
+    inst = _gen(tmp_path, "a,b.json", orders=4, vehicles=2)
+    out = tmp_path / "run"
+    for _ in range(2):
+        assert main(["run", "--instance", str(inst), "--policy", "greedy1", "--out", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO((out / "metrics.csv").read_text())))
+    assert [len(row) for row in rows] == [6, 6, 6]
+    assert [row[:3] for row in rows[1:]] == [["0", "incremental", "a,b"], ["1", "incremental", "a,b"]]
 
 
 def _main_in(tmp: str, argv: list[str]) -> tuple[int, str]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpdplab import routing
 from dpdplab.instance import DEPOT, FACTORY, FleetConfig, VehicleSpec, generate_instance
 from dpdplab.routing import (
     DELIVER,
@@ -25,6 +26,7 @@ from oracles import (
     route_walk_length,
     vehicle_position_reference,
 )
+from test_pinned_outputs import _planner_corpus
 
 
 def _route(depot, stops, vehicle=0):
@@ -253,6 +255,53 @@ def test_completed_route_extends_with_new_trip(line_network, line_fleet):
     nodes = [s.node for s in res.best_route.stops]
     assert nodes == [2, 0, 1, 2, 1, 0, 2]
     assert res.best_route.length > route.length
+
+
+def _nothing_live_route(shape, network, fleet):
+    """A route with nothing left to serve at the returned minute: never
+    dispatched, completed, or driving to its final depot stop."""
+    if shape == "never dispatched":
+        return Route.empty(0, 2), 10.0
+    o1 = make_order(0, pickup=0, delivery=1, created_at=0)
+    route = plan_insertion(Route.empty(0, 2), o1, 0.0, network, fleet).best_route
+    # The trip leaves node 1 at minute 7 and is back at the depot at 14.
+    return route, 114.0 if shape == "completed" else 10.0
+
+
+@pytest.mark.parametrize("slack", [3, 60])
+@pytest.mark.parametrize("shape", ["never dispatched", "completed", "driving home"])
+def test_nothing_live_plan_matches_oracle(shape, slack, line_network, line_fleet):
+    route, now = _nothing_live_route(shape, line_network, line_fleet)
+    assert frozen_index(route, now) == len(route.stops) - 1
+    assert (now >= route.walk[-1].departure) == (shape != "driving home")
+    o = make_order(1, pickup=1, delivery=0, created_at=int(now), latest_delivery=int(now) + slack)
+    res = plan_insertion(route, o, now, line_network, line_fleet)
+    oracle = brute_force_best_insertion(route, o, now, line_network, line_fleet)
+    # Every shape delivers at least 4 minutes after the order is created.
+    assert (oracle is not None) == (slack == 60) == res.feasible
+    if res.feasible:
+        best = res.best_route
+        assert best.length == pytest.approx(oracle, abs=1e-9)
+        assert [s.node for s in best.stops] == [s.node for s in route.stops] + [1, 0, 2]
+        fresh = simulate_timeline(Route(0, best.depot, list(best.stops)), line_network, best.start_time)
+        assert (fresh.walk, fresh.violation) == (best.walk, best.violation)
+
+
+def test_simulate_timeline_runs_once_per_feasible_plan(monkeypatch):
+    timelines = []
+    simulate = routing.simulate_timeline
+
+    def counted(route, *args):
+        timelines.append(route)
+        return simulate(route, *args)
+
+    monkeypatch.setattr(routing, "simulate_timeline", counted)
+    feasible = 0
+    for _, _, res in _planner_corpus():
+        assert timelines == ([res.best_route] if res.feasible else [])
+        feasible += res.feasible
+        timelines.clear()
+    assert 0 < feasible < 3600
 
 
 def test_same_node_pickup_merges_into_stop(line_network, line_fleet):
