@@ -38,6 +38,11 @@ OUT_ROOT_ENV = "DPDPLAB_OUT"
 # for ``learning_rate``.  Each maps the field to its argparse dest.
 _TRAINER_DESTS = {f.name: {"learning_rate": "lr"}.get(f.name, f.name) for f in dataclasses.fields(TrainerConfig)}
 
+# The `gen` flag of each generate_instance parameter: its name without the
+# ``n_`` prefix.  Each maps the parameter to its argparse dest.
+_GEN_PARAMS = inspect.signature(generate_instance, eval_str=True).parameters
+_GEN_DESTS = {name: name.removeprefix("n_") for name in _GEN_PARAMS}
+
 
 def _resolve_out(args: argparse.Namespace) -> str | None:
     """Fill a missing --out from the $DPDPLAB_OUT root; error text when unset."""
@@ -50,13 +55,17 @@ def _resolve_out(args: argparse.Namespace) -> str | None:
     return None
 
 
-def _write_config(outdir: Path, args: argparse.Namespace) -> None:
+def _write_config(args: argparse.Namespace) -> Path:
+    """Make the output directory ``--out``, write ``config.json`` into it
+    and return it."""
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     doc = {k: v for k, v in vars(args).items() if k != "func"}
     doc["version"] = __version__
     (outdir / "config.json").write_text(
         json.dumps(doc, indent=1, sort_keys=True, default=str) + "\n", encoding="utf-8"
     )
+    return outdir
 
 
 def csv_text(rows: Iterable[Sequence]) -> str:
@@ -80,21 +89,13 @@ def aggregate_metrics(reports: Sequence[EpisodeReport]) -> dict:
     """Mean/min/max summary of NUV, TC and TTL over episode reports."""
     if not reports:
         raise ValueError("cannot aggregate an empty list of reports")
-    nuv = [r.nuv for r in reports]
-    tc = [r.tc for r in reports]
-    ttl = [r.ttl for r in reports]
-    return {
-        "count": len(reports),
-        "nuv_mean": float(np.mean(nuv)),
-        "nuv_min": float(min(nuv)),
-        "nuv_max": float(max(nuv)),
-        "tc_mean": float(np.mean(tc)),
-        "tc_min": float(min(tc)),
-        "tc_max": float(max(tc)),
-        "ttl_mean": float(np.mean(ttl)),
-        "ttl_min": float(min(ttl)),
-        "ttl_max": float(max(ttl)),
-    }
+    summary = {"count": len(reports)}
+    for name in ("nuv", "tc", "ttl"):
+        values = [getattr(r, name) for r in reports]
+        summary[f"{name}_mean"] = float(np.mean(values))
+        summary[f"{name}_min"] = float(min(values))
+        summary[f"{name}_max"] = float(max(values))
+    return summary
 
 
 def _policy_for(
@@ -186,21 +187,7 @@ def _svg_heatmap(matrix: np.ndarray, title: str) -> str:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    inst = generate_instance(
-        seed=args.seed,
-        n_factories=args.factories,
-        n_orders=args.orders,
-        n_vehicles=args.vehicles,
-        horizon=args.horizon,
-        n_depots=args.depots,
-        capacity=args.capacity,
-        fixed_cost=args.fixed_cost,
-        unit_cost=args.unit_cost,
-        speed=args.speed,
-        service_time=args.service_time,
-        hot_spot=args.hot_spot,
-        history_days=args.history_days,
-    )
+    inst = generate_instance(**{name: getattr(args, dest) for name, dest in _GEN_DESTS.items()})
     path = save_instance(inst, args.out)
     print(f"wrote {path} ({len(inst.orders)} orders, {inst.n_vehicles} vehicles)")
     return 0
@@ -227,8 +214,7 @@ def _run_one(instance: Instance, policy, outdir: Path, label: str, instance_labe
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
-    _write_config(outdir, args)
+    outdir = _write_config(args)
     instance = load_instance(args.instance)
     policy = _policy_for(args.policy, args.checkpoint, instance, args.epsilon, args.seed)
     label = policy.policy_name
@@ -240,8 +226,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     if args.episodes < 0:
         raise ValueError(f"--episodes must be >= 0, not {args.episodes}")
-    outdir = Path(args.out)
-    _write_config(outdir, args)
+    outdir = _write_config(args)
     instances = [load_instance(p) for p in args.instance]
     qconfig = QNetworkConfig(
         neighbors=args.neighbors,
@@ -260,8 +245,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     _refuse_repeats([Path(path).stem for path in args.instance], "instance name")
-    outdir = Path(args.out)
-    _write_config(outdir, args)
+    outdir = _write_config(args)
     net = Trainer.load_checkpoint(args.checkpoint).online
     reports = []
     for path in args.instance:
@@ -276,19 +260,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
-    _write_config(outdir, args)
+    outdir = _write_config(args)
     instance = load_instance(args.instance)
     result = solve_exact(instance, budget=args.budget)
-    doc = {
-        "tc": result.tc,
-        "nuv": result.nuv,
-        "ttl": result.ttl,
-        "optimal": result.optimal,
-        "nodes_explored": result.nodes_explored,
-        "seconds": result.seconds,
-        "assignment": {str(k): v for k, v in sorted(result.assignment.items())},
-    }
+    doc = {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.name != "routes"}
+    doc["assignment"] = {str(k): v for k, v in result.assignment.items()}
     (outdir / "exact.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     (outdir / "plan.txt").write_text("\n".join(result.plan_lines()) + "\n", encoding="utf-8")
     status = "optimal" if result.optimal else "budget-exhausted"
@@ -297,8 +273,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
-    _write_config(outdir, args)
+    outdir = _write_config(args)
     instance = load_instance(args.instance)
     names = [name.strip() for name in args.policies.split(",")]
     # One budgeted solve serves both the exact_plan policy and the exact row.
@@ -320,8 +295,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
-    _write_config(outdir, args)
+    outdir = _write_config(args)
     instance = load_instance(args.instance)
     n = instance.network.n_factories
     if args.source == "orders":
@@ -337,27 +311,26 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
-    outdir = Path(args.out)
-    _write_config(outdir, args)
+    outdir = _write_config(args)
     path = Path(args.curve)
-    # An empty file reads as one empty header, so it has no column.
-    header, *rows = path.read_text(encoding="utf-8").strip().splitlines() or [""]
-    cols = header.split(",")
-    data = {c: [] for c in cols}
+    with path.open(encoding="utf-8", newline="") as fh:
+        # An empty file reads as one empty header, so it has no column.
+        header, *rows = list(csv.reader(fh)) or [[]]
     for number, row in enumerate(rows, start=2):
-        cells = row.split(",")
-        if len(cells) != len(cols):
-            raise ValueError(f"{path} line {number}: expected {len(cols)} cells as in the header, found {len(cells)}")
-        for c, v in zip(cols, cells):
-            try:
-                data[c].append(float(v))
-            except ValueError:
-                raise ValueError(f"{path} line {number}: column {c!r} holds {v!r}, not a number") from None
+        if len(row) != len(header):
+            raise ValueError(f"{path} line {number}: expected {len(header)} cells as in the header, found {len(row)}")
     for metric in args.metrics.split(","):
         metric = metric.strip()
-        if metric not in data:
+        if metric not in header:
             raise ValueError(f"{path}: curve file has no column {metric!r}")
-        svg = _svg_polyline({metric: data[metric]}, f"{metric} per episode")
+        column = header.index(metric)
+        values = []
+        for number, row in enumerate(rows, start=2):
+            try:
+                values.append(float(row[column]))
+            except ValueError:
+                raise ValueError(f"{path} line {number}: column {metric!r} holds {row[column]!r}, not a number") from None
+        svg = _svg_polyline({metric: values}, f"{metric} per episode")
         (outdir / f"curve_{metric}.svg").write_text(svg, encoding="utf-8")
     print(f"wrote curves for {args.metrics} into {outdir}")
     return 0
@@ -368,21 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dpdplab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = {name: param.default for name, param in inspect.signature(generate_instance).parameters.items()}
     p = sub.add_parser("gen", help="generate a synthetic instance file")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--factories", type=int, default=10)
-    p.add_argument("--orders", type=int, required=True)
-    p.add_argument("--vehicles", type=int, required=True)
-    p.add_argument("--horizon", type=int, default=gen["horizon"])
-    p.add_argument("--depots", type=int, default=gen["n_depots"])
-    p.add_argument("--capacity", type=int, default=gen["capacity"])
-    p.add_argument("--fixed-cost", type=float, default=gen["fixed_cost"])
-    p.add_argument("--unit-cost", type=float, default=gen["unit_cost"])
-    p.add_argument("--speed", type=float, default=gen["speed"])
-    p.add_argument("--service-time", type=float, default=gen["service_time"])
-    p.add_argument("--hot-spot", type=float, default=gen["hot_spot"])
-    p.add_argument("--history-days", type=int, default=gen["history_days"])
+    for name, param in _GEN_PARAMS.items():
+        # The generator has no default factory count; the command line's is 10.
+        default = 10 if name == "n_factories" else param.default
+        given = {"required": True} if default is param.empty else {"default": default}
+        p.add_argument("--" + _GEN_DESTS[name].replace("_", "-"), type=param.annotation, **given)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 

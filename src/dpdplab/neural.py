@@ -5,7 +5,9 @@ multi-head scaled dot-product attention within masked groups of rows, where
 every row is a query, followed by a concatenative dense head.  No block
 keeps activations between calls: ``forward`` returns ``(output, tape)``,
 where the tape holds what the matching ``backward(tape, grad)`` needs.  Gradients accumulate in
-mirrored buffers across backward calls until :meth:`zero_grad`.
+mirrored buffers across backward calls until :meth:`zero_grad`.  A block built
+from child blocks holds their arrays, shared, in its own registry under a
+prefix per child, so one ``params``/``grads`` pair names every array below it.
 
 Checkpoints are a small named-tensor archive: a JSON manifest followed by
 raw little-endian float64 payloads, deterministic byte-for-byte for equal
@@ -49,6 +51,13 @@ class Block:
         self.grads[name] = np.zeros_like(value)
         return value
 
+    def _add_block(self, prefix: str, block: "Block") -> "Block":
+        """Enter ``block``'s parameters and gradients, shared, under ``prefix``."""
+        for name in block.params:
+            self.params[prefix + name] = block.params[name]
+            self.grads[prefix + name] = block.grads[name]
+        return block
+
     def zero_grad(self) -> None:
         for g in self.grads.values():
             g[...] = 0.0
@@ -82,7 +91,9 @@ class Mlp(Block):
         sizes = list(sizes)
         if len(sizes) < 2:
             raise ValueError("an MLP needs at least input and output sizes")
-        self.layers = [Linear(a, b, rng) for a, b in zip(sizes, sizes[1:])]
+        self.layers = [
+            self._add_block(f"layer{i}.", Linear(a, b, rng)) for i, (a, b) in enumerate(zip(sizes, sizes[1:]))
+        ]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """The tape is every layer's input; past the first they are ReLU
@@ -103,14 +114,6 @@ class Mlp(Block):
             if i > 0:
                 g = g * (tape[i] > 0)
         return g
-
-    def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
-
-    def parameters(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
-        for i, layer in enumerate(self.layers):
-            yield from layer.parameters(f"{prefix}layer{i}.")
 
 
 class AttentionBlock(Block):

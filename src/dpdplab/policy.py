@@ -26,13 +26,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .env import DEFAULT_ALPHA, JointState, Transition, run_episode
 from .instance import Instance, read_json
-from .neural import Adam, AttentionBlock, Mlp, load_tensors, save_tensors
+from .neural import Adam, AttentionBlock, Block, Mlp, load_tensors, save_tensors
 
 SENTINEL_Q = -1e9
 # Per-column scale of a feature row (lengths in km, score, used flag,
@@ -87,46 +87,31 @@ def neighbor_indices(positions: np.ndarray, n_neighbors: int) -> np.ndarray:
     return np.argsort(d2, axis=1, kind="stable")[:, : ne + 1]
 
 
-class QNetwork:
+class QNetwork(Block):
     """Shared-weight per-vehicle Q tower over a joint fleet state."""
 
     def __init__(self, config: QNetworkConfig | None = None, seed: int = 0):
+        super().__init__()
         self.config = config or QNetworkConfig()
         cfg = self.config
         rng = np.random.default_rng(seed)
-        self.init_mlp = Mlp([len(FEATURE_SCALE), *cfg.mlp_hidden, cfg.embed_dim], rng)
+        self.init_mlp = self._add_block("init.", Mlp([len(FEATURE_SCALE), *cfg.mlp_hidden, cfg.embed_dim], rng))
         if cfg.use_attention:
-            self.attn1 = AttentionBlock(
-                cfg.embed_dim, cfg.attn_heads, cfg.attn_head_dim, cfg.embed_dim, rng
+            self.attn1 = self._add_block(
+                "attn1.", AttentionBlock(cfg.embed_dim, cfg.attn_heads, cfg.attn_head_dim, cfg.embed_dim, rng)
             )
-            self.attn2 = AttentionBlock(
-                cfg.embed_dim, cfg.attn_heads, cfg.attn_head_dim, cfg.embed_dim, rng
+            self.attn2 = self._add_block(
+                "attn2.", AttentionBlock(cfg.embed_dim, cfg.attn_heads, cfg.attn_head_dim, cfg.embed_dim, rng)
             )
             final_in = 3 * cfg.embed_dim
         else:
             self.attn1 = self.attn2 = None
             final_in = cfg.embed_dim
-        self.final_mlp = Mlp([final_in, *cfg.mlp_hidden, 1], rng)
-
-    def blocks(self) -> list[tuple[str, object]]:
-        out: list[tuple[str, object]] = [("init.", self.init_mlp)]
-        if self.attn1 is not None:
-            out += [("attn1.", self.attn1), ("attn2.", self.attn2)]
-        out.append(("final.", self.final_mlp))
-        return out
-
-    def parameters(self) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
-        for prefix, block in self.blocks():
-            yield from block.parameters(prefix)
-
-    def zero_grad(self) -> None:
-        for _, block in self.blocks():
-            block.zero_grad()
+        self.final_mlp = self._add_block("final.", Mlp([final_in, *cfg.mlp_hidden, 1], rng))
 
     def copy_weights_from(self, other: "QNetwork") -> None:
-        mine = {name: p for name, p, _ in self.parameters()}
-        for name, p, _ in other.parameters():
-            mine[name][...] = p
+        for name, p in other.params.items():
+            self.params[name][...] = p
 
     def q_values(self, states: Sequence[JointState]) -> tuple[np.ndarray, dict]:
         """Q per vehicle of every state, concatenated in order, and the tape

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -59,9 +60,25 @@ def test_gen_defaults_are_those_of_generate_instance(tmp_path):
     assert (tmp_path / "cli.json").read_bytes() == direct.read_bytes()
 
 
-def test_train_flags_are_the_trainer_config_fields():
+def _flags(command):
+    """The parser's actions of ``command`` by option string."""
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {flag: a for a in subparsers.choices["train"]._actions for flag in a.option_strings}
+    return {flag: a for a in subparsers.choices[command]._actions for flag in a.option_strings}
+
+
+def test_gen_flags_are_the_generate_instance_parameters():
+    actions = _flags("gen")
+    assert (actions["--factories"].required, actions["--factories"].default) == (False, 10)
+    for name, param in inspect.signature(generate_instance, eval_str=True).parameters.items():
+        action = actions["--" + name.removeprefix("n_").replace("_", "-")]
+        assert action.type is param.annotation, name
+        if name != "n_factories":
+            assert action.required == (param.default is param.empty), name
+            assert action.required or action.default == param.default, name
+
+
+def test_train_flags_are_the_trainer_config_fields():
+    actions = _flags("train")
     for f in dataclasses.fields(TrainerConfig):
         flag = "--lr" if f.name == "learning_rate" else "--" + f.name.replace("_", "-")
         assert (actions[flag].default, actions[flag].type) == (f.default, type(f.default)), flag
@@ -170,6 +187,19 @@ def test_train_eval_curves_pipeline(tmp_path):
     assert rc == 0
     assert (cvout / "curve_tc.svg").exists()
     assert (cvout / "curve_nuv.svg").exists()
+
+
+def test_curves_plots_a_metrics_file_with_quoted_cells(tmp_path):
+    """``metrics.csv`` holds text columns, and an instance stem with a comma
+    is a quoted cell; ``curves`` still plots its numeric columns."""
+    inst = _gen(tmp_path, "a,b.json", orders=4, vehicles=2)
+    run = tmp_path / "run"
+    assert main(["run", "--instance", str(inst), "--policy", "greedy1", "--out", str(run)]) == 0
+    assert '"a,b"' in (run / "metrics.csv").read_text()
+    out = tmp_path / "curves"
+    assert main(["curves", "--curve", str(run / "metrics.csv"), "--metrics", "tc,nuv", "--out", str(out)]) == 0
+    assert (out / "curve_tc.svg").exists()
+    assert (out / "curve_nuv.svg").exists()
 
 
 def test_compare_solves_the_exact_problem_once_under_the_budget(tmp_path, monkeypatch):

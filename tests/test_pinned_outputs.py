@@ -1,4 +1,4 @@
-"""Greedy, exact-solver and command-line CSV outputs pinned to recorded digests.
+"""Greedy, exact-solver and command-line session outputs pinned to recorded digests.
 
 Each greedy digest is the sha256 of an episode's trace lines plus its report
 JSON (without the two wall-clock fields).  The first set was recorded before
@@ -12,9 +12,12 @@ bound; they also see which sequence the pricer picks among equal lengths,
 which the route oracle (lengths only) cannot.  The insertion-plan digest was
 recorded before the planner screened its gap pairs by length; it sees which
 gap pair wins among equal lengths, which the brute-force oracle cannot.  The
-CSV digests cover every CSV file of a short command-line session; they were
-recorded before the CSV rows went through one formatter.  A refactor that
-is meant to keep behaviour must keep these bytes.
+session digests cover every CSV file of a short command-line session; they
+were recorded before the CSV rows went through one formatter.  The same
+session's two generated instance files and its checkpoint were pinned
+before `gen` took its flags from the generator's signature and the Q
+network's blocks shared one parameter registry.  A refactor that is meant
+to keep behaviour must keep these bytes.
 """
 
 import hashlib
@@ -210,8 +213,11 @@ def test_insertion_plans_match_recorded_digest():
     assert digest.hexdigest() == RECORDED_PLANS
 
 
-# sha256 of every CSV file that _cli_session() writes.
-RECORDED_CSV = {
+# sha256 of every CSV file, both instance files and the checkpoint that
+# _cli_session() writes.
+RECORDED_SESSION = {
+    "a.json": "42581349582ac03fa6fdce10d0553e94139e03a8b5bdd796a8244d1e37f8f823",
+    "b.json": "86424b3ff15471e20a0efd1ab44dfb75b2003bad28188ac3194e228e8e065633",
     "compare/compare.csv": "e07b3ad27452329a42ae45a258b68e137161af4db7e191c5b9c614e1a732edcc",
     "compare/metrics.csv": "a2ecb2297491bcbccd34a4366890cf3c3e03ff7781d9a801ae0ed067a3fd4593",
     "eval/metrics.csv": "6e132e794d1c14f4b8858d0daee27f4ccf9e9d40f21866bfa4bf7e0a0bc1db27",
@@ -219,12 +225,13 @@ RECORDED_CSV = {
     "history/grid.csv": "e441242c1f5dec1f68e48ef25a9440b4e95c929b2f7e68e71bf298049322d0d5",
     "orders/grid.csv": "3a560ee88e81bcde31aab767698b9d3f3d0de79b5af8ae7591c4b6d38061dbac",
     "run/metrics.csv": "9000c1509ea28fa7f4ad72afb52976fb3225cb722d2dc2f29d6f534b06bca807",
+    "train/checkpoint.ckpt": "9d839a39b4e4dc93137c9b0933b09e0949622e4b46775a36f3238588c5068860",
     "train/curve.csv": "8da677135dc4008c5337eb4939a1251b26dd47e214c82071d038077d50ce492e",
 }
 
 
 def _cli_session(out):
-    """Run a short fixed CLI session into ``out``; returns its CSV files by name."""
+    """Run a short fixed CLI session into ``out``; returns its pinned files by name."""
     a, b, ckpt = str(out / "a.json"), str(out / "b.json"), str(out / "train" / "checkpoint.ckpt")
     commands = [
         ["gen", "--seed", "9", "--orders", "8", "--vehicles", "3", "--factories", "6", "--out", a],
@@ -241,10 +248,11 @@ def _cli_session(out):
         if "--out" not in argv:
             argv += ["--out", str(out / argv[0])]
         assert main(argv) == 0, argv
-    return {str(p.relative_to(out)): p for p in sorted(out.glob("*/*.csv"))}
+    files = [out / "a.json", out / "b.json", out / "train" / "checkpoint.ckpt", *sorted(out.glob("*/*.csv"))]
+    return {str(p.relative_to(out)): p for p in files}
 
 
-def test_cli_csv_files_match_recorded_digests(tmp_path):
+def test_cli_session_files_match_recorded_digests(tmp_path):
     files = _cli_session(tmp_path)
     got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
-    assert got == RECORDED_CSV
+    assert got == RECORDED_SESSION
