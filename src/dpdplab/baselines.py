@@ -383,7 +383,8 @@ def validate_routes(report: EpisodeReport, instance: Instance) -> ValidationRepo
     vehicle's depot in the instance) and the frozen-prefix rule across
     successive commits, compares every stop's recomputed arrival and
     departure with the route's walk (the timeline a report publishes), and
-    verifies the cost identities.
+    verifies the cost identities.  A used route leaves its depot when its
+    vehicle's first order in the assignment log is created (else minute 0).
     """
     violations: list[str] = []
     network = instance.network
@@ -397,6 +398,9 @@ def validate_routes(report: EpisodeReport, instance: Instance) -> ValidationRepo
         if routes_of[v.id] != 1:
             violations.append(f"fleet: vehicle {v.id} has {routes_of[v.id]} routes")
 
+    created = {o.id: float(o.created_at) for o in instance.orders}
+    # A vehicle is dispatched when its first order is committed.
+    dispatched = {rec.vehicle: created.get(rec.order_id, 0.0) for rec in reversed(report.assignments)}
     served: dict[int, int] = {}
     recomputed_ttl = 0.0
     used = 0
@@ -420,7 +424,7 @@ def validate_routes(report: EpisodeReport, instance: Instance) -> ValidationRepo
             violations.append(f"back-to-depot: vehicle {vid} does not start at its depot")
         if stops[-1].node != depot:
             violations.append(f"back-to-depot: vehicle {vid} does not end at its depot")
-        t = route.start_time if route.start_time is not None else 0.0
+        t = dispatched.get(vid, 0.0)
         load = 0
         stack: list[int] = []
         length = 0.0

@@ -2,8 +2,9 @@
 the exact reference, policy comparison tables, grid heatmaps and learning
 curves.
 
-Every subcommand writes a ``config.json`` snapshot (arguments and seeds)
-into its output directory so runs can be reproduced bit-identically.  CSV
+Every subcommand but ``gen`` (whose ``--out`` is the instance file) writes
+a ``config.json`` snapshot (arguments and seeds) into its output directory
+so runs can be reproduced bit-identically.  CSV
 files are the canonical outputs; SVG files are rendered directly (no
 plotting dependency) as a convenience.
 """

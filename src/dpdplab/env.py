@@ -191,7 +191,7 @@ def _fleet_state(
 ) -> tuple[JointState, list[PlannerResult]]:
     """Plan ``order`` onto every route; returns the joint state and the plans.
 
-    An idle route (``start_time is None``) is its depot stop planned from
+    An idle route (``accepted[k] == 0``) is its depot stop planned from
     ``now``, so every idle route with the same depot gets the same best
     route, feature row and position (its depot).  These are computed once
     per such idle class and copied, bit for bit, to the class's other
@@ -211,7 +211,7 @@ def _fleet_state(
     rows, positions = [], []
     memo: dict[int | None, tuple[tuple[float, ...], tuple[float, float]]] = {}
     for k, (route, plan) in enumerate(zip(routes, plans, strict=True)):
-        idle_class = route.depot if route.start_time is None else None
+        idle_class = route.depot if accepted[k] == 0 else None
         if idle_class is None or idle_class not in memo:
             row = (-1.0,) * 5
             best = plan.best_route
@@ -272,7 +272,7 @@ def run_episode(
         new_route = plans[k].best_route
         if new_route is None:
             raise ValueError(f"policy chose infeasible vehicle {k} for order {order.id}")
-        frozen = new_route.frozen_until
+        frozen = routing.frozen_index(routes[k], now)
         if new_route.stops[: frozen + 1] != routes[k].stops[: frozen + 1]:
             raise RuntimeError(
                 f"insertion for order {order.id} altered the frozen prefix of vehicle {k}"

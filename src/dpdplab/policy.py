@@ -199,7 +199,7 @@ def _config_from_meta(cls, meta, key: str, path: str | Path):
 def _copy_weights(path: str | Path, tensors: dict[str, np.ndarray], nets: list[tuple[str, QNetwork]]) -> None:
     """Copy checkpoint tensors into networks whose parameter names take the
     given prefixes; the names and shapes must match exactly."""
-    mine = {prefix + name: p for prefix, net in nets for name, p, _ in net.parameters()}
+    mine = {name: p for prefix, net in nets for name, p, _ in net.parameters(prefix)}
     if set(mine) != set(tensors):
         missing, unknown = sorted(set(mine) - set(tensors)), sorted(set(tensors) - set(mine))
         raise ValueError(f"{path}: tensors do not match the network layout: missing {missing}, unknown {unknown}")
@@ -376,8 +376,7 @@ class Trainer:
         return log
 
     def save_checkpoint(self, path: str | Path) -> Path:
-        tensors = {f"online.{n}": p for n, p, _ in self.online.parameters()}
-        tensors.update({f"target.{n}": p for n, p, _ in self.target.parameters()})
+        tensors = {n: p for n, p, _ in (*self.online.parameters("online."), *self.target.parameters("target."))}
         meta = {
             "qnetwork_config": asdict(self.online.config),
             "trainer_config": asdict(self.config),

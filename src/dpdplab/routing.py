@@ -30,8 +30,8 @@ A route with nothing left to serve (never dispatched, completed, or driving
 to its final depot stop) has one gap pair, after that stop and back to it,
 so it is planned by one walk with no search.
 
-Dispatching must not interfere with a moving vehicle: stops up to
-``frozen_until`` (the stop the vehicle currently occupies or is driving
+Dispatching must not interfere with a moving vehicle: stops up to the
+frozen stop (:func:`frozen_index`, the one the vehicle occupies or drives
 toward) stay in place, and new stops may only be inserted after them.
 
 The planner answers only with the best route, or ``None`` when the order
@@ -102,21 +102,18 @@ _LOAD = itemgetter(3)
 class Route:
     """A vehicle's committed stop sequence plus its simulated timeline.
 
-    ``start_time`` is the minute the vehicle first left its depot (``None``
-    until the first order is committed).  ``walk`` is the route's only
-    timeline: ``walk[i]`` is the state after ``stops[i]``, its arrival and
-    departure included.  :func:`simulate_timeline` fills it and ``violation``,
-    the first time-window or LIFO violation met (``None`` if there was none);
-    the walk of an infeasible route ends at the stop of that violation.
-    A never-dispatched route is :meth:`empty`: its depot stop alone, walked
-    at minute 0.
+    ``walk`` is the route's only timeline: ``walk[i]`` is the state after
+    ``stops[i]``, its arrival and departure included, so the vehicle leaves
+    its depot at ``walk[0].departure``.  :func:`simulate_timeline` fills it
+    and ``violation``, the first time-window or LIFO violation met (``None``
+    if there was none); the walk of an infeasible route ends at the stop of
+    that violation.  A never-dispatched route is :meth:`empty`: its depot
+    stop alone, walked at minute 0.
     """
 
     vehicle: int
     depot: int
     stops: list[Stop]
-    start_time: float | None = None
-    frozen_until: int = 0
     walk: list[WalkState] = field(default_factory=list)
     violation: str | None = None
 
@@ -213,22 +210,20 @@ def _walk(
     return WalkState(prev, arrival, t, load, tuple(stack), length), None
 
 
-def simulate_timeline(
-    route: Route, network: RoadNetwork, start_time: float, prefix: list[WalkState] | None = None
-) -> Route:
+def simulate_timeline(route: Route, network: RoadNetwork, start: float | list[WalkState]) -> Route:
     """Record the walk state after each stop and the first violation met.
 
-    Walks from the first stop at ``start_time`` (``dist`` has a zero
-    diagonal, so reaching it takes no time) at unlimited capacity, so the
-    recorded walk runs through every stop or ends at the first time-window
-    or LIFO violation.  ``prefix``, when given, holds the states of the
-    route's first stops as this walk would record them; it becomes the start
-    of ``route.walk``, and the walk resumes after it.
+    ``start`` is either the minute the route leaves its first stop
+    (``dist`` has a zero diagonal, so reaching it takes no time) or a
+    non-empty list of the states of the route's first stops as this walk
+    would record them, which becomes the start of ``route.walk`` and after
+    which the walk resumes.  The walk runs at unlimited capacity, so it goes
+    through every stop or ends at the first time-window or LIFO violation.
     """
-    route.start_time = t = float(start_time)
-    if prefix:
-        route.walk, state = prefix, prefix[-1]
+    if isinstance(start, list):
+        route.walk, state = start, start[-1]
     else:
+        t = float(start)
         route.walk, state = [], WalkState(route.stops[0].node, t, t, 0, (), 0.0)
     _, route.violation = _walk(state, route.stops[len(route.walk):], network, math.inf, record=route.walk)
     return route
@@ -300,8 +295,8 @@ def plan_insertion(
     value (a ``best_route`` of ``None``), not an error.
     """
     capacity = fleet.capacity
-    start, walk, base = route.start_time, route.walk, route.stops
-    if start is None:
+    walk, base = route.walk, route.stops
+    if len(base) == 1:
         # A never-dispatched route is Route.empty's depot stop, which cannot
         # be infeasible; it leaves now.
         start = float(now)
@@ -324,8 +319,8 @@ def plan_insertion(
         timeline = list(walk)
         if _walk(walk[-1], [pick, drop], network, capacity, record=timeline)[1] is not None:
             return PlannerResult(None)
-        best_route = Route(route.vehicle, route.depot, [*base, pick, drop, base[-1]], frozen_until=frozen)
-        simulate_timeline(best_route, network, start, timeline)
+        best_route = Route(route.vehicle, route.depot, [*base, pick, drop, base[-1]])
+        simulate_timeline(best_route, network, timeline)
         return PlannerResult(best_route)
 
     # A candidate with the pickup in gap i starts from the walk state after
@@ -367,9 +362,9 @@ def plan_insertion(
     new_stops = _coalesce([*base[:i], pick, *base[i:j], drop, *base[j:]], frozen)
     # No stop after the frozen one shares a node with its successor in a
     # planned route, so _coalesce keeps every stop before i - 1, and stop
-    # i - 1 too unless the pickup merges into it; their committed states are
-    # what a walk from ``start`` records.
+    # i - 1 too unless the pickup merges into it; their committed states,
+    # stop 0's at least since it is frozen, are what a fresh walk records.
     kept = i - 1 if new_stops[i - 1] is not base[i - 1] else i
-    best_route = Route(vehicle=route.vehicle, depot=route.depot, stops=new_stops, frozen_until=frozen)
-    simulate_timeline(best_route, network, start, walk[:kept])
+    best_route = Route(vehicle=route.vehicle, depot=route.depot, stops=new_stops)
+    simulate_timeline(best_route, network, walk[:kept])
     return PlannerResult(best_route)

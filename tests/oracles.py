@@ -57,16 +57,17 @@ def _sequence(stops):
 
 
 def route_walk_length(route: Route, network, capacity):
-    """``walk_length`` of a planned route's stops from its ``start_time``."""
-    return walk_length(_sequence(route.stops), route.start_time, network, capacity)
+    """``walk_length`` of a planned route's stops from its first departure."""
+    return walk_length(_sequence(route.stops), route.walk[0].departure, network, capacity)
 
 
 def brute_force_best_insertion(route: Route, order, now, network, fleet):
     """Minimum feasible length over every interleaving of the new pickup and
     delivery with the unfrozen existing stops (relative order preserved,
     pickup before delivery, final depot return kept last)."""
-    start = route.start_time if route.start_time is not None else float(now)
-    if route.start_time is None:
+    # A never-dispatched route is its depot stop alone, and it leaves now.
+    start = route.walk[0].departure if len(route.stops) > 1 else float(now)
+    if len(route.stops) == 1:
         frozen = 0
     else:
         frozen = next(

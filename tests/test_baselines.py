@@ -364,6 +364,19 @@ def test_validator_catches_a_route_that_does_not_return_to_its_depot():
     assert f"back-to-depot: vehicle {route.vehicle} does not end at its depot" in verdict.violations
 
 
+def test_validator_catches_a_route_that_leaves_before_its_first_order():
+    # The same stops walked from minute 0 give a walk consistent with them,
+    # but the vehicle only leaves its depot once its first order exists.
+    inst = generate_instance(3, 5, 4, 2)
+    report, _ = run_episode(inst, make_greedy_policy("incremental"))
+    assert validate_routes(report, inst).ok
+    k, route = next((k, r) for k, r in enumerate(report.routes) if any(s.actions for s in r.stops))
+    assert route.walk[0].departure > 0.0
+    report.routes[k] = simulate_timeline(Route(route.vehicle, route.depot, list(route.stops)), inst.network, 0.0)
+    violations = validate_routes(report, inst).violations
+    assert any(v.startswith(f"timeline: vehicle {route.vehicle} stop 0 ") for v in violations), violations
+
+
 def _two_depot_episode():
     """Vehicles 0 and 2 start at depot 10, 1 and 3 at depot 11; 1 and 3 are used."""
     inst = generate_instance(3, 10, 12, 4, n_depots=2)

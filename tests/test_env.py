@@ -154,8 +154,8 @@ def test_insertion_that_alters_the_frozen_prefix_is_refused(monkeypatch):
     def tampered(route, order, now, network, fleet):
         # A dispatched route's plan gets one more action at its last frozen stop.
         plan = planner(route, order, now, network, fleet)
-        if plan.feasible and route.start_time is not None:
-            stops, f = plan.best_route.stops, plan.best_route.frozen_until
+        if plan.feasible and len(route.stops) > 1:
+            stops, f = plan.best_route.stops, routing.frozen_index(route, now)
             stops[f] = Stop(stops[f].node, (*stops[f].actions, Action(PICKUP, order)))
         return plan
 

@@ -117,6 +117,29 @@ def test_greedy_fleet_states_match_recorded_digest(seed, service_depots, rule):
     assert digest.hexdigest() == RECORDED_FLEET_STATES[(seed, service_depots, rule)]
 
 
+@pytest.mark.parametrize(
+    "seed, service_depots, rule",
+    [(seed, False, rule) for seed, rule in sorted(RECORDED)]
+    + [(seed, True, rule) for seed, rule in sorted(RECORDED_SERVICE_DEPOTS)],
+)
+def test_greedy_routes_leave_their_depot_when_their_first_order_is_created(seed, service_depots, rule):
+    # A used vehicle leaves its depot when its first order is committed; an
+    # unused one keeps Route.empty's depot stop.
+    inst = _instance(seed, **(SERVICE_DEPOTS if service_depots else {}))
+    report, _ = run_episode(inst, make_greedy_policy(rule))
+    created = {o.id: o.created_at for o in inst.orders}
+    first: dict[int, int] = {}
+    for rec in report.assignments:
+        first.setdefault(rec.vehicle, created[rec.order_id])
+    assert first
+    for route in report.routes:
+        if route.vehicle in first:
+            assert route.walk[0].departure == first[route.vehicle]
+        else:
+            empty = Route.empty(route.vehicle, route.depot)
+            assert (route.stops, route.walk) == (empty.stops, empty.walk)
+
+
 PRICING_SHAPES = [{}, {"speed": 0.25}, {"service_time": 2.0, "n_depots": 2}, {"service_time": 5.0, "n_depots": 2}]
 
 # sha256 of (depot, ids, _best_route_for(...)) over every subset and depot of
@@ -204,7 +227,7 @@ def test_insertion_plans_match_recorded_digest():
             walk = best.walk
             lengths = (route.length, best.length)
             fresh = simulate_timeline(
-                Route(best.vehicle, best.depot, list(best.stops)), network, best.start_time
+                Route(best.vehicle, best.depot, list(best.stops)), network, best.walk[0].departure
             )
             assert (fresh.walk, fresh.violation) == (best.walk, best.violation)
         digest.update(repr((res.feasible, *lengths, stops, walk)).encode() + b"\n")

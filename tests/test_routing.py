@@ -171,7 +171,6 @@ def test_idle_route_is_planned_from_now(deadline, line_network, line_fleet):
         assert res.feasible
         assert res.best_route.length == pytest.approx(oracle, abs=1e-9)
         assert res.best_route.walk[0].departure == 10.0
-    assert route.start_time is None
     assert route.walk == Route.empty(0, depot=2).walk
 
 
@@ -283,7 +282,7 @@ def test_nothing_live_plan_matches_oracle(shape, slack, line_network, line_fleet
         best = res.best_route
         assert best.length == pytest.approx(oracle, abs=1e-9)
         assert [s.node for s in best.stops] == [s.node for s in route.stops] + [1, 0, 2]
-        fresh = simulate_timeline(Route(0, best.depot, list(best.stops)), line_network, best.start_time)
+        fresh = simulate_timeline(Route(0, best.depot, list(best.stops)), line_network, best.walk[0].departure)
         assert (fresh.walk, fresh.violation) == (best.walk, best.violation)
 
 
@@ -435,7 +434,7 @@ def test_planner_matches_oracle_fuzz():
             assert best.stops[0].node == best.stops[-1].node == best.depot
             # The planner reuses the committed walk's prefix; a fresh walk
             # of the same stops must record the same states.
-            fresh = simulate_timeline(Route(0, best.depot, list(best.stops)), inst.network, best.start_time)
+            fresh = simulate_timeline(Route(0, best.depot, list(best.stops)), inst.network, best.walk[0].departure)
             assert (fresh.walk, fresh.violation) == (best.walk, best.violation)
             new_actions = [
                 (a.kind, a.order.id) for s in best.stops for a in s.actions
