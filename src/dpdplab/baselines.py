@@ -347,7 +347,7 @@ def solve_exact(instance: Instance, budget: float | None = None) -> ExactResult:
             node = o.pickup if kind == PICKUP else o.delivery
             stops.append(Stop(node, (Action(kind, o),)))
         stops.append(Stop(vehicle.depot))
-        route = Route(vehicle=vehicle.id, depot=vehicle.depot, stops=stops)
+        route = Route(vehicle=vehicle.id, stops=stops)
         simulate_timeline(route, instance.network, 0.0)
         routes[vehicle.id] = route
     nuv = len(routes)

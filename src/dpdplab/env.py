@@ -8,15 +8,16 @@ score of the planned route, used flag and the current interval index),
 hands it to a dispatch policy, and commits the chosen vehicle's best
 insertion.  The demand score reads a forecast grid of ``n_factories x
 horizon`` cells; a caller's grid of another shape is refused up front.
-Vehicles never dispatched from one depot get the same plan and stand at
-that depot, so their demand score and position are computed once per depot
-and order.
 Rewards are cost-shaped: an instant term charging the per-km cost of the
 detour plus the fixed cost when the assignment activates a fresh vehicle,
 and an episode-mean term added to every order's reward once the day ends.
 The instant terms alone sum to the negated scaled total cost, and the mean
 terms add the same sum again, so the summed signal is twice the negated
 scaled total cost.
+
+Only a transition whose next order falls in the same interval has a next
+state to bootstrap from (5.0%, 15.8%, 30.5% and 70.0% of greedy ones at 6,
+30, 60 and 300 orders a day) until a day-end rule wins (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -70,9 +71,10 @@ class JointState:
 
 @dataclass
 class Transition:
+    """One decision; ``next_state`` is ``None`` unless its target bootstraps."""
+
     state: JointState
     action: int
-    interval_end: bool
     reward: float
     next_state: JointState | None
 
@@ -211,7 +213,7 @@ def _fleet_state(
     rows, positions = [], []
     memo: dict[int | None, tuple[tuple[float, ...], tuple[float, float]]] = {}
     for k, (route, plan) in enumerate(zip(routes, plans, strict=True)):
-        idle_class = route.depot if accepted[k] == 0 else None
+        idle_class = route.stops[0].node if accepted[k] == 0 else None
         if idle_class is None or idle_class not in memo:
             row = (-1.0,) * 5
             best = plan.best_route
@@ -246,10 +248,11 @@ def run_episode(
 ) -> tuple[EpisodeReport, list[Transition]]:
     """Simulate one day; returns the cost report and the transitions.
 
-    Deterministic given the instance and the policy's own randomness; aborts
-    with :class:`UnserviceableOrderError` when an order fits no vehicle, and
-    with :class:`DemandError` when ``predicted`` is not an
-    ``n_factories x horizon`` grid.
+    Deterministic given the instance and the policy's own randomness; the
+    last order of an interval or of the day gets no next state.  Aborts with
+    :class:`UnserviceableOrderError` when an order fits no vehicle, and with
+    :class:`DemandError` when ``predicted`` is not an ``n_factories x
+    horizon`` grid.
     """
     predicted = _forecast(instance, predicted)
     fleet = instance.fleet
@@ -258,7 +261,6 @@ def run_episode(
 
     records: list[AssignmentRecord] = []
     states: list[JointState] = []
-    intervals: list[int] = []
     decision_times: list[float] = []
 
     for order in instance.orders:
@@ -292,17 +294,15 @@ def run_episode(
             )
         )
         states.append(state)
-        intervals.append(instance.interval_of(now))
 
     if records:
         mean_reward = long_term_reward([rec.reward for rec in records])
         for rec in records:
             rec.reward += mean_reward
-    # The day's last order ends an interval too.
-    interval_ends = [a != b for a, b in zip(intervals, intervals[1:] + [None])]
+    intervals = [instance.interval_of(o.created_at) for o in instance.orders]
     transitions = [
-        Transition(state, rec.vehicle, end, rec.reward, next_state)
-        for state, rec, end, next_state in zip(states, records, interval_ends, states[1:] + [None])
+        Transition(state, rec.vehicle, rec.reward, nxt if a == b else None)
+        for state, rec, nxt, a, b in zip(states, records, states[1:] + [None], intervals, intervals[1:] + [None])
     ]
 
     nuv = sum(1 for n in accepted if n > 0)

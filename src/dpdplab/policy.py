@@ -18,7 +18,7 @@ row's neighbour group.  Acting evaluates a batch of one state; training
 runs one forward and one backward per block of ``BLOCK_STATES`` states of
 its minibatch, and evaluates the Double-Q targets' next states in the same
 blocks.  Greedy choices treat Q values equal up to rounding as ties and take
-the lowest vehicle id.
+the lowest feasible vehicle id.
 """
 
 from __future__ import annotations
@@ -209,12 +209,12 @@ def _copy_weights(path: str | Path, tensors: dict[str, np.ndarray], nets: list[t
         p[...] = tensors[name]
 
 
-def greedy_index(q: np.ndarray) -> int:
-    """Index of the largest Q value.  Values within ``TIE_TOLERANCE *
-    max(1, |max|)`` of the largest are ties, and ties go to the lowest
-    index, so interchangeable vehicles are not chosen by rounding noise."""
-    top = q.max()
-    return int(np.argmax(q >= top - TIE_TOLERANCE * max(1.0, abs(top))))
+def greedy_index(q: np.ndarray, feasible: np.ndarray) -> int:
+    """Index of the largest feasible Q value.  Feasible values within
+    ``TIE_TOLERANCE * max(1, |max|)`` of it are ties, and ties go to the
+    lowest index, so interchangeable vehicles are not chosen by rounding."""
+    top = q[feasible].max()
+    return int(np.argmax(feasible & (q >= top - TIE_TOLERANCE * max(1.0, abs(top)))))
 
 
 def select_action(
@@ -233,7 +233,7 @@ def select_action(
         if rng.random() < epsilon:
             return int(feasible[int(rng.integers(len(feasible)))])
     q, _ = net.q_values([state])
-    return greedy_index(q)
+    return greedy_index(q, state.feasible)
 
 
 def make_learned_policy(
@@ -295,11 +295,11 @@ class Trainer:
         return EPSILON_START + frac * (EPSILON_FINAL - EPSILON_START)
 
     def double_q_target(self, batch: Sequence[Transition]) -> np.ndarray:
-        """One target per transition.  Terminal transitions take the raw
-        reward; the others bootstrap with the online argmax evaluated by the
-        target network, over their next states in blocks."""
+        """One target per transition.  A transition without a next state
+        takes its raw reward; the others bootstrap with the online argmax
+        evaluated by the target network, over their next states in blocks."""
         targets = np.array([float(tr.reward) for tr in batch])
-        live = [i for i, tr in enumerate(batch) if not tr.interval_end and tr.next_state is not None]
+        live = [i for i, tr in enumerate(batch) if tr.next_state is not None]
         for start in range(0, len(live), BLOCK_STATES):
             part = live[start : start + BLOCK_STATES]
             states = [batch[i].next_state for i in part]
@@ -307,7 +307,7 @@ class Trainer:
             target_q, _ = self.target.q_values(states)
             offsets = tape["offsets"]
             for i, lo, hi in zip(part, offsets, offsets[1:]):
-                best = lo + greedy_index(online_q[lo:hi])
+                best = lo + greedy_index(online_q[lo:hi], batch[i].next_state.feasible)
                 targets[i] = batch[i].reward + self.config.gamma * target_q[best]
         return targets
 

@@ -1,12 +1,12 @@
 """Route representation and the constrained insertion planner.
 
-A route is a depot-to-depot sequence of stops: immutable values, each a
-node and a tuple of load/unload actions.  Its times live only in its walk,
-simulated with a constant travel speed, a fixed per-action service time and
-waiting at pickups whose order has not been created yet.  Feasibility
-covers four constraints: delivery time windows, vehicle capacity, LIFO
-loading (only the most recently loaded undelivered order may be unloaded),
-and back-to-depot.
+A route is a sequence of stops from its depot, its first stop, back to it:
+immutable values, each a node and a tuple of load/unload actions.  Its
+times live only in its walk, simulated with a constant travel speed, a
+fixed per-action service time and waiting at pickups whose order has not
+been created yet.  Feasibility covers four constraints: delivery time
+windows, vehicle capacity, LIFO loading (only the most recently loaded
+undelivered order may be unloaded), and back-to-depot.
 
 All walking is one forward pass, one loop over stops and their actions:
 :func:`_walk` advances a :class:`WalkState` through further stops, stopping
@@ -112,14 +112,13 @@ class Route:
     """
 
     vehicle: int
-    depot: int
     stops: list[Stop]
     walk: list[WalkState] = field(default_factory=list)
     violation: str | None = None
 
     @classmethod
     def empty(cls, vehicle: int, depot: int) -> "Route":
-        return cls(vehicle, depot, [Stop(depot)], walk=[WalkState(depot, 0.0, 0.0, 0, (), 0.0)])
+        return cls(vehicle, [Stop(depot)], walk=[WalkState(depot, 0.0, 0.0, 0, (), 0.0)])
 
     @property
     def length(self) -> float:
@@ -300,7 +299,7 @@ def plan_insertion(
         # A never-dispatched route is Route.empty's depot stop, which cannot
         # be infeasible; it leaves now.
         start = float(now)
-        walk = [WalkState(route.depot, start, start, 0, (), 0.0)]
+        walk = [WalkState(base[0].node, start, start, 0, (), 0.0)]
         frozen = 0
     else:
         if route.violation is not None or max(map(_LOAD, walk)) > capacity:
@@ -319,7 +318,7 @@ def plan_insertion(
         timeline = list(walk)
         if _walk(walk[-1], [pick, drop], network, capacity, record=timeline)[1] is not None:
             return PlannerResult(None)
-        best_route = Route(route.vehicle, route.depot, [*base, pick, drop, base[-1]])
+        best_route = Route(route.vehicle, [*base, pick, drop, base[-1]])
         simulate_timeline(best_route, network, timeline)
         return PlannerResult(best_route)
 
@@ -365,6 +364,6 @@ def plan_insertion(
     # i - 1 too unless the pickup merges into it; their committed states,
     # stop 0's at least since it is frozen, are what a fresh walk records.
     kept = i - 1 if new_stops[i - 1] is not base[i - 1] else i
-    best_route = Route(vehicle=route.vehicle, depot=route.depot, stops=new_stops)
+    best_route = Route(vehicle=route.vehicle, stops=new_stops)
     simulate_timeline(best_route, network, walk[:kept])
     return PlannerResult(best_route)

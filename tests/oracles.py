@@ -75,7 +75,7 @@ def brute_force_best_insertion(route: Route, order, now, network, fleet):
         )
     base = _sequence(route.stops)
     if frozen == len(base) - 1:
-        base.append((route.depot, []))
+        base.append((route.stops[0].node, []))
     prefix = base[: frozen + 1]
     middle = base[frozen + 1 : len(base) - 1]
     tail = [base[-1]]

@@ -240,7 +240,7 @@ def test_criterion_7_planner_equals_brute_force():
                 best = res.best_route
                 length = route_walk_length(best, inst.network, inst.fleet.capacity)
                 assert length == pytest.approx(oracle, abs=1e-9), checked
-                assert best.stops[0].node == best.stops[-1].node == best.depot, checked
+                assert best.stops[0].node == best.stops[-1].node == inst.fleet.vehicles[best.vehicle].depot, checked
             checked += 1
 
 

@@ -280,7 +280,6 @@ def test_validator_names_crossed_lifo_pair(line_network):
     # Tamper: rebuild vehicle 0's route with crossed pairs.
     bad = Route(
         vehicle=0,
-        depot=2,
         stops=[
             Stop(2),
             Stop(0, (Action(PICKUP, o1),)),
@@ -372,7 +371,7 @@ def test_validator_catches_a_route_that_leaves_before_its_first_order():
     assert validate_routes(report, inst).ok
     k, route = next((k, r) for k, r in enumerate(report.routes) if any(s.actions for s in r.stops))
     assert route.walk[0].departure > 0.0
-    report.routes[k] = simulate_timeline(Route(route.vehicle, route.depot, list(route.stops)), inst.network, 0.0)
+    report.routes[k] = simulate_timeline(Route(route.vehicle, list(route.stops)), inst.network, 0.0)
     violations = validate_routes(report, inst).violations
     assert any(v.startswith(f"timeline: vehicle {route.vehicle} stop 0 ") for v in violations), violations
 

@@ -97,7 +97,7 @@ def test_predict_permutation_invariant(perm):
 
 
 def _simulated_route(net, actions_by_stop, depot=2, start=0.0):
-    route = Route(vehicle=0, depot=depot, stops=[Stop(depot)] + [
+    route = Route(vehicle=0, stops=[Stop(depot)] + [
         Stop(node, tuple(acts)) for node, acts in actions_by_stop
     ] + [Stop(depot)])
     simulate_timeline(route, net, start)
@@ -194,7 +194,7 @@ def _nested_route(network, depot, n_stops, start, rng):
             oid += 1
         else:
             stops.append(Stop(depot))
-    route = Route(0, depot, [*stops, Stop(depot)])
+    route = Route(0, [*stops, Stop(depot)])
     return simulate_timeline(route, network, start)
 
 

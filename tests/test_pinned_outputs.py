@@ -136,7 +136,7 @@ def test_greedy_routes_leave_their_depot_when_their_first_order_is_created(seed,
         if route.vehicle in first:
             assert route.walk[0].departure == first[route.vehicle]
         else:
-            empty = Route.empty(route.vehicle, route.depot)
+            empty = Route.empty(route.vehicle, inst.fleet.vehicles[route.vehicle].depot)
             assert (route.stops, route.walk) == (empty.stops, empty.walk)
 
 
@@ -227,7 +227,7 @@ def test_insertion_plans_match_recorded_digest():
             walk = best.walk
             lengths = (route.length, best.length)
             fresh = simulate_timeline(
-                Route(best.vehicle, best.depot, list(best.stops)), network, best.walk[0].departure
+                Route(best.vehicle, list(best.stops)), network, best.walk[0].departure
             )
             assert (fresh.walk, fresh.violation) == (best.walk, best.violation)
         digest.update(repr((res.feasible, *lengths, stops, walk)).encode() + b"\n")

@@ -218,7 +218,7 @@ def test_backward_uses_the_tape_it_is_given():
 
 def _terminal_transition(reward):
     state = make_state([(3.0, 8.0, 0.5)])
-    return Transition(state, 0, True, reward, None)
+    return Transition(state, 0, reward, None)
 
 
 def test_double_q_target_terminal():
@@ -238,14 +238,14 @@ def _flat_q_trainer(online_bias, target_bias, gamma):
 def test_double_q_target_bootstraps_with_target_net():
     trainer = _flat_q_trainer(online_bias=5.0, target_bias=-10.0, gamma=0.9)
     nxt = make_state([(1.0, 2.0, 0.1), (0.0, 4.0, 0.2)])
-    tr = Transition(make_state([(3.0, 8.0, 0.5)]), 0, False, -1.0, nxt)
+    tr = Transition(make_state([(3.0, 8.0, 0.5)]), 0, -1.0, nxt)
     assert trainer.double_q_target([tr])[0] == pytest.approx(-10.0)
 
 
 def test_double_q_target_gamma_zero_is_reward():
     trainer = _flat_q_trainer(online_bias=5.0, target_bias=-10.0, gamma=0.0)
     nxt = make_state([(1.0, 2.0, 0.1)])
-    tr = Transition(make_state([(3.0, 8.0, 0.5)]), 0, False, -1.0, nxt)
+    tr = Transition(make_state([(3.0, 8.0, 0.5)]), 0, -1.0, nxt)
     assert trainer.double_q_target([tr])[0] == -1.0
 
 
@@ -450,12 +450,17 @@ def test_q_values_match_loop_reference(states, which):
     assert _close(q, q_reference(net, states[0]))
 
 
+def _greedy(values):
+    q = np.array(values)
+    return greedy_index(q, q != SENTINEL_Q)
+
+
 def test_greedy_ties_within_rounding_go_to_lowest_id():
     one = 1.0
-    assert greedy_index(np.array([SENTINEL_Q, one, np.nextafter(one, 2.0), one])) == 1
-    assert greedy_index(np.array([1e6, 1e6 + 1e-7, SENTINEL_Q])) == 0
-    assert greedy_index(np.array([0.5, 0.5 + 1e-9])) == 1
-    assert greedy_index(np.array([SENTINEL_Q, SENTINEL_Q])) == 0
+    assert _greedy([SENTINEL_Q, one, np.nextafter(one, 2.0), one]) == 1
+    assert _greedy([1e6, 1e6 + 1e-7, SENTINEL_Q]) == 0
+    assert _greedy([0.5, 0.5 + 1e-9]) == 1
+    assert _greedy([SENTINEL_Q, -2e9, np.nextafter(-2e9, 0.0)]) == 1
 
 
 def test_interchangeable_vehicles_go_to_the_lowest_id():
@@ -476,7 +481,7 @@ def test_interchangeable_vehicles_go_to_the_lowest_id():
 def test_double_q_target_breaks_rounding_ties_to_lowest_id():
     trainer = _flat_q_trainer(online_bias=5.0, target_bias=0.0, gamma=0.5)
     nxt = make_state([(1.0, 2.0, 0.1), (0.0, 4.0, 0.2)])
-    tr = Transition(make_state([(3.0, 8.0, 0.5)]), 0, False, -1.0, nxt)
+    tr = Transition(make_state([(3.0, 8.0, 0.5)]), 0, -1.0, nxt)
 
     def online_q(states):
         return np.array([5.0, np.nextafter(5.0, 6.0)]), {"offsets": np.array([0, 2])}
@@ -488,6 +493,16 @@ def test_double_q_target_breaks_rounding_ties_to_lowest_id():
     assert trainer.double_q_target([tr])[0] == -1.0 + 0.5 * -10.0
 
 
+def test_greedy_choices_ignore_the_sentinel_below_every_feasible_q():
+    """Feasible Q values below SENTINEL_Q still rank above infeasible rows,
+    both when acting and when choosing the Double-Q target's action."""
+    trainer = _flat_q_trainer(online_bias=-2e9, target_bias=-2e9, gamma=0.5)
+    nxt = make_state([None, (1.0, 2.0, 0.1)])
+    assert select_action(nxt, trainer.online) == 1
+    tr = Transition(make_state([(3.0, 8.0, 0.5)]), 0, -1.0, nxt)
+    assert trainer.double_q_target([tr])[0] == -1e9 - 1.0
+
+
 def test_double_q_target_of_a_batch_matches_one_at_a_time():
     trainer = Trainer(SMALL, TrainerConfig(seed=0))
     rng = np.random.default_rng(3)
@@ -497,7 +512,7 @@ def test_double_q_target_of_a_batch_matches_one_at_a_time():
         rows = [(float(rng.uniform(0, 9)), float(rng.uniform(0, 9)), float(rng.uniform())) for _ in range(k)]
         terminal = i % 4 == 0
         nxt = None if i % 7 == 0 else make_state(rows, positions=rng.uniform(0, 5, size=(k, 2)))
-        batch.append(Transition(make_state([(3.0, 8.0, 0.5)]), 0, terminal, float(-i), nxt))
+        batch.append(Transition(make_state([(3.0, 8.0, 0.5)]), 0, float(-i), None if terminal else nxt))
     together = trainer.double_q_target(batch)
     assert together.shape == (len(batch),)
     for tr, y in zip(batch, together):

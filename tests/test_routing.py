@@ -29,8 +29,8 @@ from oracles import (
 from test_pinned_outputs import _planner_corpus
 
 
-def _route(depot, stops, vehicle=0):
-    return Route(vehicle=vehicle, depot=depot, stops=stops)
+def _route(stops, vehicle=0):
+    return Route(vehicle=vehicle, stops=stops)
 
 
 def test_empty_route_length_zero(line_network):
@@ -46,7 +46,7 @@ def test_out_and_back_arithmetic():
         roles=[FACTORY, FACTORY, DEPOT],
     )
     o = make_order(pickup=0, delivery=1, created_at=0)
-    route = _route(2, [
+    route = _route([
         Stop(2),
         Stop(0, (Action(PICKUP, o),)),
         Stop(1, (Action(DELIVER, o),)),
@@ -61,7 +61,7 @@ def test_out_and_back_arithmetic():
 
 def test_pickup_waits_for_creation(line_network):
     o = make_order(pickup=0, delivery=1, created_at=20)
-    route = _route(2, [Stop(2), Stop(0, (Action(PICKUP, o),)), Stop(1, (Action(DELIVER, o),)), Stop(2)])
+    route = _route([Stop(2), Stop(0, (Action(PICKUP, o),)), Stop(1, (Action(DELIVER, o),)), Stop(2)])
     simulate_timeline(route, line_network, 0.0)
     assert route.walk[1].arrival == pytest.approx(3.0)
     assert route.walk[1].departure >= 20.0
@@ -75,7 +75,7 @@ def test_service_time_per_action():
     )
     o1 = make_order(0, pickup=0, delivery=1)
     o2 = make_order(1, pickup=0, delivery=1, quantity=2)
-    route = _route(2, [
+    route = _route([
         Stop(2),
         Stop(0, (Action(PICKUP, o1), Action(PICKUP, o2))),
         Stop(1, (Action(DELIVER, o2), Action(DELIVER, o1))),
@@ -91,7 +91,7 @@ def test_service_time_per_action():
 def test_nested_pairs_feasible(line_network, line_fleet):
     o1 = make_order(0, pickup=0, delivery=1)
     o2 = make_order(1, pickup=1, delivery=0)
-    route = _route(2, [
+    route = _route([
         Stop(2),
         Stop(0, (Action(PICKUP, o1),)),
         Stop(1, (Action(PICKUP, o2),)),
@@ -102,13 +102,13 @@ def test_nested_pairs_feasible(line_network, line_fleet):
     simulate_timeline(route, line_network, 0.0)
     length = route_walk_length(route, line_network, line_fleet.capacity)
     assert length == pytest.approx(route.length, abs=1e-9)
-    assert route.stops[0].node == route.stops[-1].node == route.depot
+    assert route.stops[0].node == route.stops[-1].node == 2
 
 
 def _crossed_route(network):
     o1 = make_order(0, pickup=0, delivery=1)
     o2 = make_order(1, pickup=1, delivery=0)
-    route = _route(2, [
+    route = _route([
         Stop(2),
         Stop(0, (Action(PICKUP, o1),)),
         Stop(1, (Action(PICKUP, o2), Action(DELIVER, o1))),
@@ -121,7 +121,7 @@ def _crossed_route(network):
 def _overloaded_route(network):
     o1 = make_order(0, quantity=6)
     o2 = make_order(1, quantity=6)
-    route = _route(2, [
+    route = _route([
         Stop(2),
         Stop(0, (Action(PICKUP, o1), Action(PICKUP, o2))),
         Stop(1, (Action(DELIVER, o2), Action(DELIVER, o1))),
@@ -132,7 +132,7 @@ def _overloaded_route(network):
 
 def _late_route(network):
     o = make_order(0, created_at=0, latest_delivery=5)
-    route = _route(2, [Stop(2), Stop(0, (Action(PICKUP, o),)), Stop(1, (Action(DELIVER, o),)), Stop(2)])
+    route = _route([Stop(2), Stop(0, (Action(PICKUP, o),)), Stop(1, (Action(DELIVER, o),)), Stop(2)])
     return simulate_timeline(route, network, 0.0)
 
 
@@ -282,7 +282,7 @@ def test_nothing_live_plan_matches_oracle(shape, slack, line_network, line_fleet
         best = res.best_route
         assert best.length == pytest.approx(oracle, abs=1e-9)
         assert [s.node for s in best.stops] == [s.node for s in route.stops] + [1, 0, 2]
-        fresh = simulate_timeline(Route(0, best.depot, list(best.stops)), line_network, best.walk[0].departure)
+        fresh = simulate_timeline(Route(0, list(best.stops)), line_network, best.walk[0].departure)
         assert (fresh.walk, fresh.violation) == (best.walk, best.violation)
 
 
@@ -366,7 +366,7 @@ def _walk_and_minutes(draw):
     while stack:
         o = stack.pop()
         stops.append(Stop(o.delivery, (Action(DELIVER, o),)))
-    route = simulate_timeline(_route(3, [*stops, Stop(3)]), network, float(draw(st.integers(0, 20))))
+    route = simulate_timeline(_route([*stops, Stop(3)]), network, float(draw(st.integers(0, 20))))
     assert route.violation is None
     exact = sorted({t for w in route.walk for t in (w.arrival, w.departure)})
     arbitrary = draw(st.lists(st.floats(-5.0, 400.0, allow_nan=False), max_size=6))
@@ -431,10 +431,10 @@ def test_planner_matches_oracle_fuzz():
             best = res.best_route
             length = route_walk_length(best, inst.network, inst.fleet.capacity)
             assert length == pytest.approx(oracle, abs=1e-9)
-            assert best.stops[0].node == best.stops[-1].node == best.depot
+            assert best.stops[0].node == best.stops[-1].node == inst.fleet.vehicles[best.vehicle].depot
             # The planner reuses the committed walk's prefix; a fresh walk
             # of the same stops must record the same states.
-            fresh = simulate_timeline(Route(0, best.depot, list(best.stops)), inst.network, best.walk[0].departure)
+            fresh = simulate_timeline(Route(0, list(best.stops)), inst.network, best.walk[0].departure)
             assert (fresh.walk, fresh.violation) == (best.walk, best.violation)
             new_actions = [
                 (a.kind, a.order.id) for s in best.stops for a in s.actions
