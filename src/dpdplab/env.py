@@ -32,7 +32,7 @@ import numpy as np
 from . import demand, routing
 from .demand import DemandError, build_demand_grid, predict_grid
 from .instance import DeliveryOrder, Instance
-from .routing import PlannerResult, Route, Stop, plan_insertion
+from .routing import PlannerResult, Route, Stop, order_stops, plan_insertion
 
 DEFAULT_ALPHA = 0.01
 
@@ -193,6 +193,8 @@ def _fleet_state(
 ) -> tuple[JointState, list[PlannerResult]]:
     """Plan ``order`` onto every route; returns the joint state and the plans.
 
+    The order's pickup and delivery stops are built once, by
+    ``order_stops``, and every route's plan shares them.
     An idle route (``accepted[k] == 0``) is its depot stop planned from
     ``now``, so every idle route with the same depot gets the same best
     route, feature row and position (its depot).  These are computed once
@@ -208,7 +210,8 @@ def _fleet_state(
     one position per dispatched vehicle and per idle class.
     """
     network, fleet = instance.network, instance.fleet
-    plans = [plan_insertion(route, order, now, network, fleet) for route in routes]
+    stops = order_stops(order)
+    plans = [plan_insertion(route, stops, now, network, fleet) for route in routes]
     interval = instance.interval_of(now)
     rows, positions = [], []
     memo: dict[int | None, tuple[tuple[float, ...], tuple[float, float]]] = {}

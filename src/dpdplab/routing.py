@@ -28,7 +28,11 @@ and its tie-break are those of a full scan.  The winner's timeline resumes
 from the committed walk's states of the stops the insertion leaves in place.
 A route with nothing left to serve (never dispatched, completed, or driving
 to its final depot stop) has one gap pair, after that stop and back to it,
-so it is planned by one walk with no search.
+so its trip from the depot is planned by one walk with no search.
+
+The planner takes the order as its pickup and delivery stops, which
+:func:`order_stops` builds once per order: stops are immutable values, so
+every vehicle's plan of the order shares the same two.
 
 Dispatching must not interfere with a moving vehicle: stops up to the
 frozen stop (:func:`frozen_index`, the one the vehicle occupies or drives
@@ -45,6 +49,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -91,6 +96,10 @@ class WalkState(NamedTuple):
     stack: tuple[int, ...]
     length: float
 
+
+# Builds a WalkState from a tuple of its fields without the NamedTuple's
+# Python-level __new__; the walker makes one per stop it records.
+_state = partial(tuple.__new__, WalkState)
 
 # A walk's departures never decrease (legs, waits and service only add time),
 # so the first state left after a given minute is found by bisecting them.
@@ -201,12 +210,12 @@ def _walk(
                     kind = "time-window"
                 load -= o.quantity
         if record is not None:
-            record.append(WalkState(prev, arrival, t, load, tuple(stack), length))
+            record.append(_state((prev, arrival, t, load, tuple(stack), length)))
         if kind is not None:
             return None, kind
     if record:
         return record[-1], None
-    return WalkState(prev, arrival, t, load, tuple(stack), length), None
+    return _state((prev, arrival, t, load, tuple(stack), length)), None
 
 
 def simulate_timeline(route: Route, network: RoadNetwork, start: float | list[WalkState]) -> Route:
@@ -218,8 +227,13 @@ def simulate_timeline(route: Route, network: RoadNetwork, start: float | list[Wa
     would record them, which becomes the start of ``route.walk`` and after
     which the walk resumes.  The walk runs at unlimited capacity, so it goes
     through every stop or ends at the first time-window or LIFO violation.
+    A recorded walk that already covers every stop is the whole timeline:
+    it becomes ``route.walk`` as it is, with no violation.
     """
     if isinstance(start, list):
+        if len(start) == len(route.stops):
+            route.walk, route.violation = start, None
+            return route
         route.walk, state = start, start[-1]
     else:
         t = float(start)
@@ -271,27 +285,36 @@ def _coalesce(stops: list[Stop], protect: int) -> list[Stop]:
     return out
 
 
+def order_stops(order: DeliveryOrder) -> tuple[Stop, Stop]:
+    """The order's pickup and delivery stops, for every plan of the order."""
+    return Stop(order.pickup, (Action(PICKUP, order),)), Stop(order.delivery, (Action(DELIVER, order),))
+
+
 def plan_insertion(
     route: Route,
-    order: DeliveryOrder,
+    stops: tuple[Stop, Stop],
     now: float,
     network: RoadNetwork,
     fleet: FleetConfig,
 ) -> PlannerResult:
-    """Find the shortest feasible way to serve ``order`` with this vehicle.
+    """Find the shortest feasible way to serve an order with this vehicle.
 
+    ``stops`` are the order's pickup and delivery stops from
+    :func:`order_stops`, built once per order and shared by its plans.
     Considers every pickup/delivery gap pair strictly after the frozen
     prefix, keeping existing stops in their relative order; the new stops go
     before the final depot return.  When the frozen stop is that return (a
     never-dispatched or completed route, or one driving home), the one gap
-    pair puts the new stops after it, followed by a fresh return, and one
-    walk from its state decides.  Otherwise pairs are screened by their
-    predicted length and confirmed best first by one bounded walk each (see
-    the module docstring); the answer is the feasible pair of least (walked
-    length, pickup gap, delivery gap), so ties on length go to the
-    lexicographically smallest gap pair.  The best route's walk resumes from
-    the committed walk's states of the stops it keeps.  Infeasibility is a
-    value (a ``best_route`` of ``None``), not an error.
+    pair puts the new stops after it, followed by a fresh return, and the
+    trip is one walk from that stop's state through the pickup, the
+    delivery and the return, recorded as the plan's timeline.  Otherwise
+    pairs are screened by their predicted length and confirmed best first by
+    one bounded walk each (see the module docstring); the answer is the
+    feasible pair of least (walked length, pickup gap, delivery gap), so
+    ties on length go to the lexicographically smallest gap pair.  The best
+    route's walk resumes from the committed walk's states of the stops it
+    keeps.  Infeasibility is a value (a ``best_route`` of ``None``), not an
+    error.
     """
     capacity = fleet.capacity
     walk, base = route.walk, route.stops
@@ -299,7 +322,7 @@ def plan_insertion(
         # A never-dispatched route is Route.empty's depot stop, which cannot
         # be infeasible; it leaves now.
         start = float(now)
-        walk = [WalkState(base[0].node, start, start, 0, (), 0.0)]
+        walk = [_state((base[0].node, start, start, 0, (), 0.0))]
         frozen = 0
     else:
         if route.violation is not None or max(map(_LOAD, walk)) > capacity:
@@ -307,20 +330,18 @@ def plan_insertion(
         frozen = frozen_index(route, now)
     last = len(base) - 1
 
-    pick = Stop(order.pickup, (Action(PICKUP, order),))
-    drop = Stop(order.delivery, (Action(DELIVER, order),))
+    pick, drop = stops
     if frozen == last:
         # Nothing left to serve: the one gap pair puts the order after the
         # final depot stop and returns to that depot.  The walk goes on from
         # that stop's state.  On a completed route its departure is when the
         # last trip ended, which may be before ``now``: a known fault, whose
         # fix (starting the new trip at the later of the two) belongs here.
+        trip = [pick, drop, base[-1]]
         timeline = list(walk)
-        if _walk(walk[-1], [pick, drop], network, capacity, record=timeline)[1] is not None:
+        if _walk(walk[-1], trip, network, capacity, record=timeline)[1] is not None:
             return PlannerResult(None)
-        best_route = Route(route.vehicle, [*base, pick, drop, base[-1]])
-        simulate_timeline(best_route, network, timeline)
-        return PlannerResult(best_route)
+        return PlannerResult(simulate_timeline(Route(route.vehicle, [*base, *trip]), network, timeline))
 
     # A candidate with the pickup in gap i starts from the walk state after
     # stop i - 1 of the committed route; with the delivery in gap j it then

@@ -24,7 +24,7 @@ from dpdplab.policy import (
     TrainerConfig,
     make_learned_policy,
 )
-from dpdplab.routing import plan_insertion
+from dpdplab.routing import order_stops, plan_insertion
 
 from oracles import brute_force_best_insertion, exhaustive_optimum, js_reference, relative_error, route_walk_length
 
@@ -221,7 +221,7 @@ def test_criterion_7_planner_equals_brute_force():
                 now = float(o.created_at) + float(rng.uniform(0, 40))
                 commits = sum(a.kind == PICKUP for s in route.stops for a in s.actions)
                 if commits < target_commits:
-                    res = plan_insertion(route, o, o.created_at, inst.network, inst.fleet)
+                    res = plan_insertion(route, order_stops(o), o.created_at, inst.network, inst.fleet)
                     if res.feasible:
                         route = res.best_route
                         continue
@@ -230,7 +230,7 @@ def test_criterion_7_planner_equals_brute_force():
             if new_order is None:
                 continue
             now = max(now, float(new_order.created_at))
-            res = plan_insertion(route, new_order, now, inst.network, inst.fleet)
+            res = plan_insertion(route, order_stops(new_order), now, inst.network, inst.fleet)
             oracle = brute_force_best_insertion(route, new_order, now, inst.network, inst.fleet)
             if oracle is None:
                 assert not res.feasible, checked

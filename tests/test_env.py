@@ -12,7 +12,7 @@ from dpdplab.env import (
     run_episode,
 )
 from dpdplab.instance import DEPOT, FACTORY, FleetConfig, VehicleSpec, generate_instance
-from dpdplab.routing import PICKUP, Action, Route, Stop, plan_insertion
+from dpdplab.routing import Route, Stop, order_stops, plan_insertion
 
 from conftest import make_instance, make_network, make_order
 
@@ -102,7 +102,7 @@ def test_feasible_vehicle_row(line_network, created_at, interval):
     assert (cur_len, used_flag, row_interval) == (0.0, 0.0, float(interval))
     assert new_len == pytest.approx(d[2, 0] + d[0, 1] + d[1, 2])
     # The pickup and delivery stops form the profiles; the score is their JS value.
-    best = plan_insertion(Route.empty(0, 2), order, now, line_network, fleet).best_route
+    best = plan_insertion(Route.empty(0, 2), order_stops(order), now, line_network, fleet).best_route
     grid = episode_demand_grid(inst)
     cells = route_cells(best, line_network.n_factories, inst.horizon)
     expected = divergence_score(capacity_profile(best, cells, fleet.capacity), demand_profile(cells, grid))
@@ -151,12 +151,13 @@ def test_insertion_that_alters_the_frozen_prefix_is_refused(monkeypatch):
     inst = generate_instance(seed=5, n_factories=6, n_orders=6, n_vehicles=2)
     planner = env.plan_insertion
 
-    def tampered(route, order, now, network, fleet):
-        # A dispatched route's plan gets one more action at its last frozen stop.
-        plan = planner(route, order, now, network, fleet)
+    def tampered(route, stops, now, network, fleet):
+        # A dispatched route's plan gets the order's pickup once more at its
+        # last frozen stop.
+        plan = planner(route, stops, now, network, fleet)
         if plan.feasible and len(route.stops) > 1:
-            stops, f = plan.best_route.stops, routing.frozen_index(route, now)
-            stops[f] = Stop(stops[f].node, (*stops[f].actions, Action(PICKUP, order)))
+            planned, f = plan.best_route.stops, routing.frozen_index(route, now)
+            planned[f] = Stop(planned[f].node, (*planned[f].actions, *stops[0].actions))
         return plan
 
     monkeypatch.setattr(env, "plan_insertion", tampered)

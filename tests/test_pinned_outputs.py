@@ -31,7 +31,7 @@ from dpdplab.baselines import _best_route_for, make_greedy_policy, solve_exact
 from dpdplab.cli import main
 from dpdplab.env import run_episode
 from dpdplab.instance import DEPOT, FACTORY, FleetConfig, VehicleSpec, generate_instance
-from dpdplab.routing import Route, plan_insertion, simulate_timeline
+from dpdplab.routing import Route, order_stops, plan_insertion, simulate_timeline
 
 from conftest import make_network, make_order
 
@@ -209,7 +209,7 @@ def _planner_corpus():
                 oid, pickup, delivery, quantity=int(rng.integers(1, 3)),
                 created_at=now, latest_delivery=now + int(rng.integers(4, 25)),
             )
-            res = plan_insertion(route, order, float(now), network, fleet)
+            res = plan_insertion(route, order_stops(order), float(now), network, fleet)
             yield network, route, res
             if res.feasible:
                 route = res.best_route

@@ -14,6 +14,7 @@ from dpdplab.routing import (
     Route,
     Stop,
     frozen_index,
+    order_stops,
     plan_insertion,
     simulate_timeline,
     vehicle_position,
@@ -153,7 +154,7 @@ def test_plan_refuses_infeasible_committed_route(build, line_network, line_fleet
     route = build(line_network)
     o = make_order(5, pickup=0, delivery=1, created_at=0)
     with pytest.raises(RuntimeError, match="became infeasible"):
-        plan_insertion(route, o, 0.0, line_network, line_fleet)
+        plan_insertion(route, order_stops(o), 0.0, line_network, line_fleet)
 
 
 @pytest.mark.parametrize("deadline", [16, 30])
@@ -162,7 +163,7 @@ def test_idle_route_is_planned_from_now(deadline, line_network, line_fleet):
     # the deadline of 16 only fits a walk that wrongly starts at minute 0.
     route = Route.empty(0, depot=2)
     o = make_order(8, pickup=0, delivery=1, created_at=0, latest_delivery=deadline)
-    res = plan_insertion(route, o, 10.0, line_network, line_fleet)
+    res = plan_insertion(route, order_stops(o), 10.0, line_network, line_fleet)
     oracle = brute_force_best_insertion(route, o, 10.0, line_network, line_fleet)
     if oracle is None:
         assert deadline == 16
@@ -177,7 +178,7 @@ def test_idle_route_is_planned_from_now(deadline, line_network, line_fleet):
 def test_plan_on_empty_route(line_network, line_fleet):
     route = Route.empty(0, depot=2)
     o = make_order(0, pickup=0, delivery=1, created_at=0)
-    res = plan_insertion(route, o, 0.0, line_network, line_fleet)
+    res = plan_insertion(route, order_stops(o), 0.0, line_network, line_fleet)
     assert res.feasible
     nodes = [s.node for s in res.best_route.stops]
     assert nodes == [2, 0, 1, 2]
@@ -189,7 +190,7 @@ def test_plan_on_empty_route(line_network, line_fleet):
 def test_plan_infeasible_has_no_route(line_network, line_fleet):
     route = Route.empty(0, depot=2)
     o = make_order(0, pickup=0, delivery=1, created_at=100, latest_delivery=102)
-    res = plan_insertion(route, o, 100.0, line_network, line_fleet)
+    res = plan_insertion(route, order_stops(o), 100.0, line_network, line_fleet)
     assert not res.feasible
     assert res.best_route is None
 
@@ -203,7 +204,7 @@ def test_plan_matches_brute_force_small(line_network, line_fleet):
     ]
     now = 0.0
     for o in orders:
-        res = plan_insertion(route, o, now, line_network, line_fleet)
+        res = plan_insertion(route, order_stops(o), now, line_network, line_fleet)
         oracle = brute_force_best_insertion(route, o, now, line_network, line_fleet)
         assert res.feasible and oracle is not None
         assert res.best_route.length == pytest.approx(oracle, abs=1e-9)
@@ -216,9 +217,9 @@ def test_plan_tie_breaks_to_earliest_gap(line_network, line_fleet):
     # after it (gap pair (3, 3), 7+4+0+4+7): both are 22.0 exactly, and the
     # earlier gap pair wins.
     o1 = make_order(0, pickup=1, delivery=0, created_at=0)
-    route = plan_insertion(Route.empty(0, 2), o1, 0.0, line_network, line_fleet).best_route
+    route = plan_insertion(Route.empty(0, 2), order_stops(o1), 0.0, line_network, line_fleet).best_route
     o2 = make_order(1, pickup=0, delivery=1, created_at=0)
-    res = plan_insertion(route, o2, 0.0, line_network, line_fleet)
+    res = plan_insertion(route, order_stops(o2), 0.0, line_network, line_fleet)
     assert res.best_route.length == 22.0 == brute_force_best_insertion(route, o2, 0.0, line_network, line_fleet)
     assert res.best_route.stops == [
         Stop(2),
@@ -232,24 +233,24 @@ def test_plan_tie_breaks_to_earliest_gap(line_network, line_fleet):
 
 def test_frozen_prefix_preserved(line_network, line_fleet):
     o1 = make_order(0, pickup=0, delivery=1, created_at=0)
-    route = plan_insertion(Route.empty(0, 2), o1, 0.0, line_network, line_fleet).best_route
+    route = plan_insertion(Route.empty(0, 2), order_stops(o1), 0.0, line_network, line_fleet).best_route
     # At minute 4 the vehicle is driving toward the delivery stop (index 2).
     now = 4.0
     frozen = frozen_index(route, now)
     assert frozen == 2
     o2 = make_order(1, pickup=0, delivery=1, created_at=4)
-    res = plan_insertion(route, o2, now, line_network, line_fleet)
+    res = plan_insertion(route, order_stops(o2), now, line_network, line_fleet)
     assert res.feasible
     assert res.best_route.stops[: frozen + 1] == route.stops[: frozen + 1]
 
 
 def test_completed_route_extends_with_new_trip(line_network, line_fleet):
     o1 = make_order(0, pickup=0, delivery=1, created_at=0)
-    route = plan_insertion(Route.empty(0, 2), o1, 0.0, line_network, line_fleet).best_route
+    route = plan_insertion(Route.empty(0, 2), order_stops(o1), 0.0, line_network, line_fleet).best_route
     finish = route.walk[-1].departure
     now = finish + 100.0
     o2 = make_order(1, pickup=1, delivery=0, created_at=int(now))
-    res = plan_insertion(route, o2, now, line_network, line_fleet)
+    res = plan_insertion(route, order_stops(o2), now, line_network, line_fleet)
     assert res.feasible
     nodes = [s.node for s in res.best_route.stops]
     assert nodes == [2, 0, 1, 2, 1, 0, 2]
@@ -262,7 +263,7 @@ def _nothing_live_route(shape, network, fleet):
     if shape == "never dispatched":
         return Route.empty(0, 2), 10.0
     o1 = make_order(0, pickup=0, delivery=1, created_at=0)
-    route = plan_insertion(Route.empty(0, 2), o1, 0.0, network, fleet).best_route
+    route = plan_insertion(Route.empty(0, 2), order_stops(o1), 0.0, network, fleet).best_route
     # The trip leaves node 1 at minute 7 and is back at the depot at 14.
     return route, 114.0 if shape == "completed" else 10.0
 
@@ -274,7 +275,7 @@ def test_nothing_live_plan_matches_oracle(shape, slack, line_network, line_fleet
     assert frozen_index(route, now) == len(route.stops) - 1
     assert (now >= route.walk[-1].departure) == (shape != "driving home")
     o = make_order(1, pickup=1, delivery=0, created_at=int(now), latest_delivery=int(now) + slack)
-    res = plan_insertion(route, o, now, line_network, line_fleet)
+    res = plan_insertion(route, order_stops(o), now, line_network, line_fleet)
     oracle = brute_force_best_insertion(route, o, now, line_network, line_fleet)
     # Every shape delivers at least 4 minutes after the order is created.
     assert (oracle is not None) == (slack == 60) == res.feasible
@@ -284,6 +285,44 @@ def test_nothing_live_plan_matches_oracle(shape, slack, line_network, line_fleet
         assert [s.node for s in best.stops] == [s.node for s in route.stops] + [1, 0, 2]
         fresh = simulate_timeline(Route(0, list(best.stops)), line_network, best.walk[0].departure)
         assert (fresh.walk, fresh.violation) == (best.walk, best.violation)
+
+
+def test_plans_that_share_stops_stay_independent(line_network):
+    fleet = FleetConfig(vehicles=[VehicleSpec(k, 2) for k in range(4)], capacity=10)
+    o1 = make_order(0, pickup=0, delivery=1, created_at=0)
+    completed = plan_insertion(Route.empty(3, 2), order_stops(o1), 0.0, line_network, fleet).best_route
+    routes = [Route.empty(0, 2), Route.empty(1, 2), Route.empty(2, 2), completed]
+    committed = (list(completed.stops), list(completed.walk))
+    o2 = make_order(1, pickup=1, delivery=0, created_at=114)
+    stops = order_stops(o2)
+    plans = [plan_insertion(route, stops, 114.0, line_network, fleet).best_route for route in routes]
+    assert (completed.stops, completed.walk) == committed
+    for plan in plans:
+        assert plan.stops[-3] is stops[0] and plan.stops[-2] is stops[1]
+        assert plan.length == route_walk_length(plan, line_network, fleet.capacity)
+    before = [(list(plan.stops), list(plan.walk)) for plan in plans]
+
+    # Vehicle 1 takes the order, and a third order is planned onto its route
+    # while it drives to the shared pickup stop.
+    routes[1] = plans[1]
+    o3 = make_order(2, pickup=0, delivery=1, created_at=115)
+    res = plan_insertion(routes[1], order_stops(o3), 115.0, line_network, fleet)
+    assert res.feasible and frozen_index(routes[1], 115.0) == 1
+    assert (res.best_route.stops, res.best_route.walk) != before[1]
+    for k in (0, 2, 3):
+        assert (plans[k].stops, plans[k].walk) == before[k]
+    assert (plans[1].stops, plans[1].walk) == before[1]
+
+
+def test_simulate_timeline_keeps_a_complete_recorded_walk(line_network):
+    o = make_order(0, pickup=0, delivery=1, created_at=5)
+    stops = [Stop(2), *order_stops(o), Stop(2)]
+    start = simulate_timeline(_route(list(stops)), line_network, 2.0).walk
+    route = _route(list(stops))
+    assert simulate_timeline(route, line_network, start) is route
+    assert route.walk is start and route.violation is None
+    fresh = simulate_timeline(_route(list(stops)), line_network, start[0].departure)
+    assert (route.walk, route.violation) == (fresh.walk, fresh.violation)
 
 
 def test_simulate_timeline_runs_once_per_feasible_plan(monkeypatch):
@@ -305,9 +344,9 @@ def test_simulate_timeline_runs_once_per_feasible_plan(monkeypatch):
 
 def test_same_node_pickup_merges_into_stop(line_network, line_fleet):
     o1 = make_order(0, pickup=0, delivery=1, created_at=0)
-    route = plan_insertion(Route.empty(0, 2), o1, 0.0, line_network, line_fleet).best_route
+    route = plan_insertion(Route.empty(0, 2), order_stops(o1), 0.0, line_network, line_fleet).best_route
     o2 = make_order(1, pickup=1, delivery=0, created_at=0)
-    res = plan_insertion(route, o2, 0.0, line_network, line_fleet)
+    res = plan_insertion(route, order_stops(o2), 0.0, line_network, line_fleet)
     nodes = [s.node for s in res.best_route.stops]
     assert nodes.count(1) == 1  # delivery of o1 and pickup of o2 share one stop
     merged = [s for s in res.best_route.stops if s.node == 1][0]
@@ -316,10 +355,10 @@ def test_same_node_pickup_merges_into_stop(line_network, line_fleet):
 
 def test_plan_infeasible_mid_route_agrees_with_oracle(line_network, line_fleet):
     o1 = make_order(0, pickup=0, delivery=1, quantity=9, created_at=0, latest_delivery=60)
-    route = plan_insertion(Route.empty(0, 2), o1, 0.0, line_network, line_fleet).best_route
+    route = plan_insertion(Route.empty(0, 2), order_stops(o1), 0.0, line_network, line_fleet).best_route
     # Overweight while o1 is aboard and too late to sequence around it.
     o2 = make_order(1, pickup=0, delivery=1, quantity=9, created_at=4, latest_delivery=9)
-    res = plan_insertion(route, o2, 4.0, line_network, line_fleet)
+    res = plan_insertion(route, order_stops(o2), 4.0, line_network, line_fleet)
     oracle = brute_force_best_insertion(route, o2, 4.0, line_network, line_fleet)
     assert oracle is None
     assert not res.feasible
@@ -328,7 +367,7 @@ def test_plan_infeasible_mid_route_agrees_with_oracle(line_network, line_fleet):
 def test_vehicle_position_interpolates(line_network):
     o = make_order(0, pickup=0, delivery=1, created_at=0)
     fleet = FleetConfig(vehicles=[VehicleSpec(0, 2)], capacity=10)
-    route = plan_insertion(Route.empty(0, 2), o, 0.0, line_network, fleet).best_route
+    route = plan_insertion(Route.empty(0, 2), order_stops(o), 0.0, line_network, fleet).best_route
     x, y = vehicle_position(route, line_network, 1.5)
     assert (x, y) == pytest.approx((1.5, 0.0))
     assert vehicle_position(route, line_network, 1e9) == line_network.coords(2)
@@ -400,7 +439,7 @@ def _random_case(rng):
     for o in inst.orders:
         now = float(o.created_at) + float(rng.uniform(0, 30))
         if committed < int(rng.integers(0, 4)):
-            res = plan_insertion(route, o, o.created_at, net, fleet)
+            res = plan_insertion(route, order_stops(o), o.created_at, net, fleet)
             if res.feasible:
                 route = res.best_route
                 committed += 1
@@ -419,7 +458,7 @@ def test_planner_matches_oracle_fuzz():
             continue
         now = max(now, float(order.created_at))
         before = copy.deepcopy((route.stops, route.walk))
-        res = plan_insertion(route, order, now, inst.network, inst.fleet)
+        res = plan_insertion(route, order_stops(order), now, inst.network, inst.fleet)
         assert (route.stops, route.walk) == before
         oracle = brute_force_best_insertion(route, order, now, inst.network, inst.fleet)
         if oracle is None:
