@@ -193,8 +193,6 @@ def _fleet_state(
 ) -> tuple[JointState, list[PlannerResult]]:
     """Plan ``order`` onto every route; returns the joint state and the plans.
 
-    The order's pickup and delivery stops are built once, by
-    ``order_stops``, and every route's plan shares them.
     An idle route (``accepted[k] == 0``) is its depot stop planned from
     ``now``, so every idle route with the same depot gets the same best
     route, feature row and position (its depot).  These are computed once

@@ -28,11 +28,7 @@ and its tie-break are those of a full scan.  The winner's timeline resumes
 from the committed walk's states of the stops the insertion leaves in place.
 A route with nothing left to serve (never dispatched, completed, or driving
 to its final depot stop) has one gap pair, after that stop and back to it,
-so its trip from the depot is planned by one walk with no search.
-
-The planner takes the order as its pickup and delivery stops, which
-:func:`order_stops` builds once per order: stops are immutable values, so
-every vehicle's plan of the order shares the same two.
+so it is planned by one walk with no search.
 
 Dispatching must not interfere with a moving vehicle: stops up to the
 frozen stop (:func:`frozen_index`, the one the vehicle occupies or drives
@@ -97,8 +93,9 @@ class WalkState(NamedTuple):
     length: float
 
 
-# Builds a WalkState from a tuple of its fields without the NamedTuple's
-# Python-level __new__; the walker makes one per stop it records.
+# Builds a WalkState from the tuple of its six fields, in order, without the
+# NamedTuple's Python-level __new__ and so without its arity check; the
+# walker makes one per stop it records.
 _state = partial(tuple.__new__, WalkState)
 
 # A walk's departures never decrease (legs, waits and service only add time),
@@ -127,7 +124,7 @@ class Route:
 
     @classmethod
     def empty(cls, vehicle: int, depot: int) -> "Route":
-        return cls(vehicle, [Stop(depot)], walk=[WalkState(depot, 0.0, 0.0, 0, (), 0.0)])
+        return cls(vehicle, [Stop(depot)], walk=[_state((depot, 0.0, 0.0, 0, (), 0.0))])
 
     @property
     def length(self) -> float:
@@ -225,19 +222,16 @@ def simulate_timeline(route: Route, network: RoadNetwork, start: float | list[Wa
     (``dist`` has a zero diagonal, so reaching it takes no time) or a
     non-empty list of the states of the route's first stops as this walk
     would record them, which becomes the start of ``route.walk`` and after
-    which the walk resumes.  The walk runs at unlimited capacity, so it goes
-    through every stop or ends at the first time-window or LIFO violation.
-    A recorded walk that already covers every stop is the whole timeline:
-    it becomes ``route.walk`` as it is, with no violation.
+    which the walk resumes; a list that covers every stop is kept as the
+    whole walk, with no violation.  The walk runs at unlimited capacity, so
+    it goes through every stop or ends at the first time-window or LIFO
+    violation.
     """
     if isinstance(start, list):
-        if len(start) == len(route.stops):
-            route.walk, route.violation = start, None
-            return route
         route.walk, state = start, start[-1]
     else:
         t = float(start)
-        route.walk, state = [], WalkState(route.stops[0].node, t, t, 0, (), 0.0)
+        route.walk, state = [], _state((route.stops[0].node, t, t, 0, (), 0.0))
     _, route.violation = _walk(state, route.stops[len(route.walk):], network, math.inf, record=route.walk)
     return route
 
@@ -305,16 +299,14 @@ def plan_insertion(
     prefix, keeping existing stops in their relative order; the new stops go
     before the final depot return.  When the frozen stop is that return (a
     never-dispatched or completed route, or one driving home), the one gap
-    pair puts the new stops after it, followed by a fresh return, and the
-    trip is one walk from that stop's state through the pickup, the
-    delivery and the return, recorded as the plan's timeline.  Otherwise
-    pairs are screened by their predicted length and confirmed best first by
-    one bounded walk each (see the module docstring); the answer is the
-    feasible pair of least (walked length, pickup gap, delivery gap), so
-    ties on length go to the lexicographically smallest gap pair.  The best
-    route's walk resumes from the committed walk's states of the stops it
-    keeps.  Infeasibility is a value (a ``best_route`` of ``None``), not an
-    error.
+    pair puts the new stops after it, followed by a fresh return, and one
+    walk from its state decides.  Otherwise pairs are screened by their
+    predicted length and confirmed best first by one bounded walk each (see
+    the module docstring); the answer is the feasible pair of least (walked
+    length, pickup gap, delivery gap), so ties on length go to the
+    lexicographically smallest gap pair.  The best route's walk resumes from
+    the committed walk's states of the stops it keeps.  Infeasibility is a
+    value (a ``best_route`` of ``None``), not an error.
     """
     capacity = fleet.capacity
     walk, base = route.walk, route.stops
