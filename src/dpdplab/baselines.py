@@ -29,7 +29,7 @@ import numpy as np
 
 from .env import EpisodeReport, JointState
 from .instance import DeliveryOrder, Instance
-from .routing import DEADLINE_TOLERANCE, DELIVER, PICKUP, Action, Route, Stop, simulate_timeline
+from .routing import DEADLINE_TOLERANCE, DELIVER, PICKUP, Route, Stop, depart, order_stops, simulate_timeline
 
 GREEDY_RULES = ("incremental", "total", "max_orders")
 
@@ -269,10 +269,11 @@ def solve_exact(instance: Instance, budget: float | None = None) -> ExactResult:
     (seeds 0-5) and 0.5-6.7 s at 12 (seeds 0-2), on a 2-core x86 VM with
     Python 3.11.
     When ``budget`` seconds elapse before the search finishes, the best
-    incumbent is returned with ``optimal=False``.
+    incumbent is returned with ``optimal=False``; with no incumbent yet the
+    search raises ``TimeoutError``.
     """
-    if budget is not None and not budget > 0:
-        raise ValueError("budget must be positive (or None for unlimited)")
+    if budget is not None and not 0 < budget < math.inf:
+        raise ValueError("budget must be positive and finite (or None for unlimited)")
     start = time.monotonic()
     orders = sorted(instance.orders, key=lambda o: (o.created_at, o.id))
     orders_by_id = {o.id: o for o in orders}
@@ -327,7 +328,7 @@ def solve_exact(instance: Instance, budget: float | None = None) -> ExactResult:
     seconds = time.monotonic() - start
     if best_sets is None:
         if budget_state.exhausted:
-            return ExactResult(math.inf, 0, 0.0, {}, {}, False, nodes, seconds)
+            raise TimeoutError(f"the exact search found no assignment within its budget of {budget} s")
         raise ExactInfeasibleError("no feasible assignment of orders to vehicles exists")
 
     assignment: dict[int, int] = {}
@@ -341,15 +342,9 @@ def solve_exact(instance: Instance, budget: float | None = None) -> ExactResult:
         ttl += length
         for oid in ids:
             assignment[oid] = vehicle.id
-        stops = [Stop(vehicle.depot)]
-        for kind, oid in seq:
-            o = orders_by_id[oid]
-            node = o.pickup if kind == PICKUP else o.delivery
-            stops.append(Stop(node, (Action(kind, o),)))
-        stops.append(Stop(vehicle.depot))
-        route = Route(vehicle=vehicle.id, stops=stops)
-        simulate_timeline(route, instance.network, 0.0)
-        routes[vehicle.id] = route
+        pairs = {oid: order_stops(orders_by_id[oid]) for oid in ids}
+        stops = [Stop(vehicle.depot), *(pairs[oid][kind == DELIVER] for kind, oid in seq), Stop(vehicle.depot)]
+        routes[vehicle.id] = simulate_timeline(vehicle.id, stops, instance.network, depart(vehicle.depot, 0.0))
     nuv = len(routes)
     tc = fleet.fixed_cost * nuv + fleet.unit_cost * ttl
     return ExactResult(

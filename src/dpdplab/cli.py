@@ -4,7 +4,7 @@ curves.
 
 Every subcommand but ``gen`` (whose ``--out`` is the instance file) writes
 a ``config.json`` snapshot (arguments and seeds) into its output directory
-so runs can be reproduced bit-identically.  CSV
+so runs can be rerun byte for byte, wall-clock timings aside.  CSV
 files are the canonical outputs; SVG files are rendered directly (no
 plotting dependency) as a convenience.
 """
@@ -261,9 +261,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
-    outdir = _write_config(args)
     instance = load_instance(args.instance)
     result = solve_exact(instance, budget=args.budget)
+    # After the solve, so that a refused budget or a fruitless search writes no file.
+    outdir = _write_config(args)
     doc = {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.name != "routes"}
     doc["assignment"] = {str(k): v for k, v in result.assignment.items()}
     (outdir / "exact.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
@@ -274,7 +275,6 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    outdir = _write_config(args)
     instance = load_instance(args.instance)
     names = [name.strip() for name in args.policies.split(",")]
     # One budgeted solve serves both the exact_plan policy and the exact row.
@@ -282,6 +282,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     policies = [_policy_for(name, args.checkpoint, instance, exact=exact) for name in names]
     labels = [policy.policy_name for policy in policies]
     _refuse_repeats(labels, "policy")
+    # After every refusal above, the solve's included, so that none writes a file.
+    outdir = _write_config(args)
     rows = []
     for policy, label in zip(policies, labels):
         report = _run_one(instance, policy, outdir, label, Path(args.instance).stem)

@@ -10,8 +10,9 @@ undelivered order may be unloaded), and back-to-depot.
 
 All walking is one forward pass, one loop over stops and their actions:
 :func:`_walk` advances a :class:`WalkState` through further stops, stopping
-at the first violation and recording each state on request.
-:func:`simulate_timeline` records a route's walk through it, so the planner
+at the first violation and recording each state on request.  A route's walk
+starts with :func:`depart`, :func:`simulate_timeline` walks it on and
+returns the route, and nothing changes a route afterwards.  The planner
 starts each insertion candidate from a recorded state instead of re-walking
 the prefix.  A walk's departures never decrease, so :func:`frozen_index` and
 :func:`vehicle_position` find the state of a given minute by bisection.
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -110,21 +111,22 @@ class Route:
 
     ``walk`` is the route's only timeline: ``walk[i]`` is the state after
     ``stops[i]``, its arrival and departure included, so the vehicle leaves
-    its depot at ``walk[0].departure``.  :func:`simulate_timeline` fills it
-    and ``violation``, the first time-window or LIFO violation met (``None``
-    if there was none); the walk of an infeasible route ends at the stop of
-    that violation.  A never-dispatched route is :meth:`empty`: its depot
-    stop alone, walked at minute 0.
+    its depot at ``walk[0].departure``.  ``violation`` is the first
+    time-window or LIFO violation met (``None`` if there was none); the walk
+    of an infeasible route ends at the stop of that violation.  Every route
+    but :meth:`empty` comes from :func:`simulate_timeline`, and no field
+    has a default, so a route always carries its walk.  A never-dispatched
+    route is :meth:`empty`: its depot stop alone, left at minute 0.
     """
 
     vehicle: int
     stops: list[Stop]
-    walk: list[WalkState] = field(default_factory=list)
-    violation: str | None = None
+    walk: list[WalkState]
+    violation: str | None
 
     @classmethod
     def empty(cls, vehicle: int, depot: int) -> "Route":
-        return cls(vehicle, [Stop(depot)], walk=[_state((depot, 0.0, 0.0, 0, (), 0.0))])
+        return cls(vehicle, [Stop(depot)], depart(depot, 0.0), None)
 
     @property
     def length(self) -> float:
@@ -215,25 +217,25 @@ def _walk(
     return _state((prev, arrival, t, load, tuple(stack), length)), None
 
 
-def simulate_timeline(route: Route, network: RoadNetwork, start: float | list[WalkState]) -> Route:
-    """Record the walk state after each stop and the first violation met.
+def depart(node: int, minute: float) -> list[WalkState]:
+    """The walk of a route that leaves its first stop, ``node``, at
+    ``minute``: ``dist`` has a zero diagonal, so reaching it takes no time."""
+    t = float(minute)
+    return [_state((node, t, t, 0, (), 0.0))]
 
-    ``start`` is either the minute the route leaves its first stop
-    (``dist`` has a zero diagonal, so reaching it takes no time) or a
-    non-empty list of the states of the route's first stops as this walk
-    would record them, which becomes the start of ``route.walk`` and after
-    which the walk resumes; a list that covers every stop is kept as the
-    whole walk, with no violation.  The walk runs at unlimited capacity, so
+
+def simulate_timeline(vehicle: int, stops: list[Stop], network: RoadNetwork, start: list[WalkState]) -> Route:
+    """The route of ``vehicle`` through ``stops``, walked on from ``start``.
+
+    ``start`` is a non-empty list of the states of the first stops as this
+    walk would record them (:func:`depart` gives the first one); it becomes
+    the new route's walk, taken and not copied, and the walk records each
+    further stop's state into it.  The walk runs at unlimited capacity, so
     it goes through every stop or ends at the first time-window or LIFO
-    violation.
+    violation, which becomes the route's ``violation``.
     """
-    if isinstance(start, list):
-        route.walk, state = start, start[-1]
-    else:
-        t = float(start)
-        route.walk, state = [], _state((route.stops[0].node, t, t, 0, (), 0.0))
-    _, route.violation = _walk(state, route.stops[len(route.walk):], network, math.inf, record=route.walk)
-    return route
+    _, violation = _walk(start[-1], stops[len(start):], network, math.inf, record=start)
+    return Route(vehicle, stops, start, violation)
 
 
 def frozen_index(route: Route, now: float) -> int:
@@ -313,8 +315,7 @@ def plan_insertion(
     if len(base) == 1:
         # A never-dispatched route is Route.empty's depot stop, which cannot
         # be infeasible; it leaves now.
-        start = float(now)
-        walk = [_state((base[0].node, start, start, 0, (), 0.0))]
+        walk = depart(base[0].node, now)
         frozen = 0
     else:
         if route.violation is not None or max(map(_LOAD, walk)) > capacity:
@@ -333,7 +334,7 @@ def plan_insertion(
         timeline = list(walk)
         if _walk(walk[-1], trip, network, capacity, record=timeline)[1] is not None:
             return PlannerResult(None)
-        return PlannerResult(simulate_timeline(Route(route.vehicle, [*base, *trip]), network, timeline))
+        return PlannerResult(simulate_timeline(route.vehicle, [*base, *trip], network, timeline))
 
     # A candidate with the pickup in gap i starts from the walk state after
     # stop i - 1 of the committed route; with the delivery in gap j it then
@@ -377,6 +378,4 @@ def plan_insertion(
     # i - 1 too unless the pickup merges into it; their committed states,
     # stop 0's at least since it is frozen, are what a fresh walk records.
     kept = i - 1 if new_stops[i - 1] is not base[i - 1] else i
-    best_route = Route(vehicle=route.vehicle, stops=new_stops)
-    simulate_timeline(best_route, network, walk[:kept])
-    return PlannerResult(best_route)
+    return PlannerResult(simulate_timeline(route.vehicle, new_stops, network, walk[:kept]))

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from dpdplab import baselines
 from dpdplab.baselines import (
     COMPLETION_SLACK,
     ExactInfeasibleError,
@@ -15,7 +16,7 @@ from dpdplab.baselines import (
 )
 from dpdplab.env import JointState, run_episode
 from dpdplab.instance import TRIANGLE_TOLERANCE, FleetConfig, VehicleSpec, generate_instance, instance_from_dict
-from dpdplab.routing import DELIVER, PICKUP, Action, Route, Stop, simulate_timeline
+from dpdplab.routing import DELIVER, PICKUP, Action, Stop, depart, simulate_timeline
 
 from conftest import make_instance, make_network, make_order
 from oracles import brute_force_route_optimum, exhaustive_optimum
@@ -224,15 +225,41 @@ def test_completion_slack_covers_the_triangle_tolerance_up_to_999_legs():
 
 def test_exact_budget_validation():
     inst = generate_instance(seed=12, n_factories=6, n_orders=3, n_vehicles=2)
-    for budget in (0, -1.0, float("nan")):
+    for budget in (0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="budget must be positive"):
             solve_exact(inst, budget=budget)
 
 
-def test_exact_budget_exhaustion_flags_result():
+def exhaust_after(checks):
+    """A ``_Budget.check`` that reports the budget spent from its call
+    number ``checks`` on; the search checks once per node."""
+    calls = itertools.count()
+
+    def check(self):
+        self.exhausted = self.exhausted or next(calls) >= checks
+        return self.exhausted
+
+    return check
+
+
+def test_exact_budget_exhausted_before_any_assignment_raises(monkeypatch):
+    # The search's first complete assignment is its ninth node: the root and
+    # one node per order.
     inst = generate_instance(seed=13, n_factories=8, n_orders=8, n_vehicles=4)
-    res = solve_exact(inst, budget=1e-9)
-    assert not res.optimal
+    monkeypatch.setattr(baselines._Budget, "check", exhaust_after(8))
+    with pytest.raises(TimeoutError, match="no assignment within its budget of 30 s"):
+        solve_exact(inst, budget=30)
+
+
+def test_exact_budget_exhaustion_flags_result(monkeypatch):
+    inst = generate_instance(seed=13, n_factories=8, n_orders=8, n_vehicles=4)
+    full = solve_exact(inst)
+    for checks in (9, full.nodes_explored - 1, full.nodes_explored):
+        monkeypatch.setattr(baselines._Budget, "check", exhaust_after(checks))
+        res = solve_exact(inst, budget=30)
+        assert (res.optimal, res.nodes_explored) == (checks == full.nodes_explored, checks)
+        assert sorted(res.assignment) == sorted(o.id for o in inst.orders)
+        assert res.tc >= full.tc
 
 
 def test_exact_plan_replays_in_env():
@@ -278,17 +305,18 @@ def test_validator_names_crossed_lifo_pair(line_network):
     inst = make_instance(line_network, sorted([o1, o2], key=lambda o: o.created_at), fleet)
     report, _ = run_episode(inst, make_greedy_policy("incremental"))
     # Tamper: rebuild vehicle 0's route with crossed pairs.
-    bad = Route(
-        vehicle=0,
-        stops=[
+    bad = simulate_timeline(
+        0,
+        [
             Stop(2),
             Stop(0, (Action(PICKUP, o1),)),
             Stop(1, (Action(PICKUP, o2), Action(DELIVER, o1))),
             Stop(0, (Action(DELIVER, o2),)),
             Stop(2),
         ],
+        line_network,
+        depart(2, 0.0),
     )
-    simulate_timeline(bad, line_network, 0.0)
     report.routes[0] = bad
     report.ttl = bad.length
     report.tc = fleet.fixed_cost * report.nuv + fleet.unit_cost * report.ttl
@@ -371,7 +399,7 @@ def test_validator_catches_a_route_that_leaves_before_its_first_order():
     assert validate_routes(report, inst).ok
     k, route = next((k, r) for k, r in enumerate(report.routes) if any(s.actions for s in r.stops))
     assert route.walk[0].departure > 0.0
-    report.routes[k] = simulate_timeline(Route(route.vehicle, list(route.stops)), inst.network, 0.0)
+    report.routes[k] = simulate_timeline(route.vehicle, list(route.stops), inst.network, depart(route.stops[0].node, 0.0))
     violations = validate_routes(report, inst).violations
     assert any(v.startswith(f"timeline: vehicle {route.vehicle} stop 0 ") for v in violations), violations
 

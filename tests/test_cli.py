@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpdplab
+from dpdplab import baselines
 from dpdplab.baselines import solve_exact
 from dpdplab.cli import aggregate_metrics, build_parser, main
 from dpdplab.env import EpisodeReport, episode_demand_grid
@@ -26,6 +27,7 @@ from dpdplab.neural import load_tensors, save_tensors
 from dpdplab.policy import QNetworkConfig, Trainer, TrainerConfig
 
 from conftest import make_instance
+from test_baselines import exhaust_after
 
 
 def _gen(tmp_path, name="inst.json", orders=5, vehicles=3, seed=1, extra=()):
@@ -217,6 +219,51 @@ def test_compare_solves_the_exact_problem_once_under_the_budget(tmp_path, monkey
     assert budgets == [30.0]
     rows = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == ["exact", "exact_plan", "incremental"]
+
+
+@pytest.mark.parametrize("command", [["exact"], ["compare", "--exact"]])
+def test_exact_search_that_finds_no_assignment_in_its_budget_fails_cleanly(tmp_path, monkeypatch, command):
+    inst = _gen(tmp_path)
+    monkeypatch.setattr(baselines._Budget, "check", exhaust_after(0))
+    rc, err = _main_in(str(tmp_path), [*command, "--instance", str(inst), "--budget", "0.001"])
+    _assert_clean_failure(rc, err)
+    assert "no assignment within its budget of 0.001 s" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("budget", ["inf", "nan"])
+@pytest.mark.parametrize("command", [["exact"], ["compare", "--exact"]])
+def test_non_finite_budget_is_refused_before_any_output(tmp_path, command, budget):
+    inst = _gen(tmp_path)
+    rc, err = _main_in(str(tmp_path), [*command, "--instance", str(inst), "--budget", budget])
+    _assert_clean_failure(rc, err)
+    assert "budget must be positive" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_every_json_file_the_program_writes_is_strict_json(tmp_path):
+    inst = _gen(tmp_path, orders=4, vehicles=2)
+    checkpoint = tmp_path / "train" / "checkpoint.ckpt"
+    commands = [
+        ["run", "--instance", str(inst), "--policy", "greedy1"],
+        ["train", "--instance", str(inst), "--episodes", "2", "--batch-size", "4", "--steps-per-episode", "1"],
+        ["eval", "--checkpoint", str(checkpoint), "--instance", str(inst)],
+        ["exact", "--instance", str(inst), "--budget", "30"],
+        ["compare", "--instance", str(inst), "--policies", "greedy2,exact_plan", "--exact"],
+        ["heatmap", "--instance", str(inst)],
+        ["curves", "--curve", str(tmp_path / "train" / "curve.csv")],
+    ]
+    for argv in commands:
+        assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0, argv
+    configs, reports = list(tmp_path.glob("*/config.json")), list(tmp_path.glob("*/report_*.json"))
+    # One report each from run and eval, and one per policy from compare.
+    assert (len(configs), len(reports)) == (len(commands), 4)
+    for path in [inst, *configs, *reports, tmp_path / "exact" / "exact.json"]:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
 
 
 def test_exact_subcommand_writes_plan(tmp_path):

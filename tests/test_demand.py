@@ -13,7 +13,7 @@ from dpdplab.demand import (
     route_cells,
 )
 from dpdplab.instance import MINUTES_PER_DAY, generate_instance
-from dpdplab.routing import DELIVER, PICKUP, Action, Route, Stop, simulate_timeline
+from dpdplab.routing import DELIVER, PICKUP, Action, Route, Stop, depart, simulate_timeline
 
 from conftest import make_order
 from oracles import capacity_profile_reference, demand_profile_reference, js_reference, route_cells_reference
@@ -97,11 +97,10 @@ def test_predict_permutation_invariant(perm):
 
 
 def _simulated_route(net, actions_by_stop, depot=2, start=0.0):
-    route = Route(vehicle=0, stops=[Stop(depot)] + [
+    stops = [Stop(depot)] + [
         Stop(node, tuple(acts)) for node, acts in actions_by_stop
-    ] + [Stop(depot)])
-    simulate_timeline(route, net, start)
-    return route
+    ] + [Stop(depot)]
+    return simulate_timeline(0, stops, net, depart(depot, start))
 
 
 def test_capacity_profile_tracks_residual(line_network):
@@ -155,7 +154,6 @@ def test_demand_profile_clamps_past_midnight(line_network):
 
 def test_depot_only_route_gives_empty_profiles(line_network):
     route = Route.empty(0, depot=2)
-    simulate_timeline(route, line_network, 0.0)
     prof = capacity_profile(route, route_cells(route, line_network.n_factories, 144), 10)
     assert len(prof) == 0
 
@@ -178,7 +176,7 @@ def _nested_route(network, depot, n_stops, start, rng):
     nest (LIFO), with depot visits between trips and pickups that wait for
     orders created later than the vehicle arrives."""
     if n_stops == 1:
-        return simulate_timeline(Route.empty(0, depot), network, start)
+        return simulate_timeline(0, [Stop(depot)], network, depart(depot, start))
     stops, stack, oid = [Stop(depot)], [], 0
     while len(stops) < n_stops - 1:
         room = n_stops - 1 - len(stops)
@@ -194,8 +192,7 @@ def _nested_route(network, depot, n_stops, start, rng):
             oid += 1
         else:
             stops.append(Stop(depot))
-    route = Route(0, [*stops, Stop(depot)])
-    return simulate_timeline(route, network, start)
+    return simulate_timeline(0, [*stops, Stop(depot)], network, depart(depot, start))
 
 
 @pytest.mark.parametrize("intervals", [144, 7])

@@ -31,7 +31,7 @@ from dpdplab.baselines import _best_route_for, make_greedy_policy, solve_exact
 from dpdplab.cli import main
 from dpdplab.env import run_episode
 from dpdplab.instance import DEPOT, FACTORY, FleetConfig, VehicleSpec, generate_instance
-from dpdplab.routing import Route, order_stops, plan_insertion, simulate_timeline
+from dpdplab.routing import Route, depart, order_stops, plan_insertion, simulate_timeline
 
 from conftest import make_network, make_order
 
@@ -227,7 +227,7 @@ def test_insertion_plans_match_recorded_digest():
             walk = best.walk
             lengths = (route.length, best.length)
             fresh = simulate_timeline(
-                Route(best.vehicle, list(best.stops)), network, best.walk[0].departure
+                best.vehicle, list(best.stops), network, depart(best.stops[0].node, best.walk[0].departure)
             )
             assert (fresh.walk, fresh.violation) == (best.walk, best.violation)
         digest.update(repr((res.feasible, *lengths, stops, walk)).encode() + b"\n")

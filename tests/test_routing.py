@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dpdplab.routing import (
     Action,
     Route,
     Stop,
+    depart,
     frozen_index,
     order_stops,
     plan_insertion,
@@ -27,16 +29,18 @@ from oracles import (
     route_walk_length,
     vehicle_position_reference,
 )
+import test_pinned_outputs
 from test_pinned_outputs import _planner_corpus
 
 
-def _route(stops, vehicle=0):
-    return Route(vehicle=vehicle, stops=stops)
+def _walked(stops, network, minute=0.0, vehicle=0):
+    """The route of ``vehicle`` through ``stops``, leaving its first one at ``minute``."""
+    return simulate_timeline(vehicle, stops, network, depart(stops[0].node, minute))
 
 
 def test_empty_route_length_zero(line_network):
     route = Route.empty(0, depot=2)
-    simulate_timeline(route, line_network, 0.0)
+    assert route == _walked([Stop(2)], line_network)
     assert route.length == 0.0
     assert route.walk[0].arrival == route.walk[0].departure == 0.0
 
@@ -47,13 +51,12 @@ def test_out_and_back_arithmetic():
         roles=[FACTORY, FACTORY, DEPOT],
     )
     o = make_order(pickup=0, delivery=1, created_at=0)
-    route = _route([
+    route = _walked([
         Stop(2),
         Stop(0, (Action(PICKUP, o),)),
         Stop(1, (Action(DELIVER, o),)),
         Stop(2),
-    ])
-    simulate_timeline(route, net, 0.0)
+    ], net)
     assert route.walk[1].arrival == pytest.approx(5.0)
     assert route.walk[2].arrival == pytest.approx(9.0)
     assert route.walk[3].arrival == pytest.approx(18.0)
@@ -62,8 +65,7 @@ def test_out_and_back_arithmetic():
 
 def test_pickup_waits_for_creation(line_network):
     o = make_order(pickup=0, delivery=1, created_at=20)
-    route = _route([Stop(2), Stop(0, (Action(PICKUP, o),)), Stop(1, (Action(DELIVER, o),)), Stop(2)])
-    simulate_timeline(route, line_network, 0.0)
+    route = _walked([Stop(2), Stop(0, (Action(PICKUP, o),)), Stop(1, (Action(DELIVER, o),)), Stop(2)], line_network)
     assert route.walk[1].arrival == pytest.approx(3.0)
     assert route.walk[1].departure >= 20.0
 
@@ -76,13 +78,12 @@ def test_service_time_per_action():
     )
     o1 = make_order(0, pickup=0, delivery=1)
     o2 = make_order(1, pickup=0, delivery=1, quantity=2)
-    route = _route([
+    route = _walked([
         Stop(2),
         Stop(0, (Action(PICKUP, o1), Action(PICKUP, o2))),
         Stop(1, (Action(DELIVER, o2), Action(DELIVER, o1))),
         Stop(2),
-    ])
-    simulate_timeline(route, net, 0.0)
+    ], net)
     state = route.walk[1]
     assert state.departure - state.arrival == pytest.approx(8.0)
     assert [w.load for w in route.walk] == [0, 3, 0, 0]
@@ -92,15 +93,14 @@ def test_service_time_per_action():
 def test_nested_pairs_feasible(line_network, line_fleet):
     o1 = make_order(0, pickup=0, delivery=1)
     o2 = make_order(1, pickup=1, delivery=0)
-    route = _route([
+    route = _walked([
         Stop(2),
         Stop(0, (Action(PICKUP, o1),)),
         Stop(1, (Action(PICKUP, o2),)),
         Stop(0, (Action(DELIVER, o2),)),
         Stop(1, (Action(DELIVER, o1),)),
         Stop(2),
-    ])
-    simulate_timeline(route, line_network, 0.0)
+    ], line_network)
     length = route_walk_length(route, line_network, line_fleet.capacity)
     assert length == pytest.approx(route.length, abs=1e-9)
     assert route.stops[0].node == route.stops[-1].node == 2
@@ -109,32 +109,29 @@ def test_nested_pairs_feasible(line_network, line_fleet):
 def _crossed_route(network):
     o1 = make_order(0, pickup=0, delivery=1)
     o2 = make_order(1, pickup=1, delivery=0)
-    route = _route([
+    return _walked([
         Stop(2),
         Stop(0, (Action(PICKUP, o1),)),
         Stop(1, (Action(PICKUP, o2), Action(DELIVER, o1))),
         Stop(0, (Action(DELIVER, o2),)),
         Stop(2),
-    ])
-    return simulate_timeline(route, network, 0.0)
+    ], network)
 
 
 def _overloaded_route(network):
     o1 = make_order(0, quantity=6)
     o2 = make_order(1, quantity=6)
-    route = _route([
+    return _walked([
         Stop(2),
         Stop(0, (Action(PICKUP, o1), Action(PICKUP, o2))),
         Stop(1, (Action(DELIVER, o2), Action(DELIVER, o1))),
         Stop(2),
-    ])
-    return simulate_timeline(route, network, 0.0)
+    ], network)
 
 
 def _late_route(network):
     o = make_order(0, created_at=0, latest_delivery=5)
-    route = _route([Stop(2), Stop(0, (Action(PICKUP, o),)), Stop(1, (Action(DELIVER, o),)), Stop(2)])
-    return simulate_timeline(route, network, 0.0)
+    return _walked([Stop(2), Stop(0, (Action(PICKUP, o),)), Stop(1, (Action(DELIVER, o),)), Stop(2)], network)
 
 
 @pytest.mark.parametrize(
@@ -283,7 +280,7 @@ def test_nothing_live_plan_matches_oracle(shape, slack, line_network, line_fleet
         best = res.best_route
         assert best.length == pytest.approx(oracle, abs=1e-9)
         assert [s.node for s in best.stops] == [s.node for s in route.stops] + [1, 0, 2]
-        fresh = simulate_timeline(Route(0, list(best.stops)), line_network, best.walk[0].departure)
+        fresh = _walked(list(best.stops), line_network, best.walk[0].departure)
         assert (fresh.walk, fresh.violation) == (best.walk, best.violation)
 
 
@@ -314,24 +311,48 @@ def test_plans_that_share_stops_stay_independent(line_network):
     assert (plans[1].stops, plans[1].walk) == before[1]
 
 
-def test_simulate_timeline_keeps_a_complete_recorded_walk(line_network):
+def test_simulate_timeline_takes_its_start_as_the_walk(line_network):
     o = make_order(0, pickup=0, delivery=1, created_at=5)
     stops = [Stop(2), *order_stops(o), Stop(2)]
-    start = simulate_timeline(_route(list(stops)), line_network, 2.0).walk
-    route = _route(list(stops))
-    assert simulate_timeline(route, line_network, start) is route
-    assert route.walk is start and route.violation is None
-    fresh = simulate_timeline(_route(list(stops)), line_network, start[0].departure)
-    assert (route.walk, route.violation) == (fresh.walk, fresh.violation)
+    fresh = _walked(stops, line_network, 2.0)
+    for kept in (1, 2, len(stops)):
+        start = fresh.walk[:kept]
+        route = simulate_timeline(3, stops, line_network, start)
+        assert route.walk is start and route.stops is stops
+        assert route == Route(3, stops, fresh.walk, None)
+
+
+def test_route_fields_have_no_defaults():
+    # A route cannot be built without its walk and violation.
+    for f in dataclasses.fields(Route):
+        assert f.default is f.default_factory is dataclasses.MISSING, f.name
+
+
+def test_planning_never_changes_its_input_route(monkeypatch):
+    plan = test_pinned_outputs.plan_insertion
+    plans = 0
+
+    def checked(route, *args):
+        nonlocal plans
+        before = (list(route.stops), list(route.walk), route.violation)
+        res = plan(route, *args)
+        assert (route.stops, route.walk, route.violation) == before
+        plans += 1
+        return res
+
+    monkeypatch.setattr(test_pinned_outputs, "plan_insertion", checked)
+    for _ in _planner_corpus():
+        pass
+    assert plans == 3600
 
 
 def test_simulate_timeline_runs_once_per_feasible_plan(monkeypatch):
     timelines = []
     simulate = routing.simulate_timeline
 
-    def counted(route, *args):
-        timelines.append(route)
-        return simulate(route, *args)
+    def counted(*args):
+        timelines.append(simulate(*args))
+        return timelines[-1]
 
     monkeypatch.setattr(routing, "simulate_timeline", counted)
     feasible = 0
@@ -405,7 +426,7 @@ def _walk_and_minutes(draw):
     while stack:
         o = stack.pop()
         stops.append(Stop(o.delivery, (Action(DELIVER, o),)))
-    route = simulate_timeline(_route([*stops, Stop(3)]), network, float(draw(st.integers(0, 20))))
+    route = _walked([*stops, Stop(3)], network, float(draw(st.integers(0, 20))))
     assert route.violation is None
     exact = sorted({t for w in route.walk for t in (w.arrival, w.departure)})
     arbitrary = draw(st.lists(st.floats(-5.0, 400.0, allow_nan=False), max_size=6))
@@ -473,7 +494,7 @@ def test_planner_matches_oracle_fuzz():
             assert best.stops[0].node == best.stops[-1].node == inst.fleet.vehicles[best.vehicle].depot
             # The planner reuses the committed walk's prefix; a fresh walk
             # of the same stops must record the same states.
-            fresh = simulate_timeline(Route(0, list(best.stops)), inst.network, best.walk[0].departure)
+            fresh = _walked(list(best.stops), inst.network, best.walk[0].departure)
             assert (fresh.walk, fresh.violation) == (best.walk, best.violation)
             new_actions = [
                 (a.kind, a.order.id) for s in best.stops for a in s.actions
