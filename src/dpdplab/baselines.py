@@ -344,7 +344,7 @@ def solve_exact(instance: Instance, budget: float | None = None) -> ExactResult:
             assignment[oid] = vehicle.id
         pairs = {oid: order_stops(orders_by_id[oid]) for oid in ids}
         stops = [Stop(vehicle.depot), *(pairs[oid][kind == DELIVER] for kind, oid in seq), Stop(vehicle.depot)]
-        routes[vehicle.id] = simulate_timeline(vehicle.id, stops, instance.network, depart(vehicle.depot, 0.0))
+        routes[vehicle.id] = simulate_timeline(vehicle.id, stops, instance.network, fleet.capacity, depart(vehicle.depot, 0.0))
     nuv = len(routes)
     tc = fleet.fixed_cost * nuv + fleet.unit_cost * ttl
     return ExactResult(

@@ -58,7 +58,8 @@ def _resolve_out(args: argparse.Namespace) -> str | None:
 
 def _write_config(args: argparse.Namespace) -> Path:
     """Make the output directory ``--out``, write ``config.json`` into it
-    and return it."""
+    and return it.  Each command calls it once its inputs are loaded and
+    checked, so that a refused command writes no file."""
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     doc = {k: v for k, v in vars(args).items() if k != "func"}
@@ -215,9 +216,9 @@ def _run_one(instance: Instance, policy, outdir: Path, label: str, instance_labe
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    outdir = _write_config(args)
     instance = load_instance(args.instance)
     policy = _policy_for(args.policy, args.checkpoint, instance, args.epsilon, args.seed)
+    outdir = _write_config(args)
     label = policy.policy_name
     report = _run_one(instance, policy, outdir, label, Path(args.instance).stem)
     print(f"policy={label} NUV={report.nuv} TTL={report.ttl:.3f} TC={report.tc:.3f}")
@@ -227,7 +228,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     if args.episodes < 0:
         raise ValueError(f"--episodes must be >= 0, not {args.episodes}")
-    outdir = _write_config(args)
     instances = [load_instance(p) for p in args.instance]
     qconfig = QNetworkConfig(
         neighbors=args.neighbors,
@@ -236,6 +236,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     tconfig = TrainerConfig(**{name: getattr(args, dest) for name, dest in _TRAINER_DESTS.items()})
     trainer = Trainer(qconfig, tconfig)
+    outdir = _write_config(args)
     log = trainer.train(instances, args.episodes)
     ckpt = trainer.save_checkpoint(outdir / "checkpoint.ckpt")
     write_curve(outdir / "curve.csv", log)
@@ -246,11 +247,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     _refuse_repeats([Path(path).stem for path in args.instance], "instance name")
-    outdir = _write_config(args)
     net = Trainer.load_checkpoint(args.checkpoint).online
+    instances = [load_instance(path) for path in args.instance]
+    outdir = _write_config(args)
     reports = []
-    for path in args.instance:
-        instance = load_instance(path)
+    for path, instance in zip(args.instance, instances):
         policy = make_learned_policy(net)
         reports.append(_run_one(instance, policy, outdir, f"learned_{Path(path).stem}", Path(path).stem))
     summary = aggregate_metrics(reports)
@@ -263,7 +264,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     result = solve_exact(instance, budget=args.budget)
-    # After the solve, so that a refused budget or a fruitless search writes no file.
     outdir = _write_config(args)
     doc = {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.name != "routes"}
     doc["assignment"] = {str(k): v for k, v in result.assignment.items()}
@@ -282,7 +282,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     policies = [_policy_for(name, args.checkpoint, instance, exact=exact) for name in names]
     labels = [policy.policy_name for policy in policies]
     _refuse_repeats(labels, "policy")
-    # After every refusal above, the solve's included, so that none writes a file.
     outdir = _write_config(args)
     rows = []
     for policy, label in zip(policies, labels):
@@ -298,7 +297,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
-    outdir = _write_config(args)
     instance = load_instance(args.instance)
     n = instance.network.n_factories
     if args.source == "orders":
@@ -307,6 +305,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.instance} has no history days; use --source orders")
     else:
         grid = episode_demand_grid(instance)
+    outdir = _write_config(args)
     (outdir / "grid.csv").write_text(csv_text(grid.tolist()), encoding="utf-8")
     (outdir / "grid.svg").write_text(_svg_heatmap(grid, f"demand grid ({args.source})"), encoding="utf-8")
     print(f"wrote {outdir / 'grid.csv'} ({n}x{instance.horizon})")
@@ -314,7 +313,6 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
-    outdir = _write_config(args)
     path = Path(args.curve)
     with path.open(encoding="utf-8", newline="") as fh:
         # An empty file reads as one empty header, so it has no column.
@@ -322,6 +320,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     for number, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise ValueError(f"{path} line {number}: expected {len(header)} cells as in the header, found {len(row)}")
+    svgs = {}
     for metric in args.metrics.split(","):
         metric = metric.strip()
         if metric not in header:
@@ -333,7 +332,9 @@ def _cmd_curves(args: argparse.Namespace) -> int:
                 values.append(float(row[column]))
             except ValueError:
                 raise ValueError(f"{path} line {number}: column {metric!r} holds {row[column]!r}, not a number") from None
-        svg = _svg_polyline({metric: values}, f"{metric} per episode")
+        svgs[metric] = _svg_polyline({metric: values}, f"{metric} per episode")
+    outdir = _write_config(args)
+    for metric, svg in svgs.items():
         (outdir / f"curve_{metric}.svg").write_text(svg, encoding="utf-8")
     print(f"wrote curves for {args.metrics} into {outdir}")
     return 0

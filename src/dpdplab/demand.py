@@ -30,7 +30,7 @@ _NODE, _ARRIVAL, _LOAD = itemgetter(0), itemgetter(1), itemgetter(3)
 
 
 class DemandError(ValueError):
-    """Raised on malformed grids, profile vectors or route walks."""
+    """Raised on malformed grids or profile vectors."""
 
 
 def build_demand_grid(
@@ -71,8 +71,6 @@ def route_cells(route: Route, n_factories: int, intervals: int) -> tuple[np.ndar
     to the final interval.  Factories are the nodes below ``n_factories``
     (an instance lists them before its depots)."""
     walk = route.walk
-    if len(walk) != len(route.stops):
-        raise DemandError(f"route of vehicle {route.vehicle} has {len(route.stops)} stops but a walk of {len(walk)}")
     nodes = np.fromiter(map(_NODE, walk), np.intp, len(walk))
     stops = (nodes < n_factories).nonzero()[0]
     cell = np.fromiter(map(_ARRIVAL, walk), float, len(walk))[stops]

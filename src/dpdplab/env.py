@@ -164,7 +164,8 @@ def long_term_reward(instant_rewards: Sequence[float]) -> float:
 
 def episode_demand_grid(instance: Instance) -> np.ndarray:
     """Forecast grid for an episode: mean over history days when available,
-    otherwise the instance's own order stream."""
+    otherwise the instance's own order stream.  That fallback is
+    clairvoyant: it sees each of the day's orders before it is created."""
     n = instance.network.n_factories
     if instance.history:
         grids = [build_demand_grid(day, n, instance.horizon) for day in instance.history]

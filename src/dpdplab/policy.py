@@ -36,7 +36,9 @@ from .neural import Adam, AttentionBlock, Block, Mlp, load_tensors, save_tensors
 
 SENTINEL_Q = -1e9
 # Per-column scale of a feature row (lengths in km, score, used flag,
-# interval of a 144-interval day) before it enters the initial MLP.
+# interval of a 144-interval day) before it enters the initial MLP.  The
+# interval scale does not follow an instance's horizon: at 1440 intervals
+# the scaled interval reaches about 10.0.
 FEATURE_SCALE = np.array([0.02, 0.02, 1.0, 1.0, 1.0 / 144.0])
 # Relative gap under which two Q values are a tie (see greedy_index).
 TIE_TOLERANCE = 1e-12

@@ -11,8 +11,10 @@ undelivered order may be unloaded), and back-to-depot.
 All walking is one forward pass, one loop over stops and their actions:
 :func:`_walk` advances a :class:`WalkState` through further stops, stopping
 at the first violation and recording each state on request.  A route's walk
-starts with :func:`depart`, :func:`simulate_timeline` walks it on and
-returns the route, and nothing changes a route afterwards.  The planner
+starts with :func:`depart`, :func:`simulate_timeline` walks it on at the
+fleet's capacity and returns the route, refusing any violation, and nothing
+changes a route afterwards: every route is feasible and its walk covers
+every stop.  The planner
 starts each insertion candidate from a recorded state instead of re-walking
 the prefix.  A walk's departures never decrease, so :func:`frozen_index` and
 :func:`vehicle_position` find the state of a given minute by bisection.
@@ -102,7 +104,6 @@ _state = partial(tuple.__new__, WalkState)
 # A walk's departures never decrease (legs, waits and service only add time),
 # so the first state left after a given minute is found by bisecting them.
 _DEPARTURE = itemgetter(2)
-_LOAD = itemgetter(3)
 
 
 @dataclass
@@ -111,22 +112,20 @@ class Route:
 
     ``walk`` is the route's only timeline: ``walk[i]`` is the state after
     ``stops[i]``, its arrival and departure included, so the vehicle leaves
-    its depot at ``walk[0].departure``.  ``violation`` is the first
-    time-window or LIFO violation met (``None`` if there was none); the walk
-    of an infeasible route ends at the stop of that violation.  Every route
-    but :meth:`empty` comes from :func:`simulate_timeline`, and no field
-    has a default, so a route always carries its walk.  A never-dispatched
-    route is :meth:`empty`: its depot stop alone, left at minute 0.
+    its depot at ``walk[0].departure``.  Every route but :meth:`empty`
+    comes from :func:`simulate_timeline`, so a route is feasible and its
+    walk has one state per stop; no field has a default, so a route always
+    carries its walk.  A never-dispatched route is :meth:`empty`: its depot
+    stop alone, left at minute 0.
     """
 
     vehicle: int
     stops: list[Stop]
     walk: list[WalkState]
-    violation: str | None
 
     @classmethod
     def empty(cls, vehicle: int, depot: int) -> "Route":
-        return cls(vehicle, [Stop(depot)], depart(depot, 0.0), None)
+        return cls(vehicle, [Stop(depot)], depart(depot, 0.0))
 
     @property
     def length(self) -> float:
@@ -224,18 +223,22 @@ def depart(node: int, minute: float) -> list[WalkState]:
     return [_state((node, t, t, 0, (), 0.0))]
 
 
-def simulate_timeline(vehicle: int, stops: list[Stop], network: RoadNetwork, start: list[WalkState]) -> Route:
-    """The route of ``vehicle`` through ``stops``, walked on from ``start``.
+def simulate_timeline(
+    vehicle: int, stops: list[Stop], network: RoadNetwork, capacity: float, start: list[WalkState]
+) -> Route:
+    """The route of ``vehicle`` through ``stops``, walked on from ``start``
+    at ``capacity``.
 
     ``start`` is a non-empty list of the states of the first stops as this
     walk would record them (:func:`depart` gives the first one); it becomes
     the new route's walk, taken and not copied, and the walk records each
-    further stop's state into it.  The walk runs at unlimited capacity, so
-    it goes through every stop or ends at the first time-window or LIFO
-    violation, which becomes the route's ``violation``.
+    further stop's state into it.  Raises ``ValueError`` naming the first
+    violation and its stop, so every route is feasible and walks every stop.
     """
-    _, violation = _walk(start[-1], stops[len(start):], network, math.inf, record=start)
-    return Route(vehicle, stops, start, violation)
+    _, violation = _walk(start[-1], stops[len(start):], network, capacity, record=start)
+    if violation is not None:
+        raise ValueError(f"{violation} violation at stop {len(start) - 1} of vehicle {vehicle}'s route")
+    return Route(vehicle, stops, start)
 
 
 def frozen_index(route: Route, now: float) -> int:
@@ -244,8 +247,7 @@ def frozen_index(route: Route, now: float) -> int:
     The stop the vehicle occupies (waiting or serving) or is driving toward.
     A never-dispatched or completed route freezes up to its last stop.
     """
-    idx = bisect_right(route.walk, now, key=_DEPARTURE)
-    return idx if idx < len(route.walk) else len(route.stops) - 1
+    return min(bisect_right(route.walk, now, key=_DEPARTURE), len(route.walk) - 1)
 
 
 def vehicle_position(route: Route, network: RoadNetwork, now: float) -> tuple[float, float]:
@@ -311,16 +313,10 @@ def plan_insertion(
     value (a ``best_route`` of ``None``), not an error.
     """
     capacity = fleet.capacity
-    walk, base = route.walk, route.stops
-    if len(base) == 1:
-        # A never-dispatched route is Route.empty's depot stop, which cannot
-        # be infeasible; it leaves now.
-        walk = depart(base[0].node, now)
-        frozen = 0
-    else:
-        if route.violation is not None or max(map(_LOAD, walk)) > capacity:
-            raise RuntimeError(f"committed route of vehicle {route.vehicle} became infeasible")
-        frozen = frozen_index(route, now)
+    base = route.stops
+    # A never-dispatched route is Route.empty's depot stop; it leaves now.
+    walk = route.walk if len(base) > 1 else depart(base[0].node, now)
+    frozen = frozen_index(route, now)
     last = len(base) - 1
 
     pick, drop = stops
@@ -334,7 +330,7 @@ def plan_insertion(
         timeline = list(walk)
         if _walk(walk[-1], trip, network, capacity, record=timeline)[1] is not None:
             return PlannerResult(None)
-        return PlannerResult(simulate_timeline(route.vehicle, [*base, *trip], network, timeline))
+        return PlannerResult(simulate_timeline(route.vehicle, [*base, *trip], network, capacity, timeline))
 
     # A candidate with the pickup in gap i starts from the walk state after
     # stop i - 1 of the committed route; with the delivery in gap j it then
@@ -378,4 +374,4 @@ def plan_insertion(
     # i - 1 too unless the pickup merges into it; their committed states,
     # stop 0's at least since it is frozen, are what a fresh walk records.
     kept = i - 1 if new_stops[i - 1] is not base[i - 1] else i
-    return PlannerResult(simulate_timeline(route.vehicle, new_stops, network, walk[:kept]))
+    return PlannerResult(simulate_timeline(route.vehicle, new_stops, network, capacity, walk[:kept]))

@@ -16,7 +16,7 @@ from dpdplab.baselines import (
 )
 from dpdplab.env import JointState, run_episode
 from dpdplab.instance import TRIANGLE_TOLERANCE, FleetConfig, VehicleSpec, generate_instance, instance_from_dict
-from dpdplab.routing import DELIVER, PICKUP, Action, Stop, depart, simulate_timeline
+from dpdplab.routing import DELIVER, PICKUP, Action, Route, Stop, depart, simulate_timeline
 
 from conftest import make_instance, make_network, make_order
 from oracles import brute_force_route_optimum, exhaustive_optimum
@@ -304,8 +304,12 @@ def test_validator_names_crossed_lifo_pair(line_network):
     o2 = make_order(1, pickup=1, delivery=0, created_at=0)
     inst = make_instance(line_network, sorted([o1, o2], key=lambda o: o.created_at), fleet)
     report, _ = run_episode(inst, make_greedy_policy("incremental"))
-    # Tamper: rebuild vehicle 0's route with crossed pairs.
-    bad = simulate_timeline(
+    # Tamper: cross the pairs at the shared stop.  No walk of crossed pairs
+    # can be simulated, but the planned walk visits the same nodes with the
+    # same actions per stop, so its times and length still hold.
+    walk = report.routes[0].walk
+    assert [w.node for w in walk] == [2, 0, 1, 0, 2]
+    bad = Route(
         0,
         [
             Stop(2),
@@ -314,8 +318,7 @@ def test_validator_names_crossed_lifo_pair(line_network):
             Stop(0, (Action(DELIVER, o2),)),
             Stop(2),
         ],
-        line_network,
-        depart(2, 0.0),
+        walk,
     )
     report.routes[0] = bad
     report.ttl = bad.length
@@ -399,7 +402,9 @@ def test_validator_catches_a_route_that_leaves_before_its_first_order():
     assert validate_routes(report, inst).ok
     k, route = next((k, r) for k, r in enumerate(report.routes) if any(s.actions for s in r.stops))
     assert route.walk[0].departure > 0.0
-    report.routes[k] = simulate_timeline(route.vehicle, list(route.stops), inst.network, depart(route.stops[0].node, 0.0))
+    report.routes[k] = simulate_timeline(
+        route.vehicle, list(route.stops), inst.network, inst.fleet.capacity, depart(route.stops[0].node, 0.0)
+    )
     violations = validate_routes(report, inst).violations
     assert any(v.startswith(f"timeline: vehicle {route.vehicle} stop 0 ") for v in violations), violations
 

@@ -745,6 +745,28 @@ def test_heatmap_of_missing_history_fails_cleanly(tmp_path):
     assert not (tmp_path / "out" / "grid.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--instance", "{inst}", "--episodes", "1", "--gamma", "2"],
+        ["run", "--instance", "{missing}", "--policy", "greedy1"],
+        ["run", "--instance", "{inst}", "--policy", "learned"],
+        ["eval", "--checkpoint", "{missing}", "--instance", "{inst}"],
+        ["heatmap", "--instance", "{bare}", "--source", "history"],
+        ["curves", "--curve", "{missing}"],
+    ],
+)
+def test_a_refused_command_writes_no_config(tmp_path, argv):
+    paths = {
+        "inst": _gen(tmp_path),
+        "bare": _gen(tmp_path, "bare.json", extra=["--history-days", "0"]),
+        "missing": tmp_path / "missing",
+    }
+    rc, err = _main_in(str(tmp_path), [arg.format(**paths) for arg in argv])
+    _assert_clean_failure(rc, err)
+    assert not (tmp_path / "out" / "config.json").exists()
+
+
 def test_malformed_arguments_fail_cleanly(tmp_path):
     inst = _gen(tmp_path)
     twin_a, twin_b = _gen(tmp_path, "d1/a.json"), _gen(tmp_path, "d2/a.json")

@@ -33,9 +33,10 @@ import test_pinned_outputs
 from test_pinned_outputs import _planner_corpus
 
 
-def _walked(stops, network, minute=0.0, vehicle=0):
-    """The route of ``vehicle`` through ``stops``, leaving its first one at ``minute``."""
-    return simulate_timeline(vehicle, stops, network, depart(stops[0].node, minute))
+def _walked(stops, network, minute=0.0, vehicle=0, capacity=10):
+    """The route of ``vehicle`` through ``stops`` at ``capacity`` (that of
+    ``line_fleet``), leaving its first stop at ``minute``."""
+    return simulate_timeline(vehicle, stops, network, capacity, depart(stops[0].node, minute))
 
 
 def test_empty_route_length_zero(line_network):
@@ -106,52 +107,52 @@ def test_nested_pairs_feasible(line_network, line_fleet):
     assert route.stops[0].node == route.stops[-1].node == 2
 
 
-def _crossed_route(network):
+def _crossed_route(swap=True):
     o1 = make_order(0, pickup=0, delivery=1)
     o2 = make_order(1, pickup=1, delivery=0)
-    return _walked([
+    shared = (Action(PICKUP, o2), Action(DELIVER, o1))
+    return [
         Stop(2),
         Stop(0, (Action(PICKUP, o1),)),
-        Stop(1, (Action(PICKUP, o2), Action(DELIVER, o1))),
+        Stop(1, shared if swap else shared[::-1]),
         Stop(0, (Action(DELIVER, o2),)),
         Stop(2),
-    ], network)
+    ]
 
 
-def _overloaded_route(network):
-    o1 = make_order(0, quantity=6)
-    o2 = make_order(1, quantity=6)
-    return _walked([
+def _overloaded_route(quantity=6):
+    o1 = make_order(0, quantity=quantity)
+    o2 = make_order(1, quantity=quantity)
+    return [
         Stop(2),
         Stop(0, (Action(PICKUP, o1), Action(PICKUP, o2))),
         Stop(1, (Action(DELIVER, o2), Action(DELIVER, o1))),
         Stop(2),
-    ], network)
+    ]
 
 
-def _late_route(network):
-    o = make_order(0, created_at=0, latest_delivery=5)
-    return _walked([Stop(2), Stop(0, (Action(PICKUP, o),)), Stop(1, (Action(DELIVER, o),)), Stop(2)], network)
+def _late_route(latest_delivery=5):
+    # The delivery at node 1, 7 km out, finishes at minute 7.
+    o = make_order(0, created_at=0, latest_delivery=latest_delivery)
+    return [Stop(2), Stop(0, (Action(PICKUP, o),)), Stop(1, (Action(DELIVER, o),)), Stop(2)]
 
 
 @pytest.mark.parametrize(
-    "build, violation, walked",
-    [(_crossed_route, "lifo", 3), (_late_route, "time-window", 3), (_overloaded_route, None, 4)],
+    "build, violation, stop, feasible",
+    [
+        (_crossed_route, "lifo", 2, dict(swap=False)),
+        (_late_route, "time-window", 2, dict(latest_delivery=7)),
+        (_overloaded_route, "capacity", 1, dict(quantity=5)),
+    ],
 )
-def test_recorded_walk_ends_at_first_violation(build, violation, walked, line_network):
-    # Capacity is not checked at unlimited capacity, so the overloaded route
-    # records its whole walk; the planner refuses it through the loads.
-    route = build(line_network)
-    assert route.violation == violation
-    assert [w.node for w in route.walk] == [s.node for s in route.stops[:walked]]
-
-
-@pytest.mark.parametrize("build", [_crossed_route, _late_route, _overloaded_route])
-def test_plan_refuses_infeasible_committed_route(build, line_network, line_fleet):
-    route = build(line_network)
-    o = make_order(5, pickup=0, delivery=1, created_at=0)
-    with pytest.raises(RuntimeError, match="became infeasible"):
-        plan_insertion(route, order_stops(o), 0.0, line_network, line_fleet)
+def test_simulate_timeline_refuses_every_violation(build, violation, stop, feasible, line_network):
+    with pytest.raises(ValueError, match=f"^{violation} violation at stop {stop} of vehicle 0's route$"):
+        _walked(build(), line_network)
+    # A load of exactly the capacity and a delivery that finishes exactly at
+    # its deadline are feasible.
+    stops = build(**feasible)
+    route = _walked(stops, line_network)
+    assert len(route.walk) == len(stops)
 
 
 @pytest.mark.parametrize("deadline", [16, 30])
@@ -281,7 +282,7 @@ def test_nothing_live_plan_matches_oracle(shape, slack, line_network, line_fleet
         assert best.length == pytest.approx(oracle, abs=1e-9)
         assert [s.node for s in best.stops] == [s.node for s in route.stops] + [1, 0, 2]
         fresh = _walked(list(best.stops), line_network, best.walk[0].departure)
-        assert (fresh.walk, fresh.violation) == (best.walk, best.violation)
+        assert fresh.walk == best.walk
 
 
 def test_plans_that_share_stops_stay_independent(line_network):
@@ -317,14 +318,16 @@ def test_simulate_timeline_takes_its_start_as_the_walk(line_network):
     fresh = _walked(stops, line_network, 2.0)
     for kept in (1, 2, len(stops)):
         start = fresh.walk[:kept]
-        route = simulate_timeline(3, stops, line_network, start)
+        route = simulate_timeline(3, stops, line_network, 10, start)
         assert route.walk is start and route.stops is stops
-        assert route == Route(3, stops, fresh.walk, None)
+        assert route == Route(3, stops, fresh.walk)
 
 
 def test_route_fields_have_no_defaults():
-    # A route cannot be built without its walk and violation.
-    for f in dataclasses.fields(Route):
+    # A route cannot be built without its walk.
+    fields = dataclasses.fields(Route)
+    assert [f.name for f in fields] == ["vehicle", "stops", "walk"]
+    for f in fields:
         assert f.default is f.default_factory is dataclasses.MISSING, f.name
 
 
@@ -334,9 +337,9 @@ def test_planning_never_changes_its_input_route(monkeypatch):
 
     def checked(route, *args):
         nonlocal plans
-        before = (list(route.stops), list(route.walk), route.violation)
+        before = (list(route.stops), list(route.walk))
         res = plan(route, *args)
-        assert (route.stops, route.walk, route.violation) == before
+        assert (route.stops, route.walk) == before
         plans += 1
         return res
 
@@ -356,7 +359,7 @@ def test_simulate_timeline_runs_once_per_feasible_plan(monkeypatch):
 
     monkeypatch.setattr(routing, "simulate_timeline", counted)
     feasible = 0
-    for _, _, res in _planner_corpus():
+    for _, _, _, res in _planner_corpus():
         assert timelines == ([res.best_route] if res.feasible else [])
         feasible += res.feasible
         timelines.clear()
@@ -427,7 +430,6 @@ def _walk_and_minutes(draw):
         o = stack.pop()
         stops.append(Stop(o.delivery, (Action(DELIVER, o),)))
     route = _walked([*stops, Stop(3)], network, float(draw(st.integers(0, 20))))
-    assert route.violation is None
     exact = sorted({t for w in route.walk for t in (w.arrival, w.departure)})
     arbitrary = draw(st.lists(st.floats(-5.0, 400.0, allow_nan=False), max_size=6))
     return route, network, exact + arbitrary
@@ -494,8 +496,8 @@ def test_planner_matches_oracle_fuzz():
             assert best.stops[0].node == best.stops[-1].node == inst.fleet.vehicles[best.vehicle].depot
             # The planner reuses the committed walk's prefix; a fresh walk
             # of the same stops must record the same states.
-            fresh = _walked(list(best.stops), inst.network, best.walk[0].departure)
-            assert (fresh.walk, fresh.violation) == (best.walk, best.violation)
+            fresh = _walked(list(best.stops), inst.network, best.walk[0].departure, capacity=inst.fleet.capacity)
+            assert fresh.walk == best.walk
             new_actions = [
                 (a.kind, a.order.id) for s in best.stops for a in s.actions
                 if a.order.id == order.id
