@@ -11,14 +11,19 @@ network evaluation: their Q-value is pinned to a large negative sentinel,
 they are never sampled or selected, and no gradient ever flows to or from
 their rows.
 
-One batched path evaluates a sequence of fleet states: the MLPs run on the
-states' packed feasible rows, and each attention level is masked attention
+The network reads a fleet state through its layout (:meth:`QNetwork.lay_out`):
+the feasible rows, scaled, and each row's neighbour group.  A layout depends
+only on the state and the network's config, so it is built once per state:
+when an episode's transitions enter the replay buffer, or when acting.  A
+pass evaluates a block of layouts (:func:`block_layout`): the MLPs run on the
+block's packed feasible rows, and each attention level is masked attention
 over a zero-padded grid of one group per state, whose mask admits each
-row's neighbour group.  Acting evaluates a batch of one state; training
+row's neighbour group.  Acting evaluates a block of one state; training
 runs one forward and one backward per block of ``BLOCK_STATES`` states of
 its minibatch, and evaluates the Double-Q targets' next states in the same
-blocks.  Greedy choices treat Q values equal up to rounding as ties and take
-the lowest feasible vehicle id.
+blocks, one block shared by the online and the target pass.  Greedy choices
+treat Q values equal up to rounding as ties and take the lowest feasible
+vehicle id.
 """
 
 from __future__ import annotations
@@ -89,6 +94,60 @@ def neighbor_indices(positions: np.ndarray, n_neighbors: int) -> np.ndarray:
     return np.argsort(d2, axis=1, kind="stable")[:, : ne + 1]
 
 
+@dataclass(frozen=True, slots=True)
+class StateLayout:
+    """One fleet state as a network reads it (see :meth:`QNetwork.lay_out`).
+
+    ``x`` holds the k feasible vehicles' feature rows, in vehicle order,
+    after the score-column rule and ``FEATURE_SCALE``.  ``groups`` holds each
+    of those rows' neighbour group as indices among them, padded to
+    ``neighbors + 1`` columns with the row's own index; it is None without
+    attention.  ``feasible`` is the state's own array.  At the default
+    config a layout stores 76 bytes per feasible vehicle (40 of features, 36
+    of group) and about 300 bytes of headers: a buffer entry of a state with
+    10 feasible vehicles takes about 1.2 kB, so a full default buffer of
+    100 000 entries about 120 MB.
+    """
+
+    feasible: np.ndarray  # (K,) bool
+    x: np.ndarray  # (k, 5) float
+    groups: np.ndarray | None  # (k, neighbors + 1) int32
+
+
+@dataclass(frozen=True, slots=True)
+class BlockLayout:
+    """A sequence of state layouts assembled for one pass (see
+    :func:`block_layout`).  ``offsets[s]`` is where state s starts in the
+    concatenation of the states' vehicles, ``rows`` are the feasible
+    vehicles' indices in it and ``x`` their feature rows.  With attention,
+    ``slots`` are those rows' places in a grid of one group of ``Kmax`` rows
+    per state, and ``mask`` is the ``(S, Kmax, Kmax)`` attention mask."""
+
+    offsets: np.ndarray
+    rows: np.ndarray
+    x: np.ndarray
+    slots: np.ndarray | None
+    mask: np.ndarray | None
+
+
+def block_layout(layouts: Sequence[StateLayout]) -> BlockLayout:
+    """Concatenate the layouts' rows and write their neighbour groups into
+    one mask.  A padding row of the grid attends only to itself; a padded
+    group column names its own row, which the diagonal already admits."""
+    offsets = np.cumsum([0, *(len(lay.feasible) for lay in layouts)])
+    rows = np.flatnonzero(np.concatenate([lay.feasible for lay in layouts]))
+    x = np.concatenate([lay.x for lay in layouts])
+    if layouts[0].groups is None:
+        return BlockLayout(offsets, rows, x, None, None)
+    counts = np.array([len(lay.x) for lay in layouts])
+    kmax = counts.max()
+    slots = np.flatnonzero(np.arange(kmax) < counts[:, None])
+    mask = np.zeros((len(layouts), kmax, kmax), dtype=bool)
+    mask[:, np.arange(kmax), np.arange(kmax)] = True
+    mask.reshape(len(layouts) * kmax, kmax)[slots[:, None], np.concatenate([lay.groups for lay in layouts])] = True
+    return BlockLayout(offsets, rows, x, slots, mask)
+
+
 class QNetwork(Block):
     """Shared-weight per-vehicle Q tower over a joint fleet state."""
 
@@ -115,36 +174,45 @@ class QNetwork(Block):
         for name, p in other.params.items():
             self.params[name][...] = p
 
-    def q_values(self, states: Sequence[JointState]) -> tuple[np.ndarray, dict]:
-        """Q per vehicle of every state, concatenated in order, and the tape
-        :meth:`backward` needs; ``tape["offsets"][s]`` is where state s
-        starts.  Infeasible rows get the sentinel without evaluation.
+    def lay_out(self, state: JointState) -> StateLayout:
+        """The layout this network's passes read of ``state``.  It depends
+        only on the state and the config, so the trainer builds it once, when
+        the state enters the replay buffer, and every pass reuses it."""
+        cfg = self.config
+        x = state.features[state.feasible]
+        if not cfg.use_score_feature:
+            x[:, 2] = 0.0
+        x = x * FEATURE_SCALE
+        if not cfg.use_attention:
+            return StateLayout(state.feasible, x, None)
+        near = neighbor_indices(state.positions[state.feasible], cfg.neighbors)
+        groups = np.empty((len(x), cfg.neighbors + 1), dtype=np.int32)
+        groups[...] = np.arange(len(x))[:, None]
+        groups[:, : near.shape[1]] = near
+        return StateLayout(state.feasible, x, groups)
 
-        The MLPs run on the packed feasible rows.  Attention runs on a grid
-        of one group of ``Kmax`` rows per state, zero-padded past the
-        state's feasible rows; a padding row attends only to itself.
+    def q_values(self, block: BlockLayout) -> tuple[np.ndarray, dict]:
+        """Q per vehicle of every state of ``block``, concatenated in order,
+        and the tape :meth:`backward` needs; ``tape["offsets"][s]`` is where
+        state s starts.  Infeasible rows get the sentinel without evaluation.
+
+        The block must come from layouts made by a network of this config.
+        Each state's layout is built once, when the state enters the replay
+        buffer (or when acting on it), and every pass that replays the state
+        assembles its block from it.  A pass only reads its block, so the
+        online and the target pass of a Double-Q target share one.  The MLPs
+        run on the block's packed feasible rows; attention runs on its grid,
+        zero-padded past each state's feasible rows.
         """
-        offsets = np.cumsum([0, *(s.n_vehicles for s in states)])
-        rows = np.flatnonzero(np.concatenate([s.feasible for s in states]))
+        rows, offsets = block.rows, block.offsets
         q = np.full(offsets[-1], SENTINEL_Q, dtype=float)
         tape: dict = {"rows": rows, "offsets": offsets}
         if not rows.size:
             return q, tape
-        x = np.concatenate([s.features for s in states])[rows]
-        if not self.config.use_score_feature:
-            x[:, 2] = 0.0
-        x = x * FEATURE_SCALE
-        h0, tape["init"] = self.init_mlp.forward(x)
+        h0, tape["init"] = self.init_mlp.forward(block.x)
         if self.attn1 is not None:
-            counts = np.array([s.feasible.sum() for s in states])
-            kmax = counts.max()
-            slots = np.flatnonzero(np.arange(kmax) < counts[:, None])
-            mask = np.zeros((len(states), kmax, kmax), dtype=bool)
-            mask[:, np.arange(kmax), np.arange(kmax)] = True
-            for g, state in enumerate(states):
-                idx = neighbor_indices(state.positions[state.feasible], self.config.neighbors)
-                mask[g, np.arange(counts[g])[:, None], idx] = True
-            grid = np.zeros((len(states) * kmax, h0.shape[1]))
+            slots, mask = block.slots, block.mask
+            grid = np.zeros((mask.shape[0] * mask.shape[1], h0.shape[1]))
             grid[slots] = h0
             h1, tape["attn1"] = self.attn1.forward(grid, mask)
             h2, tape["attn2"] = self.attn2.forward(h1, mask)
@@ -164,6 +232,8 @@ class QNetwork(Block):
         Components on infeasible rows must be zero: those rows never entered
         the forward pass.
         """
+        n = tape["offsets"][-1]
+        _check(len(dq) == n, f"dq has {len(dq)} entries, but the forward pass had {n} vehicles")
         rows = tape["rows"]
         infeasible_mask = np.ones(len(dq), dtype=bool)
         infeasible_mask[rows] = False
@@ -215,7 +285,10 @@ def greedy_index(q: np.ndarray, feasible: np.ndarray) -> int:
     """Index of the largest feasible Q value.  Feasible values within
     ``TIE_TOLERANCE * max(1, |max|)`` of it are ties, and ties go to the
     lowest index, so interchangeable vehicles are not chosen by rounding."""
-    top = q[feasible].max()
+    values = q[feasible]
+    if not np.isfinite(values).all():
+        raise ValueError(f"the feasible Q values are not finite: {values.tolist()}")
+    top = values.max()
     return int(np.argmax(feasible & (q >= top - TIE_TOLERANCE * max(1.0, abs(top)))))
 
 
@@ -234,7 +307,7 @@ def select_action(
             raise ValueError("exploration requires a random generator")
         if rng.random() < epsilon:
             return int(feasible[int(rng.integers(len(feasible)))])
-    q, _ = net.q_values([state])
+    q, _ = net.q_values(block_layout([net.lay_out(state)]))
     return greedy_index(q, state.feasible)
 
 
@@ -248,6 +321,17 @@ def make_learned_policy(
 
     policy.policy_name = "learned"
     return policy
+
+
+@dataclass(frozen=True, slots=True)
+class Replay:
+    """A buffered transition: its action and reward beside the layouts of
+    its state and of its next state (None unless its target bootstraps)."""
+
+    layout: StateLayout
+    action: int
+    reward: float
+    next_layout: StateLayout | None
 
 
 @dataclass
@@ -277,16 +361,17 @@ class TrainerConfig:
 
 class Trainer:
     """Double-DQN training loop: whole-episode rollouts feed a FIFO replay
-    buffer; each episode takes ``steps_per_episode`` mini-batch gradient
-    steps (none until the buffer holds a full batch) and the target network
-    syncs every ``target_period`` episodes."""
+    buffer of :class:`Replay` entries; each episode takes
+    ``steps_per_episode`` mini-batch gradient steps (none until the buffer
+    holds a full batch) and the target network syncs every
+    ``target_period`` episodes."""
 
     def __init__(self, qconfig: QNetworkConfig | None = None, config: TrainerConfig | None = None):
         self.config = config or TrainerConfig()
         self.online = QNetwork(qconfig, seed=self.config.seed)
         self.target = QNetwork(qconfig, seed=self.config.seed)
         self.target.copy_weights_from(self.online)
-        self.buffer: deque[Transition] = deque(maxlen=self.config.buffer_capacity)
+        self.buffer: deque[Replay] = deque(maxlen=self.config.buffer_capacity)
         self.rng = np.random.default_rng(self.config.seed)
         self.optimizer = Adam(self.online.parameters(), lr=self.config.learning_rate)
         self.episodes_trained = 0
@@ -296,20 +381,37 @@ class Trainer:
         frac = min(1.0, episode / decay_span)
         return EPSILON_START + frac * (EPSILON_FINAL - EPSILON_START)
 
-    def double_q_target(self, batch: Sequence[Transition]) -> np.ndarray:
-        """One target per transition.  A transition without a next state
-        takes its raw reward; the others bootstrap with the online argmax
-        evaluated by the target network, over their next states in blocks."""
-        targets = np.array([float(tr.reward) for tr in batch])
-        live = [i for i, tr in enumerate(batch) if tr.next_state is not None]
+    def replays(self, transitions: Sequence[Transition]) -> list[Replay]:
+        """The buffer entries of ``transitions``, each state laid out once.
+        In an episode a bootstrapping transition's next state is the
+        following transition's state, and the two share its layout."""
+        layouts = [self.online.lay_out(tr.state) for tr in transitions]
+        following = [tr.state for tr in transitions[1:]] + [None]
+        entries = []
+        for i, tr in enumerate(transitions):
+            if tr.next_state is None:
+                nxt = None
+            elif tr.next_state is following[i]:
+                nxt = layouts[i + 1]
+            else:
+                nxt = self.online.lay_out(tr.next_state)
+            entries.append(Replay(layouts[i], tr.action, float(tr.reward), nxt))
+        return entries
+
+    def double_q_target(self, batch: Sequence[Replay]) -> np.ndarray:
+        """One target per entry.  An entry without a next state takes its
+        raw reward; the others bootstrap with the online argmax evaluated by
+        the target network, over their next states in blocks that the two
+        networks share."""
+        targets = np.array([r.reward for r in batch])
+        live = [i for i, r in enumerate(batch) if r.next_layout is not None]
         for start in range(0, len(live), BLOCK_STATES):
             part = live[start : start + BLOCK_STATES]
-            states = [batch[i].next_state for i in part]
-            online_q, tape = self.online.q_values(states)
-            target_q, _ = self.target.q_values(states)
-            offsets = tape["offsets"]
-            for i, lo, hi in zip(part, offsets, offsets[1:]):
-                best = lo + greedy_index(online_q[lo:hi], batch[i].next_state.feasible)
+            block = block_layout([batch[i].next_layout for i in part])
+            online_q, _ = self.online.q_values(block)
+            target_q, _ = self.target.q_values(block)
+            for i, lo, hi in zip(part, block.offsets, block.offsets[1:]):
+                best = lo + greedy_index(online_q[lo:hi], batch[i].next_layout.feasible)
                 targets[i] = batch[i].reward + self.config.gamma * target_q[best]
         return targets
 
@@ -324,8 +426,8 @@ class Trainer:
         total = 0.0
         for start in range(0, len(batch), BLOCK_STATES):
             part = batch[start : start + BLOCK_STATES]
-            q, tape = self.online.q_values([tr.state for tr in part])
-            picked = tape["offsets"][:-1] + [tr.action for tr in part]
+            q, tape = self.online.q_values(block_layout([r.layout for r in part]))
+            picked = tape["offsets"][:-1] + [r.action for r in part]
             diff = q[picked] - targets[start : start + BLOCK_STATES]
             total += float(diff @ diff)
             dq = np.zeros_like(q)
@@ -356,7 +458,7 @@ class Trainer:
             instance = instances[episode % len(instances)]
             policy = make_learned_policy(self.online, epsilon=eps, rng=self.rng)
             report, transitions = run_episode(instance, policy, alpha=self.config.alpha)
-            self.buffer.extend(transitions)
+            self.buffer.extend(self.replays(transitions))
             losses = [
                 loss
                 for _ in range(self.config.steps_per_episode)

@@ -118,7 +118,7 @@ def test_criterion_4_gradients_match_finite_differences():
         config = QNetworkConfig(
             embed_dim=8, mlp_hidden=(8,), attn_heads=2, attn_head_dim=4, neighbors=2
         )
-        from test_policy import make_state
+        from test_policy import lay, make_state
 
         h = 1e-4
         for seed in range(5):
@@ -133,7 +133,7 @@ def test_criterion_4_gradients_match_finite_differences():
             state = make_state(rows, positions=positions)
             action = int(np.flatnonzero(state.feasible)[0])
             net.zero_grad()
-            _, tape = net.q_values([state])
+            _, tape = net.q_values(lay(net, [state]))
             dq = np.zeros(4)
             dq[action] = 1.0
             net.backward(tape, dq)
@@ -142,9 +142,9 @@ def test_criterion_4_gradients_match_finite_differences():
                 for idx in range(flat_p.size):
                     keep = flat_p[idx]
                     flat_p[idx] = keep + h
-                    up = net.q_values([state])[0][action]
+                    up = net.q_values(lay(net, [state]))[0][action]
                     flat_p[idx] = keep - h
-                    down = net.q_values([state])[0][action]
+                    down = net.q_values(lay(net, [state]))[0][action]
                     flat_p[idx] = keep
                     numeric = (up - down) / (2 * h)
                     err = relative_error(flat_g[idx], numeric)

@@ -16,8 +16,11 @@ session digests cover every CSV file of a short command-line session; they
 were recorded before the CSV rows went through one formatter.  The same
 session's two generated instance files and its checkpoint were pinned
 before `gen` took its flags from the generator's signature and the Q
-network's blocks shared one parameter registry.  A refactor that is meant
-to keep behaviour must keep these bytes.
+network's blocks shared one parameter registry.  The training digests
+cover the online weights and per-episode losses of three training runs,
+one at the benchmark's train shape; they were recorded before each state's
+network layout came to be built once, on entering the replay buffer.  A
+refactor that is meant to keep behaviour must keep these bytes.
 """
 
 import hashlib
@@ -31,6 +34,7 @@ from dpdplab.baselines import _best_route_for, make_greedy_policy, solve_exact
 from dpdplab.cli import main
 from dpdplab.env import run_episode
 from dpdplab.instance import DEPOT, FACTORY, FleetConfig, VehicleSpec, generate_instance
+from dpdplab.policy import QNetworkConfig, Trainer, TrainerConfig
 from dpdplab.routing import Route, depart, order_stops, plan_insertion, simulate_timeline
 
 from conftest import make_network, make_order
@@ -279,3 +283,38 @@ def test_cli_session_files_match_recorded_digests(tmp_path):
     files = _cli_session(tmp_path)
     got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
     assert got == RECORDED_SESSION
+
+
+# name -> (Q-network config, trainer config, generate_instance arguments,
+# episodes): the benchmark's train shape, and two small shapes without
+# attention and without the score feature.
+TRAINING_RUNS = {
+    "benchmark-shape": (None, TrainerConfig(seed=0, steps_per_episode=8), (0, 10, 30, 10), 8),
+    "no-attention": (
+        QNetworkConfig(use_attention=False), TrainerConfig(seed=1, batch_size=16, steps_per_episode=3), (1, 6, 12, 4), 5,
+    ),
+    "no-score": (
+        QNetworkConfig(use_score_feature=False), TrainerConfig(seed=1, batch_size=16, steps_per_episode=3), (1, 6, 12, 4), 5,
+    ),
+}
+
+# sha256 of the online weights (sorted names, each followed by its bytes)
+# and then the per-episode losses as float64 bytes.
+RECORDED_TRAINING = {
+    "benchmark-shape": "452aaf1458eb94c17c0f75cf6e9d40530a5f9f7b8d083bba61aabe3fa08478f7",
+    "no-attention": "d8e6e1533f7f378a813c9b22d697f7b93b46ade6daa7cbbaea9d6499e12722bb",
+    "no-score": "7d615acc2e1db12ecd170082298cced72c6914ed5b8f412fa64835da2757b841",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAINING_RUNS))
+def test_training_matches_recorded_digest(name):
+    qconfig, config, shape, episodes = TRAINING_RUNS[name]
+    trainer = Trainer(qconfig, config)
+    log = trainer.train([generate_instance(*shape)], episodes)
+    digest = hashlib.sha256()
+    for param, p, _ in sorted(trainer.online.parameters()):
+        digest.update(param.encode())
+        digest.update(p.tobytes())
+    digest.update(np.array([row["loss"] for row in log], dtype=float).tobytes())
+    assert digest.hexdigest() == RECORDED_TRAINING[name]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpdplab import policy
 from dpdplab.env import JointState, Transition
 from dpdplab.instance import generate_instance, read_json
 from dpdplab.policy import (
@@ -16,6 +17,7 @@ from dpdplab.policy import (
     QNetworkConfig,
     Trainer,
     TrainerConfig,
+    block_layout,
     greedy_index,
     make_learned_policy,
     neighbor_indices,
@@ -42,10 +44,15 @@ def make_state(rows, positions=None, accepted=None, order_id=0):
     )
 
 
+def lay(net, states):
+    """The block a pass of ``net`` reads of ``states``."""
+    return block_layout([net.lay_out(state) for state in states])
+
+
 def test_sentinel_dominates_argmax():
     state = make_state([None, None, (5.0, 9.0, 0.2), None])
     net = QNetwork(SMALL, seed=0)
-    q, _ = net.q_values([state])
+    q, _ = net.q_values(lay(net, [state]))
     assert q[2] > SENTINEL_Q
     assert np.argmax(q) == 2
     assert select_action(state, net) == 2
@@ -55,7 +62,7 @@ def test_sentinel_dominates_argmax():
 def test_lone_vehicle_still_evaluates():
     state = make_state([(0.0, 4.0, 0.1)])
     net = QNetwork(SMALL, seed=0)
-    q, _ = net.q_values([state])
+    q, _ = net.q_values(lay(net, [state]))
     assert np.isfinite(q[0]) and q[0] != SENTINEL_Q
 
 
@@ -99,7 +106,7 @@ def test_neighbor_indices_match_sorting_reference(points, n_neighbors):
 def test_epsilon_zero_is_pure_argmax():
     state = make_state([(3.0, 8.0, 0.5), (1.0, 2.0, 0.1), None])
     net = QNetwork(SMALL, seed=1)
-    q, _ = net.q_values([state])
+    q, _ = net.q_values(lay(net, [state]))
     rng = np.random.default_rng(0)
     picks = {select_action(state, net, epsilon=0.0, rng=rng) for _ in range(20)}
     assert picks == {int(np.argmax(q))}
@@ -123,7 +130,7 @@ def test_equal_q_tie_breaks_to_lowest_id():
     for _, p, _ in net.final_mlp.parameters():
         p[...] = 0.0
     state = make_state([(3.0, 8.0, 0.5), (3.0, 8.0, 0.5), None])
-    q, _ = net.q_values([state])
+    q, _ = net.q_values(lay(net, [state]))
     assert q[0] == q[1]
     assert select_action(state, net) == 0
 
@@ -135,7 +142,7 @@ def test_feature_masking_without_score():
     net = QNetwork(cfg, seed=3)
     a = make_state([(3.0, 8.0, 0.1), (1.0, 2.0, 0.9)])
     b = make_state([(3.0, 8.0, 0.7), (1.0, 2.0, 0.2)])
-    assert net.q_values([a])[0] == pytest.approx(net.q_values([b])[0])
+    assert net.q_values(lay(net, [a]))[0] == pytest.approx(net.q_values(lay(net, [b]))[0])
 
 
 def test_plain_variant_skips_attention():
@@ -144,7 +151,7 @@ def test_plain_variant_skips_attention():
     names = [name for name, _, _ in net.parameters()]
     assert not any(name.startswith("attn") for name in names)
     state = make_state([(3.0, 8.0, 0.5), (1.0, 2.0, 0.1)])
-    assert np.isfinite(net.q_values([state])[0][0])
+    assert np.isfinite(net.q_values(lay(net, [state]))[0][0])
 
 
 def test_permutation_equivariance():
@@ -152,10 +159,10 @@ def test_permutation_equivariance():
     rows = [(3.0, 8.0, 0.5), (1.0, 2.0, 0.1), (0.0, 5.0, 0.9), None]
     pos = [(0.0, 0.0), (1.2, 0.4), (5.0, 2.0), (9.0, 9.0)]
     state = make_state(rows, positions=pos)
-    q, _ = net.q_values([state])
+    q, _ = net.q_values(lay(net, [state]))
     perm = [2, 0, 3, 1]
     state_p = make_state([rows[i] for i in perm], positions=[pos[i] for i in perm])
-    q_p, _ = net.q_values([state_p])
+    q_p, _ = net.q_values(lay(net, [state_p]))
     for new_idx, old_idx in enumerate(perm):
         assert q_p[new_idx] == pytest.approx(q[old_idx], rel=1e-12)
 
@@ -164,25 +171,36 @@ def test_infeasible_rows_never_touch_network():
     net = QNetwork(SMALL, seed=6)
     rows = [(3.0, 8.0, 0.5), None, (1.0, 2.0, 0.1)]
     state = make_state(rows)
-    q1, _ = net.q_values([state])
+    q1, _ = net.q_values(lay(net, [state]))
     # Changing an infeasible row's (sentinel) features cannot change anything.
     state.features[1] = 99.0
-    q2, _ = net.q_values([state])
+    q2, _ = net.q_values(lay(net, [state]))
     assert np.array_equal(q1, q2)
     # Perturbing any weight leaves the sentinel untouched.
     for _, p, _ in net.parameters():
         p.flat[0] += 0.37
-    q3, _ = net.q_values([state])
+    q3, _ = net.q_values(lay(net, [state]))
     assert q3[1] == SENTINEL_Q
 
 
 def test_gradient_on_infeasible_row_rejected():
     net = QNetwork(SMALL, seed=7)
     state = make_state([(3.0, 8.0, 0.5), None])
-    _, tape = net.q_values([state])
+    _, tape = net.q_values(lay(net, [state]))
     dq = np.zeros(2)
     dq[1] = 1.0
     with pytest.raises(ValueError, match="infeasible row"):
+        net.backward(tape, dq)
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_backward_refuses_a_gradient_of_the_wrong_length(length):
+    net = QNetwork(SMALL, seed=7)
+    state = make_state([(3.0, 8.0, 0.5), (1.0, 2.0, 0.1), None])
+    _, tape = net.q_values(lay(net, [state]))
+    dq = np.zeros(length)
+    dq[0] = dq[-1] = 1.0
+    with pytest.raises(ValueError, match=f"dq has {length} entries, but the forward pass had 3 vehicles"):
         net.backward(tape, dq)
 
 
@@ -190,7 +208,7 @@ def test_backward_only_flows_through_feasible_rows():
     net = QNetwork(SMALL, seed=8)
     state = make_state([(3.0, 8.0, 0.5), None, (1.0, 2.0, 0.1)])
     net.zero_grad()
-    _, tape = net.q_values([state])
+    _, tape = net.q_values(lay(net, [state]))
     dq = np.zeros(3)
     dq[0] = 1.0
     net.backward(tape, dq)
@@ -205,12 +223,12 @@ def test_backward_uses_the_tape_it_is_given():
     other = make_state([(0.0, 5.0, 0.9), (2.0, 7.0, 0.3)])
     dq = np.array([1.0, 0.0, -0.5])
     net.zero_grad()
-    _, tape = net.q_values([state])
+    _, tape = net.q_values(lay(net, [state]))
     net.backward(tape, dq)
     want = {name: g.copy() for name, _, g in net.parameters()}
     net.zero_grad()
-    _, tape = net.q_values([state])
-    net.q_values([other])
+    _, tape = net.q_values(lay(net, [state]))
+    net.q_values(lay(net, [other]))
     net.backward(tape, dq)
     for name, _, g in net.parameters():
         assert np.array_equal(want[name], g), name
@@ -223,7 +241,7 @@ def _terminal_transition(reward):
 
 def test_double_q_target_terminal():
     trainer = Trainer(SMALL, TrainerConfig(seed=0))
-    assert trainer.double_q_target([_terminal_transition(-5.0)])[0] == -5.0
+    assert trainer.double_q_target(trainer.replays([_terminal_transition(-5.0)]))[0] == -5.0
 
 
 def _flat_q_trainer(online_bias, target_bias, gamma):
@@ -239,14 +257,14 @@ def test_double_q_target_bootstraps_with_target_net():
     trainer = _flat_q_trainer(online_bias=5.0, target_bias=-10.0, gamma=0.9)
     nxt = make_state([(1.0, 2.0, 0.1), (0.0, 4.0, 0.2)])
     tr = Transition(make_state([(3.0, 8.0, 0.5)]), 0, -1.0, nxt)
-    assert trainer.double_q_target([tr])[0] == pytest.approx(-10.0)
+    assert trainer.double_q_target(trainer.replays([tr]))[0] == pytest.approx(-10.0)
 
 
 def test_double_q_target_gamma_zero_is_reward():
     trainer = _flat_q_trainer(online_bias=5.0, target_bias=-10.0, gamma=0.0)
     nxt = make_state([(1.0, 2.0, 0.1)])
     tr = Transition(make_state([(3.0, 8.0, 0.5)]), 0, -1.0, nxt)
-    assert trainer.double_q_target([tr])[0] == -1.0
+    assert trainer.double_q_target(trainer.replays([tr]))[0] == -1.0
 
 
 def test_train_zero_episodes_is_noop(tmp_path):
@@ -329,7 +347,8 @@ def test_checkpoint_round_trip(tmp_path):
     assert again.online.config == trainer.online.config
     assert again.config == trainer.config
     state = make_state([(3.0, 8.0, 0.5), (1.0, 2.0, 0.1)])
-    assert again.online.q_values([state])[0] == pytest.approx(trainer.online.q_values([state])[0])
+    want = trainer.online.q_values(lay(trainer.online, [state]))[0]
+    assert again.online.q_values(lay(again.online, [state]))[0] == pytest.approx(want)
     assert again.rng.integers(1 << 30) == trainer.rng.integers(1 << 30)
 
 
@@ -359,7 +378,7 @@ def test_full_tower_gradcheck_small():
     )
     action = 2
     net.zero_grad()
-    _, tape = net.q_values([state])
+    _, tape = net.q_values(lay(net, [state]))
     dq = np.zeros(4)
     dq[action] = 1.0
     net.backward(tape, dq)
@@ -370,9 +389,9 @@ def test_full_tower_gradcheck_small():
         for idx in range(0, flat_p.size, 7):  # sample every 7th weight for speed
             keep = flat_p[idx]
             flat_p[idx] = keep + h
-            up = net.q_values([state])[0][action]
+            up = net.q_values(lay(net, [state]))[0][action]
             flat_p[idx] = keep - h
-            down = net.q_values([state])[0][action]
+            down = net.q_values(lay(net, [state]))[0][action]
             flat_p[idx] = keep
             numeric = (up - down) / (2 * h)
             assert relative_error(flat_g[idx], numeric) < 1e-4, (name, idx)
@@ -416,10 +435,10 @@ _NETS = {
 @given(_states(), st.sampled_from(sorted(_NETS)))
 def test_batched_q_equals_per_state_q(states, which):
     net = _NETS[which]
-    q, tape = net.q_values(states)
+    q, tape = net.q_values(lay(net, states))
     assert tape["offsets"].tolist() == np.cumsum([0] + [s.n_vehicles for s in states]).tolist()
     for state, lo, hi in zip(states, tape["offsets"], tape["offsets"][1:]):
-        own, _ = net.q_values([state])
+        own, _ = net.q_values(lay(net, [state]))
         assert _close(q[lo:hi], own)
         assert np.all((q[lo:hi] == SENTINEL_Q) == ~state.feasible)
 
@@ -431,12 +450,12 @@ def test_batched_backward_equals_sum_of_per_state_backwards(states, which, seed)
     feasible = np.concatenate([s.feasible for s in states])
     dq = np.random.default_rng(seed).normal(size=feasible.size) * feasible
     net.zero_grad()
-    _, tape = net.q_values(states)
+    _, tape = net.q_values(lay(net, states))
     net.backward(tape, dq)
     batched = {name: g.copy() for name, _, g in net.parameters()}
     net.zero_grad()
     for state, lo, hi in zip(states, tape["offsets"], tape["offsets"][1:]):
-        _, own = net.q_values([state])
+        _, own = net.q_values(lay(net, [state]))
         net.backward(own, dq[lo:hi])
     for name, _, g in net.parameters():
         assert _close(batched[name], g), name
@@ -446,7 +465,7 @@ def test_batched_backward_equals_sum_of_per_state_backwards(states, which, seed)
 @given(_states(max_states=1), st.sampled_from(sorted(_NETS)))
 def test_q_values_match_loop_reference(states, which):
     net = _NETS[which]
-    q, _ = net.q_values(states)
+    q, _ = net.q_values(lay(net, states))
     assert _close(q, q_reference(net, states[0]))
 
 
@@ -490,7 +509,28 @@ def test_double_q_target_breaks_rounding_ties_to_lowest_id():
         return np.array([-10.0, 10.0]), {"offsets": np.array([0, 2])}
 
     trainer.online.q_values, trainer.target.q_values = online_q, target_q
-    assert trainer.double_q_target([tr])[0] == -1.0 + 0.5 * -10.0
+    assert trainer.double_q_target(trainer.replays([tr]))[0] == -1.0 + 0.5 * -10.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_greedy_choices_refuse_feasible_q_values_that_are_not_finite(bad):
+    """A NaN or infinite feasible Q value has no greedy choice: acting and
+    the Double-Q target raise instead of taking the infeasible vehicle 0."""
+    q = np.array([SENTINEL_Q, bad, 3.0])
+    with pytest.raises(ValueError, match="feasible Q values are not finite"):
+        greedy_index(q, np.array([False, True, True]))
+    trainer = _flat_q_trainer(online_bias=0.0, target_bias=0.0, gamma=0.5)
+
+    def bad_q(block):
+        return q.copy(), {"offsets": np.array([0, 3])}
+
+    trainer.online.q_values = bad_q
+    nxt = make_state([None, (1.0, 2.0, 0.1), (0.0, 4.0, 0.2)])
+    with pytest.raises(ValueError, match="feasible Q values are not finite"):
+        select_action(nxt, trainer.online)
+    tr = Transition(make_state([(3.0, 8.0, 0.5)]), 0, -1.0, nxt)
+    with pytest.raises(ValueError, match="feasible Q values are not finite"):
+        trainer.double_q_target(trainer.replays([tr]))
 
 
 def test_greedy_choices_ignore_the_sentinel_below_every_feasible_q():
@@ -500,7 +540,7 @@ def test_greedy_choices_ignore_the_sentinel_below_every_feasible_q():
     nxt = make_state([None, (1.0, 2.0, 0.1)])
     assert select_action(nxt, trainer.online) == 1
     tr = Transition(make_state([(3.0, 8.0, 0.5)]), 0, -1.0, nxt)
-    assert trainer.double_q_target([tr])[0] == -1e9 - 1.0
+    assert trainer.double_q_target(trainer.replays([tr]))[0] == -1e9 - 1.0
 
 
 def test_double_q_target_of_a_batch_matches_one_at_a_time():
@@ -513,10 +553,28 @@ def test_double_q_target_of_a_batch_matches_one_at_a_time():
         terminal = i % 4 == 0
         nxt = None if i % 7 == 0 else make_state(rows, positions=rng.uniform(0, 5, size=(k, 2)))
         batch.append(Transition(make_state([(3.0, 8.0, 0.5)]), 0, float(-i), None if terminal else nxt))
-    together = trainer.double_q_target(batch)
+    together = trainer.double_q_target(trainer.replays(batch))
     assert together.shape == (len(batch),)
     for tr, y in zip(batch, together):
-        assert y == trainer.double_q_target([tr])[0]
+        assert y == trainer.double_q_target(trainer.replays([tr]))[0]
+
+
+def test_an_episode_lays_out_each_state_once(monkeypatch):
+    """A bootstrapping entry's next state shares the following entry's
+    layout, and a train step lays out no state again."""
+    inst = generate_instance(seed=1, n_factories=6, n_orders=20, n_vehicles=3)
+    trainer = Trainer(SMALL, TrainerConfig(seed=9, batch_size=8, steps_per_episode=0))
+    trainer.train([inst], 2)
+    entries = list(trainer.buffer)
+    assert len(entries) == 40
+    bootstrapping = [i for i, r in enumerate(entries) if r.next_layout is not None]
+    assert bootstrapping
+    for i in bootstrapping:
+        assert entries[i].next_layout is entries[i + 1].layout
+    calls = []
+    monkeypatch.setattr(policy, "neighbor_indices", lambda *args: calls.append(args))
+    assert trainer.train_step() is not None
+    assert calls == []
 
 
 def test_training_batches_mix_fleet_sizes():
@@ -524,7 +582,7 @@ def test_training_batches_mix_fleet_sizes():
     large = generate_instance(seed=9, n_factories=5, n_orders=6, n_vehicles=5)
     trainer = Trainer(SMALL, TrainerConfig(seed=5, batch_size=12, steps_per_episode=3))
     log = trainer.train([small, large], 6)
-    assert {tr.state.n_vehicles for tr in trainer.buffer} == {2, 5}
+    assert {len(r.layout.feasible) for r in trainer.buffer} == {2, 5}
     losses = [row["loss"] for row in log[1:]]
     assert losses and all(np.isfinite(loss) for loss in losses)
 
