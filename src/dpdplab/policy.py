@@ -121,12 +121,13 @@ class BlockLayout:
     concatenation of the states' vehicles, ``rows`` are the feasible
     vehicles' indices in it and ``x`` their feature rows.  With attention,
     ``slots`` are those rows' places in a grid of one group of ``Kmax`` rows
-    per state, and ``mask`` is the ``(S, Kmax, Kmax)`` attention mask."""
+    per state (every place, as a slice, when no state has fewer rows), and
+    ``mask`` is the ``(S, Kmax, Kmax)`` attention mask."""
 
     offsets: np.ndarray
     rows: np.ndarray
     x: np.ndarray
-    slots: np.ndarray | None
+    slots: np.ndarray | slice | None
     mask: np.ndarray | None
 
 
@@ -145,6 +146,9 @@ def block_layout(layouts: Sequence[StateLayout]) -> BlockLayout:
     mask = np.zeros((len(layouts), kmax, kmax), dtype=bool)
     mask[:, np.arange(kmax), np.arange(kmax)] = True
     mask.reshape(len(layouts) * kmax, kmax)[slots[:, None], np.concatenate([lay.groups for lay in layouts])] = True
+    # A grid without padding rows is read and written through views.
+    if len(slots) == len(layouts) * kmax:
+        slots = slice(None)
     return BlockLayout(offsets, rows, x, slots, mask)
 
 
