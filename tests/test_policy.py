@@ -519,7 +519,7 @@ def test_greedy_choices_refuse_feasible_q_values_that_are_not_finite(bad):
     q = np.array([SENTINEL_Q, bad, 3.0])
     with pytest.raises(ValueError, match="feasible Q values are not finite"):
         greedy_index(q, np.array([False, True, True]))
-    trainer = _flat_q_trainer(online_bias=0.0, target_bias=0.0, gamma=0.5)
+    trainer = Trainer(SMALL, TrainerConfig(seed=0))
 
     def bad_q(block):
         return q.copy(), {"offsets": np.array([0, 3])}
