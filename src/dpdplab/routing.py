@@ -22,13 +22,17 @@ the prefix.  A walk's departures never decrease, so :func:`frozen_index` and
 The planner screens gap pairs by length before it walks them whole
 (Savelsbergh, *ORSA J. Computing* 4(2), 1992; Campbell & Savelsbergh,
 *Transportation Science* 38(3), 2004, without their time-window slack).  The
-walks through the pickup and on to each delivery gap decide which pairs
-capacity and LIFO allow, and each allowed pair's length follows in O(1) from
-the committed walk.  Pairs are walked best prediction first, each walk cut
-at the best length so far, until a prediction passes that length by more
-than ``SCREEN_SLACK``; the walk, not the prediction, decides, so the answer
-and its tie-break are those of a full scan.  The winner's timeline resumes
-from the committed walk's states of the stops the insertion leaves in place.
+screen walks nothing: each pair's length follows in O(1) from the committed
+walk, whose loads and stack depths cut the scan where a walk would fail, at
+a load over capacity or at a stack shallower than at the pickup (an order
+from under the new one delivered; a pair nested inside the new one may be
+delivered before it).  A pair the cuts miss, say one that makes a delivery
+late, is refused by its walk.  Pairs are walked best prediction first, each
+from the committed state before its pickup and cut at the best length so
+far, until a prediction passes that length by more than ``SCREEN_SLACK``;
+the walk, not the prediction, decides, so the answer and its tie-break are
+those of a full scan.  The winner's timeline resumes from the committed
+walk's states of the stops the insertion leaves in place.
 A route with nothing left to serve (never dispatched, completed, or driving
 to its final depot stop) has one gap pair, after that stop and back to it,
 so it is planned by one walk with no search.
@@ -272,17 +276,6 @@ def vehicle_position(route: Route, network: RoadNetwork, now: float) -> tuple[fl
 # Insertion planning
 
 
-def _coalesce(stops: list[Stop], protect: int) -> list[Stop]:
-    """Merge adjacent same-node stops, never touching indices <= protect."""
-    out: list[Stop] = []
-    for stop in stops:
-        if out and len(out) - 1 > protect and out[-1].node == stop.node:
-            out[-1] = Stop(stop.node, out[-1].actions + stop.actions)
-        else:
-            out.append(stop)
-    return out
-
-
 def order_stops(order: DeliveryOrder) -> tuple[Stop, Stop]:
     """The order's pickup and delivery stops, for every plan of the order."""
     return Stop(order.pickup, (Action(PICKUP, order),)), Stop(order.delivery, (Action(DELIVER, order),))
@@ -304,9 +297,10 @@ def plan_insertion(
     before the final depot return.  When the frozen stop is that return (a
     never-dispatched or completed route, or one driving home), the one gap
     pair puts the new stops after it, followed by a fresh return, and one
-    walk from its state decides.  Otherwise pairs are screened by their
-    predicted length and confirmed best first by one bounded walk each (see
-    the module docstring); the answer is the feasible pair of least (walked
+    walk from its state decides.  Otherwise pairs are screened, without
+    walking, by their predicted length and the committed walk's loads and
+    stack depths, and confirmed best first by one bounded walk each (see the
+    module docstring); the answer is the feasible pair of least (walked
     length, pickup gap, delivery gap), so ties on length go to the
     lexicographically smallest gap pair.  The best route's walk resumes from
     the committed walk's states of the stops it keeps.  Infeasibility is a
@@ -332,35 +326,44 @@ def plan_insertion(
             return PlannerResult(None)
         return PlannerResult(simulate_timeline(route.vehicle, [*base, *trip], network, capacity, timeline))
 
-    # A candidate with the pickup in gap i starts from the walk state after
-    # stop i - 1 of the committed route; with the delivery in gap j it then
-    # drives from ``mid`` to the delivery and on to stop j, and from there
-    # the committed route's rest.
+    # A candidate with the pickup in gap i leaves stop i - 1 of the committed
+    # route for the pickup and drives on through stops i to j - 1, the
+    # length so far being ``head``; with the delivery in gap j it then
+    # drives to the delivery and on to stop j, and from there the committed
+    # route's rest.
     dist = network.dist
+    dnode = drop.node
+    quantity = pick.actions[0].order.quantity
     cur_len = walk[-1].length
     candidates = []
     for i in range(frozen + 1, last + 1):
-        mid, _ = _walk(walk[i - 1], [pick], network, capacity)
-        if mid is None:
+        before = walk[i - 1]
+        if before.load + quantity > capacity:
             continue
+        depth = len(before.stack)
+        prev = pick.node
+        head = before.length + dist.item(before.node, prev)
         for j in range(i, last + 1):
-            rest = cur_len - walk[j].length
-            via_drop = dist.item(mid.node, drop.node) + dist.item(drop.node, base[j].node)
-            candidates.append((mid.length + via_drop + rest, i, j, mid))
-            if j < last:
-                mid, _ = _walk(mid, [base[j]], network, capacity)
-                if mid is None:
-                    break
+            after = walk[j]
+            node = after.node
+            via_drop = dist.item(prev, dnode) + dist.item(dnode, node)
+            candidates.append((head + via_drop + (cur_len - after.length), i, j))
+            # Past stop j the load with the new order no longer fits, or an
+            # order from under it has been delivered.
+            if after.load + quantity > capacity or len(after.stack) < depth:
+                break
+            head += dist.item(prev, node)
+            prev = node
 
     candidates.sort()
     best_len = math.inf
     best_pair: tuple[int, int] | None = None
-    for predicted, i, j, mid in candidates:
+    for predicted, i, j in candidates:
         if predicted > best_len * (1.0 + SCREEN_SLACK):
             break
         # An earlier gap pair also wins on an equal length.
         cut = math.nextafter(best_len, math.inf) if best_pair is not None and (i, j) < best_pair else best_len
-        cand, _ = _walk(mid, [drop, *base[j:]], network, capacity, cut)
+        cand, _ = _walk(walk[i - 1], [pick, *base[i:j], drop, *base[j:]], network, capacity, cut)
         if cand is not None:
             best_len, best_pair = cand.length, (i, j)
 
@@ -368,10 +371,21 @@ def plan_insertion(
         return PlannerResult(None)
 
     i, j = best_pair
-    new_stops = _coalesce([*base[:i], pick, *base[i:j], drop, *base[j:]], frozen)
     # No stop after the frozen one shares a node with its successor in a
-    # planned route, so _coalesce keeps every stop before i - 1, and stop
-    # i - 1 too unless the pickup merges into it; their committed states,
-    # stop 0's at least since it is frozen, are what a fresh walk records.
+    # planned route, so stops can merge only at the four seams, where the
+    # pickup, the stops it passes, the delivery and the rest join the stop
+    # before them, unless that stop is frozen.  Every stop before i - 1
+    # stays, and stop i - 1 too unless the pickup merges into it; their
+    # committed states, stop 0's at least since it is frozen, are what a
+    # fresh walk records.
+    new_stops = base[:i]
+    for seam in ((pick,), base[i:j], (drop,), base[j:]):
+        if seam:
+            prior = new_stops[-1]
+            if len(new_stops) - 1 > frozen and prior.node == seam[0].node:
+                new_stops[-1] = Stop(prior.node, prior.actions + seam[0].actions)
+            else:
+                new_stops.append(seam[0])
+            new_stops += seam[1:]
     kept = i - 1 if new_stops[i - 1] is not base[i - 1] else i
     return PlannerResult(simulate_timeline(route.vehicle, new_stops, network, capacity, walk[:kept]))

@@ -229,6 +229,70 @@ def test_plan_tie_breaks_to_earliest_gap(line_network, line_fleet):
     ]
 
 
+def test_plan_keeps_a_pair_that_wraps_a_committed_pair():
+    # Depot 4 at x=0 and factories 0-3 at x=2, 4, 6, 8.  The committed pair
+    # a runs from 4 to 6; the new order from 2 to 8 wraps it (length 16),
+    # where the next best pairs, nested inside a or before it, are 20.  Its
+    # delivery gap follows a committed delivery, and the load at P_a is
+    # exactly the capacity.
+    network = make_network(coords=[(2, 0), (4, 0), (6, 0), (8, 0), (0, 0)], roles=[FACTORY] * 4 + [DEPOT])
+    fleet = FleetConfig(vehicles=[VehicleSpec(0, 4)], capacity=5)
+    a = make_order(0, pickup=1, delivery=2, quantity=3)
+    route = _walked([Stop(4), *order_stops(a), Stop(4)], network, minute=10.0, capacity=5)
+    new = make_order(1, pickup=0, delivery=3, quantity=2)
+    assert frozen_index(route, 0.0) == 0
+    pick, drop = order_stops(new)
+    res = plan_insertion(route, (pick, drop), 0.0, network, fleet)
+    assert res.best_route.stops == [Stop(4), pick, *order_stops(a), drop, Stop(4)]
+    assert res.best_route.length == 16.0 == brute_force_best_insertion(route, new, 0.0, network, fleet)
+    assert max(w.load for w in res.best_route.walk) == fleet.capacity
+
+
+def _merged_dip_case():
+    # Depot 4 at x=0, P_a at 4, one stop at 6 that delivers a and then
+    # picks up b, D_b at 8.  The stack dips inside the stop but not across
+    # it, so the new pair from 5 to 7 around that stop (length 16) passes
+    # the scan, and its walk finds a delivered from under the new order.
+    network = make_network(
+        coords=[(4, 0), (6, 0), (8, 0), (5, 0), (0, 0), (7, 0)], roles=[FACTORY] * 4 + [DEPOT, FACTORY]
+    )
+    a, b = make_order(0, pickup=0, delivery=1), make_order(1, pickup=1, delivery=2)
+    stops = [Stop(4), Stop(0, (Action(PICKUP, a),)), Stop(1, (Action(DELIVER, a), Action(PICKUP, b))),
+             Stop(2, (Action(DELIVER, b),)), Stop(4)]
+    return network, stops, make_order(2, pickup=3, delivery=5), "lifo"
+
+
+def _late_nested_case():
+    # Depot 3 at x=0, P_b at 4, D_b at 8, one minute of service per action
+    # and b due when its committed walk, leaving at minute 1, delivers it.
+    # Wrapping b in the new pair from 2 to 10 (length 20) passes the scan;
+    # its pickup's service makes b late, and every pair before D_b delays
+    # it, so the new pair goes after b (length 32).
+    network = make_network(
+        coords=[(2, 0), (4, 0), (8, 0), (0, 0), (10, 0)], roles=[FACTORY] * 3 + [DEPOT, FACTORY], service_time=1.0
+    )
+    b = make_order(0, pickup=1, delivery=2, latest_delivery=11)
+    return network, [Stop(3), *order_stops(b), Stop(3)], make_order(1, pickup=0, delivery=4), "time-window"
+
+
+@pytest.mark.parametrize("case", [_merged_dip_case, _late_nested_case])
+def test_walk_refuses_pairs_the_scan_keeps(case, monkeypatch):
+    network, stops, new, refusal = case()
+    fleet = FleetConfig(vehicles=[VehicleSpec(0, stops[0].node)], capacity=10)
+    route = _walked(stops, network, minute=1.0)
+    walk, violations = routing._walk, []
+
+    def recorded(*args, **kwargs):
+        state, violation = walk(*args, **kwargs)
+        violations.append(violation)
+        return state, violation
+
+    monkeypatch.setattr(routing, "_walk", recorded)
+    res = plan_insertion(route, order_stops(new), 0.0, network, fleet)
+    assert refusal in violations
+    assert res.best_route.length == brute_force_best_insertion(route, new, 0.0, network, fleet)
+
+
 def test_frozen_prefix_preserved(line_network, line_fleet):
     o1 = make_order(0, pickup=0, delivery=1, created_at=0)
     route = plan_insertion(Route.empty(0, 2), order_stops(o1), 0.0, line_network, line_fleet).best_route
