@@ -216,6 +216,8 @@ def _run_one(instance: Instance, policy, outdir: Path, label: str, instance_labe
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.policy != "learned" and (args.checkpoint is not None or args.epsilon != 0.0):
+        raise ValueError(f"--checkpoint and a nonzero --epsilon apply only to --policy learned, not {args.policy}")
     instance = load_instance(args.instance)
     policy = _policy_for(args.policy, args.checkpoint, instance, args.epsilon, args.seed)
     outdir = _write_config(args)
@@ -277,6 +279,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     names = [name.strip() for name in args.policies.split(",")]
+    if args.checkpoint is not None and "learned" not in names:
+        raise ValueError(f"--checkpoint applies only when --policies names learned, not {args.policies}")
     # One budgeted solve serves both the exact_plan policy and the exact row.
     exact = solve_exact(instance, budget=args.budget) if args.exact or "exact_plan" in names else None
     policies = [_policy_for(name, args.checkpoint, instance, exact=exact) for name in names]

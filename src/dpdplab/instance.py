@@ -58,7 +58,7 @@ class DeliveryOrder:
     created_at: int
     latest_delivery: int
 
-    def validate(self, prefix: str = "order") -> None:
+    def validate(self, prefix: str) -> None:
         if self.pickup == self.delivery:
             raise InstanceError(f"{prefix}.delivery must differ from pickup")
         if self.quantity <= 0:

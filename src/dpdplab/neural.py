@@ -24,19 +24,19 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float64)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float64)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
+def softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class Block:
@@ -70,7 +70,7 @@ class Block:
 class Linear(Block):
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         super().__init__()
-        self._add_param("W", glorot_uniform(rng, d_in, d_out, (d_in, d_out)))
+        self._add_param("W", glorot_uniform(rng, d_in, d_out))
         self._add_param("b", np.zeros(d_out, dtype=np.float64))
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,10 +138,10 @@ class AttentionBlock(Block):
         self.n_heads = n_heads
         self.d_head = d_head
         width = n_heads * d_head
-        self._add_param("WQ", glorot_uniform(rng, d_in, width, (d_in, width)))
-        self._add_param("WK", glorot_uniform(rng, d_in, width, (d_in, width)))
-        self._add_param("WV", glorot_uniform(rng, d_in, width, (d_in, width)))
-        self._add_param("W", glorot_uniform(rng, d_in + width, d_out, (d_in + width, d_out)))
+        self._add_param("WQ", glorot_uniform(rng, d_in, width))
+        self._add_param("WK", glorot_uniform(rng, d_in, width))
+        self._add_param("WV", glorot_uniform(rng, d_in, width))
+        self._add_param("W", glorot_uniform(rng, d_in + width, d_out))
         self._add_param("b", np.zeros(d_out, dtype=np.float64))
 
     def _heads(self, rows: np.ndarray, S: int, K: int) -> np.ndarray:
@@ -163,7 +163,7 @@ class AttentionBlock(Block):
         Kh = self._heads(x @ self.params["WK"], S, K)
         V = self._heads(x @ self.params["WV"], S, K)
         scores = (Q @ Kh.transpose(0, 1, 3, 2)) / np.sqrt(self.d_head)
-        weights = softmax(np.where(mask[:, None], scores, -np.inf), axis=-1)
+        weights = softmax(np.where(mask[:, None], scores, -np.inf))
         cat = np.concatenate([x, self._rows(weights @ V)], axis=1)
         pre = cat @ self.params["W"] + self.params["b"]
         tape = {"x": x, "Q": Q, "K": Kh, "V": V, "weights": weights, "cat": cat, "pre": pre}
@@ -205,7 +205,7 @@ ADAM_EPS = 1e-8
 class Adam:
     """Adaptive-moment optimizer over (name, param, grad) triples."""
 
-    def __init__(self, parameters: Iterable[tuple[str, np.ndarray, np.ndarray]], lr: float = 1e-3):
+    def __init__(self, parameters: Iterable[tuple[str, np.ndarray, np.ndarray]], lr: float):
         self.triples = list(parameters)
         self.lr = lr
         self.t = 0
@@ -229,7 +229,7 @@ class Adam:
 _MAGIC = b"DPTN\x01"
 
 
-def save_tensors(path: str | Path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> Path:
+def save_tensors(path: str | Path, tensors: dict[str, np.ndarray], meta: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     manifest = []
@@ -239,7 +239,7 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray], meta: dict | 
         arr = np.ascontiguousarray(tensors[name], dtype="<f8")
         manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += arr.nbytes
-    header = json.dumps({"tensors": manifest, "meta": meta or {}}, sort_keys=True).encode()
+    header = json.dumps({"tensors": manifest, "meta": meta}, sort_keys=True).encode()
     with path.open("wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(header)))

@@ -6,10 +6,11 @@ row is embedded by an initial MLP; two stacked attention levels then mix
 each vehicle's embedding with those of its nearest feasible neighbours
 (Euclidean distance between current positions); the initial and both
 attention-level representations are concatenated into a final MLP that
-emits the scalar Q-value.  Infeasible vehicles are excluded before any
-network evaluation: their Q-value is pinned to a large negative sentinel,
-they are never sampled or selected, and no gradient ever flows to or from
-their rows.
+emits the scalar Q-value.  Only feasible vehicles have a Q value: a pass
+returns one per feasible row, in vehicle id order within each state, so an
+infeasible vehicle is never evaluated, sampled, selected or differentiated.
+Two places map between rows and vehicle ids: acting turns the greedy row into
+its vehicle, and the replay buffer stores each action as its row.
 
 The network reads a fleet state through its layout (:meth:`QNetwork.lay_out`):
 the feasible rows, scaled, and each row's neighbour group.  A layout depends
@@ -22,8 +23,8 @@ row's neighbour group.  Acting evaluates a block of one state; training
 runs one forward and one backward per block of ``BLOCK_STATES`` states of
 its minibatch, and evaluates the Double-Q targets' next states in the same
 blocks, one block shared by the online and the target pass.  Greedy choices
-treat Q values equal up to rounding as ties and take the lowest feasible
-vehicle id.
+treat Q values equal up to rounding as ties and take the lowest row, which is
+the lowest feasible vehicle id.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .env import DEFAULT_ALPHA, JointState, Transition, run_episode
 from .instance import Instance, read_json
 from .neural import Adam, AttentionBlock, Block, Mlp, load_tensors, save_tensors
 
-SENTINEL_Q = -1e9
 # Per-column scale of a feature row (lengths in km, score, used flag,
 # interval of a 144-interval day) before it enters the initial MLP.  The
 # interval scale does not follow an instance's horizon: at 1440 intervals
@@ -98,18 +98,18 @@ def neighbor_indices(positions: np.ndarray, n_neighbors: int) -> np.ndarray:
 class StateLayout:
     """One fleet state as a network reads it (see :meth:`QNetwork.lay_out`).
 
-    ``x`` holds the k feasible vehicles' feature rows, in vehicle order,
+    ``x`` holds the k feasible vehicles' feature rows, in vehicle id order,
     after the score-column rule and ``FEATURE_SCALE``.  ``groups`` holds each
     of those rows' neighbour group as indices among them, padded to
     ``neighbors + 1`` columns with the row's own index; it is None without
-    attention.  ``feasible`` is the state's own array.  At the default
-    config a layout stores 76 bytes per feasible vehicle (40 of features, 36
-    of group) and about 300 bytes of headers: a buffer entry of a state with
-    10 feasible vehicles takes about 1.2 kB, so a full default buffer of
-    100 000 entries about 120 MB.
+    attention.  At the default config a layout stores 76 bytes per feasible
+    vehicle (40 of features, 36 of group).  Measured with tracemalloc over
+    240 entries of the benchmark's train shape, whose 10 vehicles were all
+    feasible, a buffer entry holds about 1.3 kB, 560 bytes of it object
+    headers, so a full default buffer of 100 000 such entries takes about
+    130 MB.
     """
 
-    feasible: np.ndarray  # (K,) bool
     x: np.ndarray  # (k, 5) float
     groups: np.ndarray | None  # (k, neighbors + 1) int32
 
@@ -117,15 +117,13 @@ class StateLayout:
 @dataclass(frozen=True, slots=True)
 class BlockLayout:
     """A sequence of state layouts assembled for one pass (see
-    :func:`block_layout`).  ``offsets[s]`` is where state s starts in the
-    concatenation of the states' vehicles, ``rows`` are the feasible
-    vehicles' indices in it and ``x`` their feature rows.  With attention,
-    ``slots`` are those rows' places in a grid of one group of ``Kmax`` rows
-    per state (every place, as a slice, when no state has fewer rows), and
-    ``mask`` is the ``(S, Kmax, Kmax)`` attention mask."""
+    :func:`block_layout`).  ``x`` concatenates the states' feasible rows and
+    ``offsets[s]`` is where state s starts in it.  With attention, ``slots``
+    are those rows' places in a grid of one group of ``Kmax`` rows per state
+    (every place, as a slice, when no state has fewer rows), and ``mask`` is
+    the ``(S, Kmax, Kmax)`` attention mask."""
 
     offsets: np.ndarray
-    rows: np.ndarray
     x: np.ndarray
     slots: np.ndarray | slice | None
     mask: np.ndarray | None
@@ -135,12 +133,11 @@ def block_layout(layouts: Sequence[StateLayout]) -> BlockLayout:
     """Concatenate the layouts' rows and write their neighbour groups into
     one mask.  A padding row of the grid attends only to itself; a padded
     group column names its own row, which the diagonal already admits."""
-    offsets = np.cumsum([0, *(len(lay.feasible) for lay in layouts)])
-    rows = np.flatnonzero(np.concatenate([lay.feasible for lay in layouts]))
+    offsets = np.cumsum([0, *(len(lay.x) for lay in layouts)])
     x = np.concatenate([lay.x for lay in layouts])
     if layouts[0].groups is None:
-        return BlockLayout(offsets, rows, x, None, None)
-    counts = np.array([len(lay.x) for lay in layouts])
+        return BlockLayout(offsets, x, None, None)
+    counts = np.diff(offsets)
     kmax = counts.max()
     slots = np.flatnonzero(np.arange(kmax) < counts[:, None])
     mask = np.zeros((len(layouts), kmax, kmax), dtype=bool)
@@ -149,7 +146,7 @@ def block_layout(layouts: Sequence[StateLayout]) -> BlockLayout:
     # A grid without padding rows is read and written through views.
     if len(slots) == len(layouts) * kmax:
         slots = slice(None)
-    return BlockLayout(offsets, rows, x, slots, mask)
+    return BlockLayout(offsets, x, slots, mask)
 
 
 class QNetwork(Block):
@@ -188,17 +185,17 @@ class QNetwork(Block):
             x[:, 2] = 0.0
         x = x * FEATURE_SCALE
         if not cfg.use_attention:
-            return StateLayout(state.feasible, x, None)
+            return StateLayout(x, None)
         near = neighbor_indices(state.positions[state.feasible], cfg.neighbors)
         groups = np.empty((len(x), cfg.neighbors + 1), dtype=np.int32)
         groups[...] = np.arange(len(x))[:, None]
         groups[:, : near.shape[1]] = near
-        return StateLayout(state.feasible, x, groups)
+        return StateLayout(x, groups)
 
     def q_values(self, block: BlockLayout) -> tuple[np.ndarray, dict]:
-        """Q per vehicle of every state of ``block``, concatenated in order,
-        and the tape :meth:`backward` needs; ``tape["offsets"][s]`` is where
-        state s starts.  Infeasible rows get the sentinel without evaluation.
+        """Q per feasible row of every state of ``block``, concatenated in
+        order, and the tape :meth:`backward` needs; ``tape["offsets"][s]`` is
+        where state s starts.  Row i of a state is its i-th feasible vehicle.
 
         The block must come from layouts made by a network of this config.
         Each state's layout is built once, when the state enters the replay
@@ -208,11 +205,9 @@ class QNetwork(Block):
         run on the block's packed feasible rows; attention runs on its grid,
         zero-padded past each state's feasible rows.
         """
-        rows, offsets = block.rows, block.offsets
-        q = np.full(offsets[-1], SENTINEL_Q, dtype=float)
-        tape: dict = {"rows": rows, "offsets": offsets}
-        if not rows.size:
-            return q, tape
+        tape: dict = {"offsets": block.offsets}
+        if not len(block.x):
+            return np.zeros(0), tape
         h0, tape["init"] = self.init_mlp.forward(block.x)
         if self.attn1 is not None:
             slots, mask = block.slots, block.mask
@@ -225,28 +220,17 @@ class QNetwork(Block):
         else:
             cat = h0
         out, tape["final"] = self.final_mlp.forward(cat)
-        q[rows] = out[:, 0]
-        return q, tape
+        return out[:, 0], tape
 
     def backward(self, tape: dict, dq: np.ndarray) -> None:
         """Accumulate gradients of a scalar loss whose dL/dQ is ``dq`` (per
-        vehicle, over the same concatenation as the Q values) through the
-        forward pass recorded in ``tape``.
-
-        Components on infeasible rows must be zero: those rows never entered
-        the forward pass.
-        """
+        feasible row, over the same concatenation as the Q values) through
+        the forward pass recorded in ``tape``."""
         n = tape["offsets"][-1]
-        _check(len(dq) == n, f"dq has {len(dq)} entries, but the forward pass had {n} vehicles")
-        rows = tape["rows"]
-        infeasible_mask = np.ones(len(dq), dtype=bool)
-        infeasible_mask[rows] = False
-        if np.any(dq[infeasible_mask] != 0.0):
-            raise ValueError("loss gradient on an infeasible row")
-        if not rows.size:
+        _check(len(dq) == n, f"dq has {len(dq)} entries, but the forward pass had {n} rows")
+        if not n:
             return
-        dout = np.asarray(dq, dtype=float)[rows].reshape(-1, 1)
-        dcat = self.final_mlp.backward(tape["final"], dout)
+        dcat = self.final_mlp.backward(tape["final"], np.asarray(dq, dtype=float).reshape(-1, 1))
         if self.attn1 is not None:
             d = self.config.embed_dim
             slots = tape["slots"]
@@ -285,15 +269,15 @@ def _copy_weights(path: str | Path, tensors: dict[str, np.ndarray], nets: list[t
         p[...] = tensors[name]
 
 
-def greedy_index(q: np.ndarray, feasible: np.ndarray) -> int:
-    """Index of the largest feasible Q value.  Feasible values within
-    ``TIE_TOLERANCE * max(1, |max|)`` of it are ties, and ties go to the
-    lowest index, so interchangeable vehicles are not chosen by rounding."""
-    values = q[feasible]
-    if not np.isfinite(values).all():
-        raise ValueError(f"the feasible Q values are not finite: {values.tolist()}")
-    top = values.max()
-    return int(np.argmax(feasible & (q >= top - TIE_TOLERANCE * max(1.0, abs(top)))))
+def greedy_index(q: np.ndarray) -> int:
+    """Index of the largest of one state's Q values, one per feasible row.
+    Values within ``TIE_TOLERANCE * max(1, |max|)`` of it are ties, and ties
+    go to the lowest index, so interchangeable vehicles are not chosen by
+    rounding."""
+    if not np.isfinite(q).all():
+        raise ValueError(f"the feasible Q values are not finite: {q.tolist()}")
+    top = q.max()
+    return int(np.argmax(q >= top - TIE_TOLERANCE * max(1.0, abs(top))))
 
 
 def select_action(
@@ -312,7 +296,7 @@ def select_action(
         if rng.random() < epsilon:
             return int(feasible[int(rng.integers(len(feasible)))])
     q, _ = net.q_values(block_layout([net.lay_out(state)]))
-    return greedy_index(q, state.feasible)
+    return int(feasible[greedy_index(q)])
 
 
 def make_learned_policy(
@@ -329,11 +313,12 @@ def make_learned_policy(
 
 @dataclass(frozen=True, slots=True)
 class Replay:
-    """A buffered transition: its action and reward beside the layouts of
+    """A buffered transition: its action, as ``row``, the action's index
+    among its state's feasible rows, and its reward beside the layouts of
     its state and of its next state (None unless its target bootstraps)."""
 
     layout: StateLayout
-    action: int
+    row: int
     reward: float
     next_layout: StateLayout | None
 
@@ -388,7 +373,8 @@ class Trainer:
     def replays(self, transitions: Sequence[Transition]) -> list[Replay]:
         """The buffer entries of ``transitions``, each state laid out once.
         In an episode a bootstrapping transition's next state is the
-        following transition's state, and the two share its layout."""
+        following transition's state, and the two share its layout.  An
+        action that is not a feasible vehicle is a ValueError."""
         layouts = [self.online.lay_out(tr.state) for tr in transitions]
         following = [tr.state for tr in transitions[1:]] + [None]
         entries = []
@@ -399,7 +385,13 @@ class Trainer:
                 nxt = layouts[i + 1]
             else:
                 nxt = self.online.lay_out(tr.next_state)
-            entries.append(Replay(layouts[i], tr.action, float(tr.reward), nxt))
+            feasible = tr.state.feasible
+            _check(
+                0 <= tr.action < len(feasible) and feasible[tr.action],
+                f"action {tr.action} is not a feasible vehicle for order {tr.state.order_id}",
+            )
+            row = int(np.count_nonzero(feasible[: tr.action]))
+            entries.append(Replay(layouts[i], row, float(tr.reward), nxt))
         return entries
 
     def double_q_target(self, batch: Sequence[Replay]) -> np.ndarray:
@@ -415,7 +407,7 @@ class Trainer:
             online_q, _ = self.online.q_values(block)
             target_q, _ = self.target.q_values(block)
             for i, lo, hi in zip(part, block.offsets, block.offsets[1:]):
-                best = lo + greedy_index(online_q[lo:hi], batch[i].next_layout.feasible)
+                best = lo + greedy_index(online_q[lo:hi])
                 targets[i] = batch[i].reward + self.config.gamma * target_q[best]
         return targets
 
@@ -431,7 +423,7 @@ class Trainer:
         for start in range(0, len(batch), BLOCK_STATES):
             part = batch[start : start + BLOCK_STATES]
             q, tape = self.online.q_values(block_layout([r.layout for r in part]))
-            picked = tape["offsets"][:-1] + [r.action for r in part]
+            picked = tape["offsets"][:-1] + [r.row for r in part]
             diff = q[picked] - targets[start : start + BLOCK_STATES]
             total += float(diff @ diff)
             dq = np.zeros_like(q)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from dpdplab.instance import DEPOT, MINUTES_PER_DAY, Instance
-from dpdplab.policy import FEATURE_SCALE, SENTINEL_Q
+from dpdplab.policy import FEATURE_SCALE
 from dpdplab.routing import PICKUP, Route
 
 
@@ -297,7 +297,8 @@ def q_reference(net, state):
     """Q per vehicle of one joint state by composing the loop references:
     the initial MLP per feasible row, each attention level once per row over
     the row's ``neighbor_reference`` group, the final MLP on the three
-    concatenated embeddings; infeasible rows get the sentinel."""
+    concatenated embeddings.  An infeasible vehicle has no Q value; its
+    entry is NaN, so a comparison that reads it fails."""
     cfg = net.config
 
     def layers(mlp):
@@ -324,7 +325,7 @@ def q_reference(net, state):
         h1 = attend(net.attn1, h0, groups)
         h2 = attend(net.attn2, h1, groups)
         cat = [a + b + c for a, b, c in zip(h0, h1, h2)]
-    q = [SENTINEL_Q] * state.n_vehicles
+    q = [float("nan")] * state.n_vehicles
     for k, row in zip(feasible, cat):
         q[k] = mlp_reference(layers(net.final_mlp), row)[0]
     return q

@@ -131,20 +131,20 @@ def test_criterion_4_gradients_match_finite_differences():
             rows[int(rng.integers(4))] = None
             positions = [tuple(rng.uniform(0, 10, size=2)) for _ in range(4)]
             state = make_state(rows, positions=positions)
-            action = int(np.flatnonzero(state.feasible)[0])
+            row = 0  # the first feasible vehicle
             net.zero_grad()
             _, tape = net.q_values(lay(net, [state]))
-            dq = np.zeros(4)
-            dq[action] = 1.0
+            dq = np.zeros(3)
+            dq[row] = 1.0
             net.backward(tape, dq)
             for name, p, g in net.parameters():
                 flat_p, flat_g = p.reshape(-1), g.reshape(-1)
                 for idx in range(flat_p.size):
                     keep = flat_p[idx]
                     flat_p[idx] = keep + h
-                    up = net.q_values(lay(net, [state]))[0][action]
+                    up = net.q_values(lay(net, [state]))[0][row]
                     flat_p[idx] = keep - h
-                    down = net.q_values(lay(net, [state]))[0][action]
+                    down = net.q_values(lay(net, [state]))[0][row]
                     flat_p[idx] = keep
                     numeric = (up - down) / (2 * h)
                     err = relative_error(flat_g[idx], numeric)

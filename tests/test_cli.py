@@ -686,6 +686,24 @@ def test_out_of_range_run_epsilon_fails_cleanly(tmp_path, checkpoint_bytes, epsi
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--policy", "greedy1", "--epsilon", "5"], "--epsilon"),
+        (["run", "--policy", "greedy1", "--checkpoint", "{missing}"], "--checkpoint"),
+        (["compare", "--policies", "greedy1,greedy2", "--checkpoint", "{missing}"], "--checkpoint"),
+    ],
+)
+def test_flags_no_named_policy_reads_are_refused(tmp_path, argv, flag):
+    """A greedy policy reads neither a checkpoint nor an exploration rate."""
+    paths = {"missing": tmp_path / "missing.ckpt"}
+    argv = [arg.format(**paths) for arg in argv] + ["--instance", str(_gen(tmp_path))]
+    rc, err = _main_in(str(tmp_path), argv)
+    _assert_clean_failure(rc, err)
+    assert flag in err
+    assert not (tmp_path / "out" / "config.json").exists()
+
+
+@pytest.mark.parametrize(
     "section, removed",
     [
         ("qnetwork_config", {"state_dim": 5}),

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpdplab import policy
-from dpdplab.env import JointState, Transition
+from dpdplab.env import JointState, Transition, run_episode
 from dpdplab.instance import generate_instance, read_json
 from dpdplab.policy import (
     BLOCK_STATES,
-    SENTINEL_Q,
     QNetwork,
     QNetworkConfig,
     Trainer,
@@ -49,21 +48,20 @@ def lay(net, states):
     return block_layout([net.lay_out(state) for state in states])
 
 
-def test_sentinel_dominates_argmax():
+def test_infeasible_vehicles_have_no_q_value():
     state = make_state([None, None, (5.0, 9.0, 0.2), None])
     net = QNetwork(SMALL, seed=0)
-    q, _ = net.q_values(lay(net, [state]))
-    assert q[2] > SENTINEL_Q
-    assert np.argmax(q) == 2
+    q, tape = net.q_values(lay(net, [state]))
+    assert q.shape == (1,) and np.isfinite(q[0])
+    assert tape["offsets"].tolist() == [0, 1]
     assert select_action(state, net) == 2
-    assert all(q[i] == SENTINEL_Q for i in (0, 1, 3))
 
 
 def test_lone_vehicle_still_evaluates():
     state = make_state([(0.0, 4.0, 0.1)])
     net = QNetwork(SMALL, seed=0)
     q, _ = net.q_values(lay(net, [state]))
-    assert np.isfinite(q[0]) and q[0] != SENTINEL_Q
+    assert q.shape == (1,) and np.isfinite(q[0])
 
 
 def test_neighbor_selection_by_distance():
@@ -163,8 +161,12 @@ def test_permutation_equivariance():
     perm = [2, 0, 3, 1]
     state_p = make_state([rows[i] for i in perm], positions=[pos[i] for i in perm])
     q_p, _ = net.q_values(lay(net, [state_p]))
+    by_id = dict(zip(np.flatnonzero(state.feasible).tolist(), q))
+    by_id_p = dict(zip(np.flatnonzero(state_p.feasible).tolist(), q_p))
+    assert sorted(by_id_p) == [0, 1, 3]
     for new_idx, old_idx in enumerate(perm):
-        assert q_p[new_idx] == pytest.approx(q[old_idx], rel=1e-12)
+        if rows[old_idx] is not None:
+            assert by_id_p[new_idx] == pytest.approx(by_id[old_idx], rel=1e-12)
 
 
 def test_infeasible_rows_never_touch_network():
@@ -172,48 +174,45 @@ def test_infeasible_rows_never_touch_network():
     rows = [(3.0, 8.0, 0.5), None, (1.0, 2.0, 0.1)]
     state = make_state(rows)
     q1, _ = net.q_values(lay(net, [state]))
-    # Changing an infeasible row's (sentinel) features cannot change anything.
+    # Changing an infeasible vehicle's features or position changes nothing.
     state.features[1] = 99.0
+    state.positions[1] = (0.5, 0.0)
     q2, _ = net.q_values(lay(net, [state]))
     assert np.array_equal(q1, q2)
-    # Perturbing any weight leaves the sentinel untouched.
+    # Under any weights the infeasible vehicle still has no Q value.
     for _, p, _ in net.parameters():
         p.flat[0] += 0.37
-    q3, _ = net.q_values(lay(net, [state]))
-    assert q3[1] == SENTINEL_Q
-
-
-def test_gradient_on_infeasible_row_rejected():
-    net = QNetwork(SMALL, seed=7)
-    state = make_state([(3.0, 8.0, 0.5), None])
-    _, tape = net.q_values(lay(net, [state]))
-    dq = np.zeros(2)
-    dq[1] = 1.0
-    with pytest.raises(ValueError, match="infeasible row"):
-        net.backward(tape, dq)
+    q3, tape = net.q_values(lay(net, [state]))
+    assert len(q3) == 2 and tape["offsets"].tolist() == [0, 2]
 
 
 @pytest.mark.parametrize("length", [2, 4])
 def test_backward_refuses_a_gradient_of_the_wrong_length(length):
+    """Three feasible rows take a dq of three entries; one per vehicle is refused."""
     net = QNetwork(SMALL, seed=7)
-    state = make_state([(3.0, 8.0, 0.5), (1.0, 2.0, 0.1), None])
+    state = make_state([(3.0, 8.0, 0.5), (1.0, 2.0, 0.1), (0.0, 5.0, 0.9), None])
     _, tape = net.q_values(lay(net, [state]))
     dq = np.zeros(length)
     dq[0] = dq[-1] = 1.0
-    with pytest.raises(ValueError, match=f"dq has {length} entries, but the forward pass had 3 vehicles"):
+    with pytest.raises(ValueError, match=f"dq has {length} entries, but the forward pass had 3 rows"):
         net.backward(tape, dq)
 
 
 def test_backward_only_flows_through_feasible_rows():
+    """The gradient is the one of the same state without its infeasible
+    vehicle, and it is not zero."""
     net = QNetwork(SMALL, seed=8)
     state = make_state([(3.0, 8.0, 0.5), None, (1.0, 2.0, 0.1)])
-    net.zero_grad()
-    _, tape = net.q_values(lay(net, [state]))
-    dq = np.zeros(3)
-    dq[0] = 1.0
-    net.backward(tape, dq)
-    grads_any = any(np.any(g != 0) for _, _, g in net.parameters())
-    assert grads_any
+    without = make_state([(3.0, 8.0, 0.5), (1.0, 2.0, 0.1)], positions=[(0.0, 0.0), (2.0, 0.0)])
+    grads = []
+    for s in (state, without):
+        net.zero_grad()
+        _, tape = net.q_values(lay(net, [s]))
+        net.backward(tape, np.array([1.0, 0.0]))
+        grads.append({name: g.copy() for name, _, g in net.parameters()})
+    assert any(np.any(g != 0) for g in grads[0].values())
+    for name, g in grads[0].items():
+        assert np.array_equal(g, grads[1][name]), name
 
 
 def test_backward_uses_the_tape_it_is_given():
@@ -221,7 +220,7 @@ def test_backward_uses_the_tape_it_is_given():
     net = QNetwork(SMALL, seed=9)
     state = make_state([(3.0, 8.0, 0.5), None, (1.0, 2.0, 0.1)])
     other = make_state([(0.0, 5.0, 0.9), (2.0, 7.0, 0.3)])
-    dq = np.array([1.0, 0.0, -0.5])
+    dq = np.array([1.0, -0.5])
     net.zero_grad()
     _, tape = net.q_values(lay(net, [state]))
     net.backward(tape, dq)
@@ -360,8 +359,6 @@ def test_default_config_round_trips_through_json(cls):
 
 
 def test_learned_policy_runs_episode():
-    from dpdplab.env import run_episode
-
     inst = generate_instance(seed=7, n_factories=6, n_orders=6, n_vehicles=3)
     net = QNetwork(SMALL, seed=11)
     report, _ = run_episode(inst, make_learned_policy(net))
@@ -376,11 +373,11 @@ def test_full_tower_gradcheck_small():
         [(3.0, 8.0, 0.5), None, (1.0, 2.0, 0.1), (0.0, 5.0, 0.9)],
         positions=[(0.0, 0.0), (4.0, 4.0), (1.0, 0.5), (2.0, 2.0)],
     )
-    action = 2
+    row = 1  # vehicle 2, the second feasible one
     net.zero_grad()
     _, tape = net.q_values(lay(net, [state]))
-    dq = np.zeros(4)
-    dq[action] = 1.0
+    dq = np.zeros(3)
+    dq[row] = 1.0
     net.backward(tape, dq)
     h = 1e-4
     for name, p, g in net.parameters():
@@ -389,9 +386,9 @@ def test_full_tower_gradcheck_small():
         for idx in range(0, flat_p.size, 7):  # sample every 7th weight for speed
             keep = flat_p[idx]
             flat_p[idx] = keep + h
-            up = net.q_values(lay(net, [state]))[0][action]
+            up = net.q_values(lay(net, [state]))[0][row]
             flat_p[idx] = keep - h
-            down = net.q_values(lay(net, [state]))[0][action]
+            down = net.q_values(lay(net, [state]))[0][row]
             flat_p[idx] = keep
             numeric = (up - down) / (2 * h)
             assert relative_error(flat_g[idx], numeric) < 1e-4, (name, idx)
@@ -436,19 +433,19 @@ _NETS = {
 def test_batched_q_equals_per_state_q(states, which):
     net = _NETS[which]
     q, tape = net.q_values(lay(net, states))
-    assert tape["offsets"].tolist() == np.cumsum([0] + [s.n_vehicles for s in states]).tolist()
+    assert tape["offsets"].tolist() == np.cumsum([0] + [s.feasible.sum() for s in states]).tolist()
+    assert np.isfinite(q).all()
     for state, lo, hi in zip(states, tape["offsets"], tape["offsets"][1:]):
         own, _ = net.q_values(lay(net, [state]))
+        assert len(own) == state.feasible.sum()
         assert _close(q[lo:hi], own)
-        assert np.all((q[lo:hi] == SENTINEL_Q) == ~state.feasible)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_states(), st.sampled_from(sorted(_NETS)), st.integers(0, 2**32 - 1))
 def test_batched_backward_equals_sum_of_per_state_backwards(states, which, seed):
     net = _NETS[which]
-    feasible = np.concatenate([s.feasible for s in states])
-    dq = np.random.default_rng(seed).normal(size=feasible.size) * feasible
+    dq = np.random.default_rng(seed).normal(size=sum(s.feasible.sum() for s in states))
     net.zero_grad()
     _, tape = net.q_values(lay(net, states))
     net.backward(tape, dq)
@@ -466,20 +463,68 @@ def test_batched_backward_equals_sum_of_per_state_backwards(states, which, seed)
 def test_q_values_match_loop_reference(states, which):
     net = _NETS[which]
     q, _ = net.q_values(lay(net, states))
-    assert _close(q, q_reference(net, states[0]))
+    assert len(q) == states[0].feasible.sum()
+    assert _close(q, np.array(q_reference(net, states[0]))[states[0].feasible])
 
 
-def _greedy(values):
-    q = np.array(values)
-    return greedy_index(q, q != SENTINEL_Q)
+def _interleave(state):
+    """``state`` with an infeasible vehicle before each of its vehicles, at
+    that vehicle's position: vehicle k becomes vehicle 2k + 1."""
+    k = state.n_vehicles
+    features = np.full((2 * k, 5), -1.0)
+    features[1::2] = state.features
+    feasible = np.zeros(2 * k, dtype=bool)
+    feasible[1::2] = state.feasible
+    accepted = np.zeros(2 * k, dtype=int)
+    accepted[1::2] = state.accepted
+    return JointState(features, feasible, np.repeat(state.positions, 2, axis=0), accepted, state.order_id)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_states(), st.sampled_from(sorted(_NETS)))
+def test_greedy_action_is_the_reference_best_feasible_vehicle(states, which):
+    """Wherever the reference's best feasible Q beats the runner-up by more
+    than 1e-9 relative, acting takes that vehicle's id, not its row."""
+    net = _NETS[which]
+    for state in map(_interleave, states):
+        ref = np.array(q_reference(net, state))
+        ids = np.flatnonzero(state.feasible)
+        if not ids.size:
+            continue
+        order = np.argsort(-ref[ids], kind="stable")
+        best = ref[ids[order[0]]]
+        if len(ids) > 1 and best - ref[ids[order[1]]] <= 1e-9 * max(1.0, abs(best)):
+            continue
+        assert select_action(state, net) == ids[order[0]]
+
+
+def test_replay_rows_name_the_actions_of_a_learned_episode():
+    """Slow vehicles with busy routes leave about half the decisions with an
+    infeasible vehicle before the chosen one."""
+    inst = generate_instance(seed=3, n_factories=6, n_orders=20, n_vehicles=5, speed=0.07, hot_spot=0.8)
+    trainer = Trainer(SMALL, TrainerConfig(seed=1))
+    _, transitions = run_episode(inst, make_learned_policy(trainer.online, epsilon=0.5, rng=trainer.rng))
+    entries = trainer.replays(transitions)
+    assert len(entries) == len(transitions) == 20
+    for tr, entry in zip(transitions, entries):
+        assert np.flatnonzero(tr.state.feasible)[entry.row] == tr.action
+    assert any(entry.row != tr.action for tr, entry in zip(transitions, entries))
+
+
+@pytest.mark.parametrize("action", [1, 2, -1])
+def test_replays_refuse_an_action_that_is_not_a_feasible_vehicle(action):
+    trainer = Trainer(SMALL, TrainerConfig(seed=0))
+    tr = Transition(make_state([(3.0, 8.0, 0.5), None]), action, -1.0, None)
+    with pytest.raises(ValueError, match=f"action {action} is not a feasible vehicle"):
+        trainer.replays([tr])
 
 
 def test_greedy_ties_within_rounding_go_to_lowest_id():
     one = 1.0
-    assert _greedy([SENTINEL_Q, one, np.nextafter(one, 2.0), one]) == 1
-    assert _greedy([1e6, 1e6 + 1e-7, SENTINEL_Q]) == 0
-    assert _greedy([0.5, 0.5 + 1e-9]) == 1
-    assert _greedy([SENTINEL_Q, -2e9, np.nextafter(-2e9, 0.0)]) == 1
+    assert greedy_index(np.array([one, np.nextafter(one, 2.0), one])) == 0
+    assert greedy_index(np.array([1e6, 1e6 + 1e-7])) == 0
+    assert greedy_index(np.array([0.5, 0.5 + 1e-9])) == 1
+    assert greedy_index(np.array([-2e9, np.nextafter(-2e9, 0.0)])) == 0
 
 
 def test_interchangeable_vehicles_go_to_the_lowest_id():
@@ -515,14 +560,14 @@ def test_double_q_target_breaks_rounding_ties_to_lowest_id():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_greedy_choices_refuse_feasible_q_values_that_are_not_finite(bad):
     """A NaN or infinite feasible Q value has no greedy choice: acting and
-    the Double-Q target raise instead of taking the infeasible vehicle 0."""
-    q = np.array([SENTINEL_Q, bad, 3.0])
+    the Double-Q target raise instead of taking whichever row comes first."""
+    q = np.array([bad, 3.0])
     with pytest.raises(ValueError, match="feasible Q values are not finite"):
-        greedy_index(q, np.array([False, True, True]))
+        greedy_index(q)
     trainer = Trainer(SMALL, TrainerConfig(seed=0))
 
     def bad_q(block):
-        return q.copy(), {"offsets": np.array([0, 3])}
+        return q.copy(), {"offsets": np.array([0, 2])}
 
     trainer.online.q_values = bad_q
     nxt = make_state([None, (1.0, 2.0, 0.1), (0.0, 4.0, 0.2)])
@@ -534,7 +579,7 @@ def test_greedy_choices_refuse_feasible_q_values_that_are_not_finite(bad):
 
 
 def test_greedy_choices_ignore_the_sentinel_below_every_feasible_q():
-    """Feasible Q values below SENTINEL_Q still rank above infeasible rows,
+    """Feasible Q values far below zero still rank above infeasible vehicles,
     both when acting and when choosing the Double-Q target's action."""
     trainer = _flat_q_trainer(online_bias=-2e9, target_bias=-2e9, gamma=0.5)
     nxt = make_state([None, (1.0, 2.0, 0.1)])
@@ -577,12 +622,21 @@ def test_an_episode_lays_out_each_state_once(monkeypatch):
     assert calls == []
 
 
-def test_training_batches_mix_fleet_sizes():
+def test_training_batches_mix_fleet_sizes(monkeypatch):
     small = generate_instance(seed=8, n_factories=5, n_orders=6, n_vehicles=2)
     large = generate_instance(seed=9, n_factories=5, n_orders=6, n_vehicles=5)
     trainer = Trainer(SMALL, TrainerConfig(seed=5, batch_size=12, steps_per_episode=3))
+    fleets = []
+    replays = trainer.replays
+
+    def recording(transitions):
+        fleets.extend(tr.state.n_vehicles for tr in transitions)
+        return replays(transitions)
+
+    monkeypatch.setattr(trainer, "replays", recording)
     log = trainer.train([small, large], 6)
-    assert {len(r.layout.feasible) for r in trainer.buffer} == {2, 5}
+    assert set(fleets) == {2, 5}
+    assert max(len(r.layout.x) for r in trainer.buffer) > 2
     losses = [row["loss"] for row in log[1:]]
     assert losses and all(np.isfinite(loss) for loss in losses)
 

@@ -2,13 +2,15 @@
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _run(script: str, *args: str) -> str:
@@ -92,3 +94,30 @@ def test_bench_snapshot_merges_both_traces_of_every_workload():
     swapped[("train", 0)] = _result("greedy", 0, {})
     with pytest.raises(ValueError, match="train trace 0"):
         snapshot.merge("main", "abc123", False, 34, swapped)
+
+
+@pytest.fixture(scope="module")
+def bench_copy(tmp_path_factory):
+    """The benchmark, the package source and BENCHMARK.json copied into a
+    fresh tree: ``perfbench/run.py`` writes its results beside itself, so
+    the copy keeps them out of the checkout."""
+    root = tmp_path_factory.mktemp("bench")
+    skip = shutil.ignore_patterns("__pycache__", "tests")
+    shutil.copytree(ROOT / "perfbench", root / "perfbench", ignore=skip)
+    shutil.copytree(ROOT / "src" / "dpdplab", root / "src" / "dpdplab", ignore=skip)
+    shutil.copy(ROOT / "BENCHMARK.json", root)
+    return root
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]])
+def test_traced_benchmark_run_passes_its_checks(bench_copy, workload):
+    """A one-second traced run of each benchmark workload passes the
+    benchmark's cross-checks against the program: planner and Adam-step
+    counts, solver node counts and the seed-0 greedy digest."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=bench_copy, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, done.stdout
